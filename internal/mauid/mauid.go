@@ -153,6 +153,13 @@ func (d *Daemon) commit(c proto.SchedCommit) (*proto.SchedCommitResp, error) {
 	if err != nil {
 		return nil, err
 	}
+	if env.Type == proto.TError {
+		var e proto.ErrorResp
+		if err := env.Decode(&e); err != nil {
+			return nil, fmt.Errorf("mauid: commit refused: %w", err)
+		}
+		return nil, fmt.Errorf("mauid: commit refused: %s", e.Error)
+	}
 	var resp proto.SchedCommitResp
 	if err := env.Decode(&resp); err != nil {
 		return nil, err

@@ -3,7 +3,9 @@ package mauid
 import (
 	"context"
 	"fmt"
+	"net"
 	"repro/internal/testutil/leak"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,5 +222,41 @@ func TestMirrorEpochs(t *testing.T) {
 	}
 	if m.StateEpoch() != 9 || m.QueueEpoch() != 8 {
 		t.Errorf("after grant: epochs = %d/%d, want 9/8 (dyn is state-class)", m.StateEpoch(), m.QueueEpoch())
+	}
+}
+
+// TestCommitSurfacesServerError: a server that answers sched.commit
+// with TError must fail the cycle, so the daemon's consecutive-failure
+// backoff sees it. Decoding the reply into a SchedCommitResp alone
+// turned that answer into "0 applied, 0 skipped".
+func TestCommitSurfacesServerError(t *testing.T) {
+	leak.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		c := proto.NewConn(nc)
+		defer c.Close()
+		if c.AcceptHandshake(proto.ModeAuto) != nil {
+			return
+		}
+		if _, err := c.Recv(); err != nil {
+			return
+		}
+		_ = c.Send(proto.TError, proto.ErrorResp{Error: "bad sched.commit: truncated"})
+	}()
+	d := New(ln.Addr().String(), core.New(core.Options{}, 0), time.Second)
+	resp, err := d.commit(proto.SchedCommit{Serial: 1, Actions: []proto.SchedAction{{Kind: "start", JobID: 1}}})
+	<-served
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("commit against a refusing server = %+v, %v; want the server's error", resp, err)
 	}
 }

@@ -2,8 +2,11 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -321,5 +324,170 @@ func TestRoundTripV2AllocsRegression(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, roundTrip)
 	if allocs > 4 {
 		t.Errorf("v2 round trip allocates %.1f times, want <= 4 (v1: ~22)", allocs)
+	}
+}
+
+// deepState builds a snapshot with n queued jobs of the shape the live
+// server produces (100 users, a group per user, one state).
+func deepState(n int) *SchedState {
+	st := &SchedState{NowMS: 1_700_000_000_000, Serial: 42}
+	for i := 0; i < 64; i++ {
+		st.Nodes = append(st.Nodes, NodeStatus{Name: fmt.Sprintf("node%02d", i), Cores: 8, Used: 8, State: "up"})
+	}
+	st.Queued = make([]SchedJob, n)
+	for i := range st.Queued {
+		u := i % 100
+		st.Queued[i] = SchedJob{
+			ID: i + 1, Name: fmt.Sprintf("L.%d", i), User: fmt.Sprintf("user%02d", u), Group: fmt.Sprintf("grp_user%02d", u),
+			State: "queued", Cores: 1 + i%8, WallSecs: int64(60 + i%3000), SubmitMS: 1_700_000_000_000 + int64(i),
+		}
+	}
+	return st
+}
+
+// loopConn is an in-memory connection for one goroutine: Send appends
+// to the buffer, Recv consumes it.
+type loopConn struct {
+	net.Conn
+	bytes.Buffer
+}
+
+func (l *loopConn) Write(p []byte) (int, error)     { return l.Buffer.Write(p) }
+func (l *loopConn) Read(p []byte) (int, error)      { return l.Buffer.Read(p) }
+func (l *loopConn) SetReadDeadline(time.Time) error { return nil }
+
+func loopPair(ver uint32) (*Conn, *loopConn) {
+	l := &loopConn{}
+	c := NewConn(l)
+	c.ver.Store(ver)
+	return c, l
+}
+
+// TestSchedStateFrameSize: a 100 000-job snapshot is past maxFrame as
+// JSON. v1 must refuse it at the sender with an explicit error and
+// leave the connection usable (before the fix it wrote the frame and
+// the receiver dropped the link); v2 must carry it well inside the
+// limit.
+func TestSchedStateFrameSize(t *testing.T) {
+	st := deepState(100_000)
+
+	c1, l1 := loopPair(V1)
+	err := c1.Send(TSchedState, st)
+	if err == nil || !strings.Contains(err.Error(), "frame too large") {
+		t.Fatalf("v1 Send of a 100k-job snapshot = %v, want a frame-too-large error", err)
+	}
+	if l1.Len() != 0 {
+		t.Fatalf("v1 Send wrote %d bytes of a frame it refused", l1.Len())
+	}
+	if err := c1.Send(TOK, nil); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := c1.Recv(); err != nil || env.Type != TOK {
+		t.Fatalf("v1 connection after the refused frame: %v, %v", env, err)
+	}
+
+	c2, l2 := loopPair(V2)
+	if err := c2.Send(TSchedState, st); err != nil {
+		t.Fatalf("v2 Send of a 100k-job snapshot: %v", err)
+	}
+	if n := l2.Len(); n > maxFrame/2 {
+		t.Errorf("v2 frame is %d bytes, want well inside the %d-byte limit", n, maxFrame)
+	}
+	env, err := c2.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got SchedState
+	if err := env.Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, st) {
+		t.Error("100k-job snapshot did not round-trip under v2")
+	}
+}
+
+// TestSendAllocsV2DispatchRegression: the dispatch messages of the
+// drain path — RunJob to the mother superior, Join to her sisters —
+// encode without allocating, as the mom-link structs already did.
+func TestSendAllocsV2DispatchRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race instrumentation")
+	}
+	c := NewConn(discardConn{})
+	c.ver.Store(V2)
+	hosts := []HostSlice{{Node: "n1", Addr: "127.0.0.1:15002", Cores: 4}, {Node: "n2", Addr: "127.0.0.1:15003", Cores: 4}}
+	run := &RunJobReq{JobID: 9, Spec: JobSpec{Name: "L.12", User: "user08", Cores: 8, WallSecs: 366, Script: "go:noop"}, Hosts: hosts}
+	join := &JoinReq{JobID: 9, Hosts: hosts}
+	send := func() {
+		if err := c.Send(TRunJob, run); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(TJoin, join); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // warm the pool
+	if allocs := testing.AllocsPerRun(200, send); allocs > 0 {
+		t.Errorf("v2 Send of RunJobReq + JoinReq allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestSchedStateDecodeAllocsRegression bounds what the external
+// scheduler pays per pulled job: the job's name, and nothing for the
+// state, user and group it shares with other jobs of the snapshot.
+func TestSchedStateDecodeAllocsRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race instrumentation")
+	}
+	const jobs = 8000
+	var buf bytes.Buffer
+	appendBinary(&buf, deepState(jobs))
+	bin := buf.Bytes()[1:]
+	var st SchedState
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := decodeBinary(bin, &st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One name per job, 64 node names, 200 users and groups, the lists
+	// and the intern table's buckets.
+	if perJob := allocs / jobs; perJob > 1.1 {
+		t.Errorf("SchedState decode allocates %.2f times per job (%.0f in all), want <= 1.1", perJob, allocs)
+	}
+}
+
+// BenchmarkSchedStateRoundTrip measures one sched.pull reply — Send,
+// Recv, Decode, no socket — under both codecs at the two queue depths
+// the repository's benchmark drains (bench/: drain_mauid 8k,
+// drain_deep 30k). wire_B/op is the frame size.
+func BenchmarkSchedStateRoundTrip(b *testing.B) {
+	for _, depth := range []int{8000, 30000} {
+		st := deepState(depth)
+		for _, ver := range []uint32{V1, V2} {
+			b.Run(fmt.Sprintf("v%d/%dk", ver, depth/1000), func(b *testing.B) {
+				c, l := loopPair(ver)
+				var got SchedState
+				wire := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := c.Send(TSchedState, st); err != nil {
+						b.Fatal(err)
+					}
+					wire = l.Len()
+					env, err := c.Recv()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := env.Decode(&got); err != nil {
+						b.Fatal(err)
+					}
+					if len(got.Queued) != depth {
+						b.Fatalf("decoded %d jobs", len(got.Queued))
+					}
+				}
+				b.ReportMetric(float64(wire), "wire_B/op")
+			})
+		}
 	}
 }

@@ -21,11 +21,11 @@
 //	       0x00 || uvarint(len) || literal tag bytes (unregistered types)
 //	kind = 0 (no payload) | 1 (JSON bytes) | 2 (binary)
 //
-// Binary payloads — used for the hot structs on the mom link:
-// Heartbeat, JobDone, DynGet/Resp, Register — carry a codec id byte
-// followed by varint/zigzag fields; strings and slices are
-// length-prefixed. Every other payload rides as the same compact JSON
-// bytes v1 would produce, so nothing is unrepresentable in v2 and the
+// Binary payloads — every payload struct of proto.go has one, see
+// codec2_payloads.go — carry a codec id byte followed by varint/zigzag
+// fields; strings and lists are length-prefixed. Any other payload (a
+// string, a map, a typed nil pointer) rides as the same compact JSON
+// bytes v1 would produce, so nothing is unrepresentable in v2, and the
 // two codecs decode to identical structs (the differential fuzz
 // target pins this).
 package proto
@@ -36,8 +36,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"reflect"
 	"strings"
+	"sync"
 	"time"
 	"unicode/utf8"
 )
@@ -273,7 +276,7 @@ func (c *Conn) sendV2(t MsgType, payload any) error {
 	frame := sb.buf.Bytes()
 	body := len(frame) - len(v2LenPlaceholder)
 	if body > maxFrame {
-		return fmt.Errorf("proto: frame of %d bytes exceeds limit", body)
+		return errFrameTooLarge(uint64(body))
 	}
 	var hdr [binary.MaxVarintLen32]byte
 	n := binary.PutUvarint(hdr[:], uint64(body))
@@ -296,7 +299,7 @@ func (c *Conn) recvV2() (*Envelope, error) {
 		return nil, err
 	}
 	if n > maxFrame {
-		return nil, fmt.Errorf("proto: frame of %d bytes exceeds limit", n)
+		return nil, errFrameTooLarge(n)
 	}
 	bp := recvPool.Get().(*[]byte)
 	buf := *bp
@@ -384,171 +387,62 @@ func parseV2(buf []byte) (*Envelope, error) {
 	return env, nil
 }
 
-// --- binary payload codecs ---
+// --- binary payload dispatch ---
 
-// Binary payload codec ids (append-only wire constants).
-const (
-	codecHeartbeat  byte = 1
-	codecJobDone    byte = 2
-	codecDynGet     byte = 3
-	codecDynGetResp byte = 4
-	codecRegister   byte = 5
-)
+// binEncoder is the Send half of a payload struct's v2 binary codec
+// (the codecs themselves are in codec2_payloads.go). Both methods have
+// value receivers, so a payload satisfies it whether the caller passes
+// T or *T.
+type binEncoder interface {
+	codecID() byte
+	appendBin(buf *bytes.Buffer)
+}
 
-// appendBinary writes kind + codec id + fields for the hot payload
-// structs; false means the caller should fall back to JSON-in-v2.
-// Typed nil pointers fall back too, matching v1's "null" payload.
+// binDecoder is the Decode half, satisfied by *T only.
+type binDecoder interface {
+	codecID() byte
+	readBin(r *binReader)
+}
+
+// appendBinary writes kind + codec id + fields for a payload struct
+// with a binary codec; false means the caller should fall back to
+// JSON-in-v2. Typed nil pointers fall back too, matching v1's "null"
+// payload.
 func appendBinary(buf *bytes.Buffer, payload any) bool {
-	switch p := payload.(type) {
-	case *HeartbeatReq:
-		if p == nil {
-			return false
-		}
-		buf.WriteByte(payloadBin)
-		buf.WriteByte(codecHeartbeat)
-		encHeartbeat(buf, p)
-	case HeartbeatReq:
-		buf.WriteByte(payloadBin)
-		buf.WriteByte(codecHeartbeat)
-		encHeartbeat(buf, &p)
-	case *JobDoneReq:
-		if p == nil {
-			return false
-		}
-		buf.WriteByte(payloadBin)
-		buf.WriteByte(codecJobDone)
-		encJobDone(buf, p)
-	case JobDoneReq:
-		buf.WriteByte(payloadBin)
-		buf.WriteByte(codecJobDone)
-		encJobDone(buf, &p)
-	case *DynGetReq:
-		if p == nil {
-			return false
-		}
-		buf.WriteByte(payloadBin)
-		buf.WriteByte(codecDynGet)
-		encDynGet(buf, p)
-	case DynGetReq:
-		buf.WriteByte(payloadBin)
-		buf.WriteByte(codecDynGet)
-		encDynGet(buf, &p)
-	case *DynGetResp:
-		if p == nil {
-			return false
-		}
-		buf.WriteByte(payloadBin)
-		buf.WriteByte(codecDynGetResp)
-		encDynGetResp(buf, p)
-	case DynGetResp:
-		buf.WriteByte(payloadBin)
-		buf.WriteByte(codecDynGetResp)
-		encDynGetResp(buf, &p)
-	case *RegisterReq:
-		if p == nil {
-			return false
-		}
-		buf.WriteByte(payloadBin)
-		buf.WriteByte(codecRegister)
-		encRegister(buf, p)
-	case RegisterReq:
-		buf.WriteByte(payloadBin)
-		buf.WriteByte(codecRegister)
-		encRegister(buf, &p)
-	default:
+	enc, ok := payload.(binEncoder)
+	if !ok {
 		return false
 	}
+	if v := reflect.ValueOf(payload); v.Kind() == reflect.Pointer && v.IsNil() {
+		return false
+	}
+	buf.WriteByte(payloadBin)
+	buf.WriteByte(enc.codecID())
+	enc.appendBin(buf)
 	return true
 }
 
-func encHeartbeat(buf *bytes.Buffer, p *HeartbeatReq) {
-	putString(buf, p.Node)
-	putVarint(buf, p.Seq)
-	putVarint(buf, p.SentMS)
-}
-
-func encJobDone(buf *bytes.Buffer, p *JobDoneReq) {
-	putVarint(buf, int64(p.JobID))
-	putString(buf, p.Error)
-}
-
-func encDynGet(buf *bytes.Buffer, p *DynGetReq) {
-	putVarint(buf, int64(p.JobID))
-	putVarint(buf, int64(p.Cores))
-	putVarint(buf, int64(p.Nodes))
-	putVarint(buf, int64(p.PPN))
-	putVarint(buf, p.TimeoutSecs)
-}
-
-func encDynGetResp(buf *bytes.Buffer, p *DynGetResp) {
-	putVarint(buf, int64(p.JobID))
-	putBool(buf, p.Granted)
-	putString(buf, p.Reason)
-	putUvarint(buf, uint64(len(p.Hosts)))
-	for i := range p.Hosts {
-		putString(buf, p.Hosts[i].Node)
-		putString(buf, p.Hosts[i].Addr)
-		putVarint(buf, int64(p.Hosts[i].Cores))
-	}
-}
-
-func encRegister(buf *bytes.Buffer, p *RegisterReq) {
-	putString(buf, p.Node)
-	putString(buf, p.Addr)
-	putVarint(buf, int64(p.Cores))
-	putUvarint(buf, uint64(len(p.Jobs)))
-	for _, id := range p.Jobs {
-		putVarint(buf, int64(id))
-	}
-}
+// readerPool recycles decode cursors: readBin is called through an
+// interface, so a stack-allocated reader would escape on every Decode.
+var readerPool = sync.Pool{New: func() any { return new(binReader) }}
 
 // decodeBinary decodes a v2 binary payload (codec id + fields) into
 // dst, which must be a pointer to the struct the codec id names.
 func decodeBinary(bin []byte, dst any) error {
-	codec := bin[0]
-	r := binReader{b: bin[1:]}
-	switch d := dst.(type) {
-	case *HeartbeatReq:
-		if codec != codecHeartbeat {
-			return codecMismatch(codec, dst)
-		}
-		d.Node = r.str("node")
-		d.Seq = r.varint("seq")
-		d.SentMS = r.varint("sent_ms")
-	case *JobDoneReq:
-		if codec != codecJobDone {
-			return codecMismatch(codec, dst)
-		}
-		d.JobID = int(r.varint("job_id"))
-		d.Error = r.str("error")
-	case *DynGetReq:
-		if codec != codecDynGet {
-			return codecMismatch(codec, dst)
-		}
-		d.JobID = int(r.varint("job_id"))
-		d.Cores = int(r.varint("cores"))
-		d.Nodes = int(r.varint("nodes"))
-		d.PPN = int(r.varint("ppn"))
-		d.TimeoutSecs = r.varint("timeout_secs")
-	case *DynGetResp:
-		if codec != codecDynGetResp {
-			return codecMismatch(codec, dst)
-		}
-		d.JobID = int(r.varint("job_id"))
-		d.Granted = r.bool("granted")
-		d.Reason = r.str("reason")
-		d.Hosts = r.hosts("hosts")
-	case *RegisterReq:
-		if codec != codecRegister {
-			return codecMismatch(codec, dst)
-		}
-		d.Node = r.str("node")
-		d.Addr = r.str("addr")
-		d.Cores = int(r.varint("cores"))
-		d.Jobs = r.ints("jobs")
-	default:
+	dec, ok := dst.(binDecoder)
+	if !ok {
 		return fmt.Errorf("proto: cannot decode binary payload into %T", dst)
 	}
+	if bin[0] != dec.codecID() {
+		return codecMismatch(bin[0], dst)
+	}
+	r := readerPool.Get().(*binReader)
+	defer func() {
+		*r = binReader{}
+		readerPool.Put(r)
+	}()
+	r.b = bin[1:]
+	dec.readBin(r)
 	if r.err != nil {
 		return r.err
 	}
@@ -562,9 +456,10 @@ func codecMismatch(codec byte, dst any) error {
 	return fmt.Errorf("proto: binary payload codec %d does not decode into %T", codec, dst)
 }
 
-// binReader walks a binary payload, latching the first error.
+// binReader walks a binary payload, latching the first error. A reader
+// belongs to one decodeBinary call from readerPool.Get to Put.
 type binReader struct {
-	b   []byte
+	b   []byte //schedlint:confined decoder the pool hands a reader to one decodeBinary call at a time
 	err error
 }
 
@@ -600,19 +495,25 @@ func (r *binReader) varint(what string) int64 {
 	return v
 }
 
-func (r *binReader) str(what string) string {
+// int reads a zigzag varint into an int field.
+func (r *binReader) int(what string) int { return int(r.varint(what)) }
+
+// bytes returns the next length-prefixed field, aliasing the payload.
+func (r *binReader) bytes(what string) []byte {
 	n := r.uvarint(what)
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if uint64(len(r.b)) < n {
 		r.fail(what)
-		return ""
+		return nil
 	}
-	s := string(r.b[:n])
+	b := r.b[:n]
 	r.b = r.b[n:]
-	return s
+	return b
 }
+
+func (r *binReader) str(what string) string { return string(r.bytes(what)) }
 
 func (r *binReader) bool(what string) bool {
 	switch r.uvarint(what) {
@@ -626,41 +527,80 @@ func (r *binReader) bool(what string) bool {
 	}
 }
 
-// hosts reads a HostSlice list; zero-length decodes to nil to match
-// the JSON omitempty round trip.
-func (r *binReader) hosts(what string) []HostSlice {
-	n := r.uvarint(what)
-	if r.err != nil || n == 0 {
-		return nil
+// f64 reads a float64 as its 8 IEEE-754 bytes, little-endian.
+func (r *binReader) f64(what string) float64 {
+	if r.err != nil {
+		return 0
 	}
-	if n > uint64(len(r.b)) { // each element costs ≥ 1 byte
+	if len(r.b) < 8 {
 		r.fail(what)
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return v
+}
+
+// count reads a list length. Each element encodes to at least minBytes,
+// so a declared length the remaining payload cannot hold fails here,
+// before the caller sizes an allocation by it. Lists of length zero
+// decode to nil, matching the JSON omitempty round trip.
+func (r *binReader) count(what string, minBytes int) int {
+	n := r.uvarint(what)
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(len(r.b)/minBytes) {
+		r.fail(what)
+		return 0
+	}
+	return int(n)
+}
+
+func (r *binReader) hosts(what string) []HostSlice {
+	n := r.count(what, 3)
+	if n == 0 {
 		return nil
 	}
 	hs := make([]HostSlice, n)
 	for i := range hs {
 		hs[i].Node = r.str(what)
 		hs[i].Addr = r.str(what)
-		hs[i].Cores = int(r.varint(what))
+		hs[i].Cores = r.int(what)
 	}
 	return hs
 }
 
-// ints reads an int list; zero-length decodes to nil (JSON omitempty).
 func (r *binReader) ints(what string) []int {
-	n := r.uvarint(what)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.fail(what)
+	n := r.count(what, 1)
+	if n == 0 {
 		return nil
 	}
 	vs := make([]int, n)
 	for i := range vs {
-		vs[i] = int(r.varint(what))
+		vs[i] = r.int(what)
 	}
 	return vs
+}
+
+// interner hands out one string per distinct value, so the few
+// states, users and groups a snapshot's jobs share cost one allocation
+// each instead of one per job. It stops growing at internMax entries:
+// past that, values are mostly distinct and the map would only cost.
+type interner map[string]string
+
+const internMax = 4096
+
+func (in interner) str(r *binReader, what string) string {
+	b := r.bytes(what)
+	if s, ok := in[string(b)]; ok { // no allocation: the compiler elides this conversion
+		return s
+	}
+	s := string(b)
+	if len(in) < internMax {
+		in[s] = s
+	}
+	return s
 }
 
 func putUvarint(buf *bytes.Buffer, v uint64) {
@@ -684,6 +624,23 @@ func putBool(buf *bytes.Buffer, b bool) {
 		buf.WriteByte(1)
 	} else {
 		buf.WriteByte(0)
+	}
+}
+
+func putFloat64(buf *bytes.Buffer, v float64) {
+	var s [8]byte
+	binary.LittleEndian.PutUint64(s[:], math.Float64bits(v))
+	buf.Write(s[:])
+}
+
+func putInt(buf *bytes.Buffer, v int) { putVarint(buf, int64(v)) }
+
+func putHosts(buf *bytes.Buffer, hs []HostSlice) {
+	putUvarint(buf, uint64(len(hs)))
+	for i := range hs {
+		putString(buf, hs[i].Node)
+		putString(buf, hs[i].Addr)
+		putInt(buf, hs[i].Cores)
 	}
 }
 

@@ -62,7 +62,6 @@ func TestV2NegotiationAndPayloads(t *testing.T) {
 		t.Fatalf("negotiated versions = %d/%d, want 2/2", ca.Version(), cb.Version())
 	}
 
-	// Binary-coded hot structs.
 	hb := proto.HeartbeatReq{Node: "mom-00042", Seq: 17, SentMS: 1723}
 	var gotHB proto.HeartbeatReq
 	trip(t, ca, cb, proto.THeartbeat, &hb, &gotHB)
@@ -88,7 +87,6 @@ func TestV2NegotiationAndPayloads(t *testing.T) {
 		t.Errorf("dynget resp round trip: %+v != %+v", gotResp, resp)
 	}
 
-	// A non-hot struct rides as JSON inside the v2 frame.
 	spec := proto.JobSpec{Name: "F.1", User: "user06", Cores: 8, WallSecs: 1846, Script: "sleep:1s", Evolving: true}
 	var gotSpec proto.JobSpec
 	trip(t, ca, cb, proto.TQSub, spec, &gotSpec)
@@ -96,7 +94,8 @@ func TestV2NegotiationAndPayloads(t *testing.T) {
 		t.Errorf("jobspec round trip: %+v != %+v", gotSpec, spec)
 	}
 
-	// Unregistered tags travel as literals.
+	// Unregistered tags travel as literals, and a payload that is not
+	// one of the package's structs rides as JSON inside the v2 frame.
 	var gotStr string
 	trip(t, ca, cb, proto.MsgType("custom.experimental"), "payload", &gotStr)
 	if gotStr != "payload" {
@@ -113,6 +112,13 @@ func TestV2EmptySlicesDecodeNil(t *testing.T) {
 	trip(t, ca, cb, proto.TDynGetResp, proto.DynGetResp{JobID: 1, Hosts: []proto.HostSlice{}}, &got)
 	if got.Hosts != nil {
 		t.Errorf("empty host list decoded as %#v, want nil (JSON omitempty parity)", got.Hosts)
+	}
+	// The rule holds for lists without omitempty too, where v1 would
+	// deliver an empty non-nil list: no receiver tells the two apart.
+	var run proto.RunJobReq
+	trip(t, ca, cb, proto.TRunJob, proto.RunJobReq{JobID: 1, Hosts: []proto.HostSlice{}}, &run)
+	if run.Hosts != nil {
+		t.Errorf("empty RunJobReq host list decoded as %#v, want nil", run.Hosts)
 	}
 }
 

@@ -157,9 +157,10 @@ func TestFailedDeadlineClearRetries(t *testing.T) {
 func TestWriteTimeoutFiresOnStuckPeer(t *testing.T) {
 	cli, _ := pipePair(t)
 	cli.SetWriteTimeout(50 * time.Millisecond)
-	// Large enough to overwhelm both kernel socket buffers; the peer
+	// Large enough to overwhelm both kernel socket buffers (and under
+	// maxFrame, or Send refuses the frame before writing); the peer
 	// never reads, so the write must block and then time out.
-	payload := strings.Repeat("x", 1<<24)
+	payload := strings.Repeat("x", 1<<23)
 	var err error
 	for i := 0; i < 8 && err == nil; i++ {
 		err = cli.Send(TError, ErrorResp{Error: payload})

@@ -79,14 +79,20 @@ type Envelope struct {
 	Type    MsgType         `json:"type"`
 	Payload json.RawMessage `json:"payload,omitempty"`
 
-	// bin holds a v2 binary payload (codec id + varint fields) for the
-	// hot message types; nil when the payload travelled as JSON.
+	// bin holds a v2 binary payload (codec id + fields); nil when the
+	// payload travelled as JSON.
 	bin []byte
 }
 
 // maxFrame bounds a frame to keep a corrupted peer from triggering a
-// huge allocation.
+// huge allocation. Send refuses a larger frame before writing any of
+// it, so the connection stays usable; Recv refuses one by its declared
+// length.
 const maxFrame = 16 << 20
+
+func errFrameTooLarge(n uint64) error {
+	return fmt.Errorf("proto: frame too large: %d bytes exceeds the %d-byte limit", n, maxFrame)
+}
 
 // Conn is a framed connection, safe for one reader and one writer
 // goroutine concurrently (writes are additionally serialized so
@@ -271,6 +277,9 @@ func (c *Conn) Send(t MsgType, payload any) error {
 	}
 	sb.buf.WriteByte('}')
 	frame := sb.buf.Bytes()
+	if len(frame)-4 > maxFrame {
+		return errFrameTooLarge(uint64(len(frame) - 4))
+	}
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
 	c.wm.Lock()
 	defer c.wm.Unlock()
@@ -313,7 +322,7 @@ func (c *Conn) Recv() (*Envelope, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrame {
-		return nil, fmt.Errorf("proto: frame of %d bytes exceeds limit", n)
+		return nil, errFrameTooLarge(uint64(n))
 	}
 	bp := recvPool.Get().(*[]byte)
 	buf := *bp

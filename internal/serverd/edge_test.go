@@ -37,6 +37,39 @@ func TestStaleSchedCommitSkipped(t *testing.T) {
 	}
 }
 
+// TestBadSchedCommitAnswersError: a sched.commit whose payload does not
+// decode must come back as TError under both codecs. It used to come
+// back as a zero SchedCommitResp under TOK, which an external scheduler
+// reads as "nothing applied" and never backs off from.
+func TestBadSchedCommitAnswersError(t *testing.T) {
+	leak.Check(t)
+	srv := liveCluster(t, 1, 8)
+	for _, mode := range []proto.Mode{proto.ModeV1, proto.ModeV2} {
+		c, err := proto.DialMode(srv.Addr(), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A payload that frames correctly and is not a commit: a JSON
+		// string under v1, another struct's codec id under v2.
+		var bad any = "not a commit"
+		if mode == proto.ModeV2 {
+			bad = proto.QDelReq{JobID: 1}
+		}
+		env, err := c.Request(proto.TSchedCommit, bad)
+		_ = c.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if env.Type != proto.TError {
+			t.Fatalf("%s: undecodable commit answered with %s, want %s", mode, env.Type, proto.TError)
+		}
+		var e proto.ErrorResp
+		if err := env.Decode(&e); err != nil || e.Error == "" {
+			t.Errorf("%s: error reply = %+v, %v", mode, e, err)
+		}
+	}
+}
+
 // TestSchedPullSnapshotContents checks the external-scheduler snapshot
 // carries consistent queue/node/dyn state.
 func TestSchedPullSnapshotContents(t *testing.T) {

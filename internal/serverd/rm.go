@@ -233,11 +233,15 @@ func (r *serverRM) Preempt(j *job.Job) error {
 
 // --- external scheduler protocol ---
 
-// snapshot renders the scheduler state for a sched.pull.
+// snapshot renders the scheduler state for a sched.pull. The lists are
+// sized once up front: the copy runs under s.mu, and growing a deep
+// queue's list by doubling would hold every other handler off for the
+// reallocations too.
 func (s *Server) snapshot() proto.SchedState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := proto.SchedState{NowMS: int64(s.now()), Serial: s.serial}
+	st.Nodes = sized[proto.NodeStatus](len(s.cl.Nodes()))
 	for _, n := range s.cl.Nodes() {
 		st.Nodes = append(st.Nodes, proto.NodeStatus{
 			Name: n.Name, Cores: n.Cores, Used: n.Used(), State: n.State.String(),
@@ -253,9 +257,11 @@ func (s *Server) snapshot() proto.SchedState {
 			Backfilled: j.Backfilled,
 		}
 	}
+	st.Queued = sized[proto.SchedJob](len(s.queued))
 	for _, j := range s.queued {
 		st.Queued = append(st.Queued, conv(j))
 	}
+	st.Active = sized[proto.SchedJob](len(s.active))
 	for _, j := range (*serverRM)(s).ActiveJobs() {
 		st.Active = append(st.Active, conv(j))
 	}
@@ -266,6 +272,15 @@ func (s *Server) snapshot() proto.SchedState {
 		})
 	}
 	return st
+}
+
+// sized returns an empty list with room for n elements, or nil for
+// n == 0 so that an empty list still travels as JSON null under v1.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // applyCommit validates and applies an external scheduler's decisions.

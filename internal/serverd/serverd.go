@@ -410,11 +410,13 @@ func (s *Server) handleConn(c *proto.Conn) {
 		s.reply(c, proto.TSchedState, s.snapshot())
 	case proto.TSchedCommit:
 		var commit proto.SchedCommit
-		resp := proto.SchedCommitResp{}
-		if err := env.Decode(&commit); err == nil {
-			resp = s.applyCommit(commit)
+		if err := env.Decode(&commit); err != nil {
+			// Not a zero SchedCommitResp under TOK: that reads as "nothing
+			// applied" and the scheduler would keep its normal cadence.
+			s.reply(c, proto.TError, proto.ErrorResp{Error: fmt.Sprintf("bad %s: %v", env.Type, err)})
+		} else {
+			s.reply(c, proto.TOK, s.applyCommit(commit))
 		}
-		s.reply(c, proto.TOK, resp)
 	default:
 		s.reply(c, proto.TError, proto.ErrorResp{Error: fmt.Sprintf("unexpected %s", env.Type)})
 	}
