@@ -261,6 +261,19 @@ func (c *Cluster) AllocateNodes(id job.ID, nodes, ppn int) Alloc {
 	return alloc
 }
 
+// AllocateOn marks cores cores used on one given node, mirroring a
+// placement decided elsewhere. Returns nil, changing nothing, when the
+// node is not Up or lacks the room.
+func (c *Cluster) AllocateOn(id job.ID, nodeID, cores int) Alloc {
+	n := c.Node(nodeID)
+	if n == nil || cores <= 0 || n.Free() < cores {
+		return nil
+	}
+	alloc := Alloc{{NodeID: nodeID, Cores: cores}}
+	c.apply(id, alloc)
+	return alloc
+}
+
 func (c *Cluster) apply(id job.ID, alloc Alloc) {
 	for _, s := range alloc {
 		n := c.nodes[s.NodeID]

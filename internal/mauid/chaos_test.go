@@ -1,8 +1,10 @@
 package mauid
 
 import (
+	"context"
 	"fmt"
 	"repro/internal/testutil/leak"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/proto/chaos"
 	"repro/internal/serverd"
+	"repro/internal/tm"
 )
 
 // TestChaosSchedulerSurvivesServerOutage: the mauid talks to the
@@ -37,8 +40,10 @@ func TestChaosSchedulerSurvivesServerOutage(t *testing.T) {
 	}
 	waitState(t, srv, id, "completed", 10*time.Second)
 
-	// Outage: the next several scheduler connections die at accept.
+	// Outage: the sched link is cut and the next several scheduler
+	// connections die at accept.
 	p.RefuseNext(6)
+	p.SeverAll()
 	id2, err := srv.QSub(proto.JobSpec{
 		Name: "post", User: "u", Cores: 8, WallSecs: 60, Script: "sleep:20ms",
 	})
@@ -121,4 +126,97 @@ func momSet(t *testing.T, srv *serverd.Server, n, cores int) []string {
 	}
 	t.Fatal("moms never registered")
 	return nil
+}
+
+// chaosApp counts application starts per job id for
+// TestChaosSchedLinkSevered.
+var chaosApp struct {
+	once   sync.Once
+	mu     sync.Mutex
+	starts map[int]int // guarded by mu
+}
+
+// TestChaosSchedLinkSevered: the one link mauid keeps to the server is
+// cut again and again — every connection through the proxy is severed
+// after a seeded delay of at most 8 ms, so cuts land inside pulls,
+// between pull and commit, and inside commits whose fate mauid then
+// cannot know — and, half way, blackholed. Every time mauid must drop
+// the link, dial a new one, resync from a full snapshot and carry on
+// without replaying anything: each job starts exactly once and all of
+// them finish.
+func TestChaosSchedLinkSevered(t *testing.T) {
+	leak.Check(t)
+	srv, _ := externalClusterNoSched(t, 2, 8)
+	chaosApp.once.Do(func() { // the app registry is per process: -count=N registers once
+		mom.RegisterGoApp("chaos-sched-link", func(_ context.Context, tmc *tm.Context) error {
+			chaosApp.mu.Lock()
+			chaosApp.starts[tmc.JobID]++
+			chaosApp.mu.Unlock()
+			time.Sleep(10 * time.Millisecond) // long enough a run for many cuts
+			return nil
+		})
+	})
+	chaosApp.mu.Lock()
+	chaosApp.starts = map[int]int{}
+	chaosApp.mu.Unlock()
+	p := chaos.New(srv.Addr(), chaos.Options{Seed: 7, FailRate: 1, MaxDelay: 8 * time.Millisecond})
+	if err := p.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	d := New(p.Addr(), core.New(core.Options{}, 0), 2*time.Millisecond)
+	d.Start()
+	t.Cleanup(d.Close)
+
+	const n = 120
+	ids := make([]int, n)
+	for i := range ids {
+		id, err := srv.QSub(proto.JobSpec{
+			Name: "c", User: fmt.Sprintf("u%d", i%7), Cores: 1 + i%4, WallSecs: 60, Script: "go:chaos-sched-link",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	completed := func() int {
+		done := 0
+		for _, j := range srv.QStat().Jobs {
+			if j.State == "completed" {
+				done++
+			}
+		}
+		return done
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	hung := false
+	for completed() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d jobs completed; proxy stats %+v", completed(), n, p.Stats())
+		}
+		if !hung && completed() >= n/2 {
+			// A hung server: the next links swallow whatever is sent
+			// and answer nothing, until they too are cut.
+			hung = true
+			p.Blackhole(true)
+			p.SeverAll()
+			for p.Stats().Blackholed == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond) // mauid is backing off; it will dial
+			}
+			time.Sleep(10 * time.Millisecond) // let it sit in the unanswered pull
+			p.Blackhole(false)
+			p.SeverAll()
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	chaosApp.mu.Lock()
+	defer chaosApp.mu.Unlock()
+	for _, id := range ids {
+		if n := chaosApp.starts[id]; n != 1 {
+			t.Errorf("job %d started %d times", id, n)
+		}
+	}
+	if s := p.Stats(); s.Severed < 5 || s.Blackholed == 0 {
+		t.Errorf("the link was hardly disturbed: %+v", s)
+	}
 }

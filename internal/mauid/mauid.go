@@ -1,16 +1,22 @@
 // Package mauid implements the scheduler daemon (the Maui analog) as a
 // separate process from the server, matching the paper's architecture
 // (Fig. 2: pbs_server and the Maui scheduler are distinct daemons on
-// the headnode). Each iteration the daemon pulls a workload/resource
-// snapshot from the server (sched.pull), plans against a local mirror
-// with the exact same core.Scheduler the simulator uses, and commits
-// its decisions (sched.commit). The server re-validates every action,
-// so a commit computed on a stale snapshot degrades gracefully.
+// the headnode). The daemon keeps one link to the server and a mirror
+// of the server's workload. Each iteration it pulls (sched.pull: the
+// full snapshot on a new link, after that only what changed), plans
+// against the mirror with the exact same core.Scheduler the simulator
+// uses, and commits its decisions (sched.commit). The server
+// re-validates every action, so a commit computed on a stale mirror
+// degrades gracefully.
 package mauid
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
@@ -33,6 +39,13 @@ type Daemon struct {
 	// proto.Mode); the zero value negotiates automatically. Set before
 	// Start.
 	Proto proto.Mode
+
+	// cycle serializes RunOnce; the mirror belongs to the cycle.
+	cycle sync.Mutex
+	m     *mirror // guarded by cycle: nil until the first full snapshot
+
+	link    atomic.Pointer[proto.Conn] // the sched session; dialled by the next request when nil
+	started atomic.Bool                // Start ran, so Close has a goroutine to wait for
 }
 
 // New creates a daemon that schedules the server at srvAddr every
@@ -58,6 +71,7 @@ func (d *Daemon) Scheduler() *core.Scheduler { return d.sched }
 // delay and deterministic jitter instead of hammering the headnode at
 // the full polling rate; the first success resumes the normal cadence.
 func (d *Daemon) Start() {
+	d.started.Store(true)
 	go func() {
 		defer close(d.done)
 		pol := backoff.Policy{Max: d.interval * 8}
@@ -71,85 +85,96 @@ func (d *Daemon) Start() {
 				return
 			case <-t.C:
 			}
+			// Progress usually enables more progress (freed siblings,
+			// unblocked reservations): iterate again immediately.
 			applied, _, err := d.RunOnce()
+			for err == nil && applied > 0 {
+				applied, _, err = d.RunOnce()
+			}
 			if err != nil {
 				t.Reset(pol.Delay(failures, rng))
 				failures++
 				continue
 			}
 			failures = 0
-			// Progress usually enables more progress (freed siblings,
-			// unblocked reservations): iterate again immediately.
-			for applied > 0 {
-				applied, _, err = d.RunOnce()
-				if err != nil {
-					break
-				}
-			}
 			t.Reset(d.interval)
 		}
 	}()
 }
 
-// Close stops the loop.
+// Close stops the loop and hangs up the sched link. It is safe on a
+// daemon that was never started.
 func (d *Daemon) Close() {
 	select {
 	case <-d.closed:
 	default:
 		close(d.closed)
 	}
-	<-d.done
+	d.dropLink() // unblocks a cycle waiting on the server
+	if d.started.Load() {
+		<-d.done
+	}
 }
 
 // RunOnce performs a single pull→plan→commit cycle and returns how
-// many actions the server applied and skipped.
+// many actions the server applied and skipped. Any error costs the
+// link: a request that failed may or may not have reached the server,
+// so nothing is replayed and the next cycle starts over from a full
+// snapshot on a new link.
 func (d *Daemon) RunOnce() (applied, skipped int, err error) {
-	state, err := d.pull()
+	d.cycle.Lock()
+	defer d.cycle.Unlock()
+	defer func() {
+		if err != nil {
+			d.dropLink()
+		}
+	}()
+	now, err := d.pull()
 	if err != nil {
 		return 0, 0, err
 	}
-	mirror, err := newMirror(state)
-	if err != nil {
-		return 0, 0, err
-	}
-	d.sched.Recycle(d.sched.Iterate(sim.Time(state.NowMS), mirror))
-	if len(mirror.actions) == 0 {
+	m := d.m
+	d.sched.Recycle(d.sched.Iterate(now, m))
+	if len(m.actions) == 0 {
 		return 0, 0, nil
 	}
-	resp, err := d.commit(proto.SchedCommit{Serial: state.Serial, Actions: mirror.actions})
+	resp, err := d.commit(proto.SchedCommit{Serial: m.srvSerial, Actions: m.actions})
 	if err != nil {
 		return 0, 0, err
 	}
 	return resp.Applied, resp.Skipped, nil
 }
 
-func (d *Daemon) pull() (*proto.SchedState, error) {
-	c, err := proto.DialMode(d.srvAddr, d.Proto)
+// pull brings the mirror up to the server's state and returns the
+// server's clock: a new mirror from a full snapshot, or the delta
+// applied to the one at hand.
+//
+//lint:locked RunOnce calls pull with d.cycle held
+func (d *Daemon) pull() (sim.Time, error) {
+	env, err := d.request(proto.TSchedPull, nil)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	defer c.Close()
-	env, err := c.Request(proto.TSchedPull, nil)
-	if err != nil {
-		return nil, err
+	if env.Type == proto.TSchedDelta && d.m != nil {
+		var delta proto.SchedDelta
+		if err := env.Decode(&delta); err != nil {
+			return 0, err
+		}
+		return sim.Time(delta.NowMS), d.m.apply(&delta)
 	}
 	if env.Type != proto.TSchedState {
-		return nil, fmt.Errorf("mauid: unexpected reply %s", env.Type)
+		return 0, fmt.Errorf("mauid: unexpected reply %s", env.Type)
 	}
 	var st proto.SchedState
 	if err := env.Decode(&st); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return &st, nil
+	d.m, err = newMirror(&st)
+	return sim.Time(st.NowMS), err
 }
 
 func (d *Daemon) commit(c proto.SchedCommit) (*proto.SchedCommitResp, error) {
-	conn, err := proto.DialMode(d.srvAddr, d.Proto)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	env, err := conn.Request(proto.TSchedCommit, c)
+	env, err := d.request(proto.TSchedCommit, c)
 	if err != nil {
 		return nil, err
 	}
@@ -167,22 +192,76 @@ func (d *Daemon) commit(c proto.SchedCommit) (*proto.SchedCommitResp, error) {
 	return &resp, nil
 }
 
-// mirror implements core.ResourceManager over a snapshot: decisions
-// mutate only the local mirror and are recorded as commit actions. It
-// also implements core.ChangeTracker — epochs are seeded from the
-// pulled snapshot serial and advance with the mirror's own mutations —
-// so the scheduler's epoch machinery sees an honest tracker. The skip
-// and order caches stay naturally cold across cycles (every RunOnce
-// builds a fresh mirror, and both caches key on RM identity), which is
-// exactly right: a new pull is by definition a new world.
+// request sends one message on the sched link, dialling the link first
+// when there is none, and returns the server's answer.
+func (d *Daemon) request(t proto.MsgType, payload any) (*proto.Envelope, error) {
+	c := d.link.Load()
+	if c == nil {
+		var err error
+		if c, err = proto.DialMode(d.srvAddr, d.Proto); err != nil {
+			return nil, err
+		}
+		d.link.Store(c)
+		select {
+		case <-d.closed: // Close ran meanwhile and may have missed c
+			d.dropLink()
+			return nil, errors.New("mauid: daemon closed")
+		default:
+		}
+	}
+	return c.Request(t, payload)
+}
+
+func (d *Daemon) dropLink() {
+	if c := d.link.Swap(nil); c != nil {
+		_ = c.Close()
+	}
+}
+
+// mirror implements core.ResourceManager over the daemon's copy of the
+// server's workload: decisions mutate only the mirror and are recorded
+// as commit actions. One mirror lives as long as its link — the full
+// snapshot builds it, every delta after that is applied in place — so
+// jobs keep their *job.Job and the mirror its identity across cycles,
+// and its core.ChangeTracker epochs (seeded from the snapshot serial,
+// advanced by applied deltas and by its own actions) let the scheduler
+// skip a cycle in which nothing happened and keep its sorted order over
+// one that left the queue alone.
+//
+// The mirror is never trusted. What a cycle did to it is a guess at
+// what the server will do with the commit; the server names every job
+// of a commit in the next delta, applied or not, and the record there
+// overwrites the guess. Used cores per node are re-seated from the
+// server's node table on every change.
+//
+// Every field is confined to the cycle: RunOnce holds Daemon.cycle
+// around each use of the mirror, core.Iterate's calls into it included.
 type mirror struct {
-	cl      *cluster.Cluster
-	queued  []*job.Job        //schedlint:epoch-guarded by bumpQueue
-	active  []*job.Job        //schedlint:epoch-guarded by bump
-	dyn     []*job.DynRequest //schedlint:epoch-guarded by bump
-	serial  uint64
-	qserial uint64
-	actions []proto.SchedAction
+	cl   *cluster.Cluster
+	jobs map[job.ID]*entry //schedlint:confined cycle see the type's comment
+	//schedlint:confined cycle see the type's comment
+	queued []*job.Job //schedlint:epoch-guarded by bumpQueue
+	qkeys  []uint64   //schedlint:confined cycle qkeys[i] is the entry.qkey of queued[i]; ascending
+	//schedlint:confined cycle see the type's comment
+	active []*job.Job //schedlint:epoch-guarded by bump
+	//schedlint:confined cycle see the type's comment
+	dyn []*job.DynRequest //schedlint:epoch-guarded by bump
+
+	// The mirror's own epochs, the Serial of the last pull, and the
+	// newest queue key handed out.
+	serial, qserial, srvSerial, lastKey uint64 //schedlint:confined cycle see the type's comment
+	// actions are this cycle's decisions; they stay until the next
+	// delta, which undoes their placements in cl.
+	actions []proto.SchedAction //schedlint:confined cycle see the type's comment
+}
+
+// entry is one mirrored job. qkey orders the queue as the server's is
+// ordered: it is taken when the server appends the job to its queue and
+// kept while a start of ours is unconfirmed, so that a start the server
+// skipped puts the job back where the server still has it.
+type entry struct {
+	job.Job
+	qkey uint64 //schedlint:confined cycle part of the mirror
 }
 
 // bump advances the state epoch.
@@ -204,98 +283,223 @@ func (m *mirror) StateEpoch() uint64 { return m.serial }
 func (m *mirror) QueueEpoch() uint64 { return m.qserial }
 
 // mirrorFillID marks the synthetic allocations that reproduce the
-// snapshot's per-node usage in the mirror cluster.
+// server's per-node usage in the mirror cluster.
 const mirrorFillID = job.ID(1 << 30)
 
 func newMirror(st *proto.SchedState) (*mirror, error) {
-	m := &mirror{cl: cluster.New(0, 0), serial: st.Serial, qserial: st.Serial}
-	for i, n := range st.Nodes {
-		node := m.cl.AddNode(n.Name, n.Cores)
-		if n.State != "up" {
-			m.cl.SetNodeState(node.ID, cluster.Down)
-			continue
-		}
-		if n.Used > 0 {
-			// Reproduce the usage with a synthetic allocation so the
-			// planner sees correct idle counts per node.
-			if m.cl.AllocateNodes(mirrorFillID+job.ID(i), 1, n.Used) == nil {
-				return nil, fmt.Errorf("mauid: cannot mirror %d used cores on %s", n.Used, n.Name)
+	m := &mirror{
+		cl:     cluster.New(0, 0),
+		jobs:   make(map[job.ID]*entry, len(st.Queued)+len(st.Active)),
+		queued: make([]*job.Job, 0, len(st.Queued)),
+		qkeys:  make([]uint64, 0, len(st.Queued)),
+	}
+	if err := m.seatNodes(st.Nodes); err != nil {
+		return nil, err
+	}
+	for _, list := range [][]proto.SchedJob{st.Queued, st.Active} {
+		for i := range list {
+			if err := m.place(&list[i], true); err != nil {
+				return nil, err
 			}
 		}
 	}
-	jobOf := func(sj proto.SchedJob) *job.Job {
-		class := job.Rigid
-		if sj.Evolving {
-			class = job.Evolving
-		}
-		st, _ := parseState(sj.State)
-		return &job.Job{
-			ID:    job.ID(sj.ID),
-			Name:  sj.Name,
-			Cred:  job.Credentials{User: sj.User, Group: sj.Group},
-			Class: class, Cores: sj.Cores, DynCores: sj.DynCores,
-			Walltime:       sim.Duration(sj.WallSecs) * sim.Second,
-			SubmitTime:     sim.Time(sj.SubmitMS),
-			StartTime:      sim.Time(sj.StartMS),
-			State:          st,
-			SystemPriority: sj.SysPrio,
-			Backfilled:     sj.Backfilled,
-		}
-	}
-	byID := map[int]*job.Job{}
-	for _, sj := range st.Queued {
-		j := jobOf(sj)
-		m.queued = append(m.queued, j)
-		byID[sj.ID] = j
-	}
-	for _, sj := range st.Active {
-		j := jobOf(sj)
-		m.active = append(m.active, j)
-		byID[sj.ID] = j
-	}
-	dyn := append([]proto.SchedDynReq(nil), st.Dyn...)
-	sort.Slice(dyn, func(i, k int) bool { return dyn[i].Seq < dyn[k].Seq })
-	for _, dr := range dyn {
-		j := byID[dr.JobID]
-		if j == nil {
-			continue
-		}
-		m.dyn = append(m.dyn, &job.DynRequest{
-			Job: j, Cores: dr.Cores, Nodes: dr.Nodes, PPN: dr.PPN, Seq: dr.Seq,
-			Deadline: sim.Time(dr.DeadlineMS),
-		})
-	}
+	m.setDyn(st.Dyn)
+	m.serial, m.qserial, m.srvSerial = st.Serial, st.Serial, st.Serial
 	return m, nil
 }
 
-func parseState(s string) (job.State, error) {
-	for _, st := range []job.State{job.Queued, job.Running, job.DynQueued, job.Completed, job.Cancelled, job.Preempted} {
-		if st.String() == s {
-			return st, nil
+// apply brings the mirror from the previous pull to this one.
+func (m *mirror) apply(d *proto.SchedDelta) error {
+	if d.Serial == m.srvSerial && len(d.Jobs)+len(d.Tail)+len(m.actions) == 0 {
+		return nil // nothing happened on either side: the epochs stand
+	}
+	m.srvSerial = d.Serial
+	for _, a := range m.actions {
+		m.cl.Release(job.ID(a.JobID))
+	}
+	m.actions = m.actions[:0]
+	if err := m.seatNodes(d.Nodes); err != nil {
+		return err
+	}
+	for i := range d.Jobs {
+		if err := m.place(&d.Jobs[i], false); err != nil {
+			return err
 		}
+	}
+	for i := range d.Tail {
+		if err := m.place(&d.Tail[i], true); err != nil {
+			return err
+		}
+	}
+	m.setDyn(d.Dyn)
+	return nil
+}
+
+// seatNodes makes the mirror cluster's nodes, their states and their
+// used cores (one synthetic allocation per node, so the planner sees
+// correct idle counts) those of the server's node table.
+func (m *mirror) seatNodes(nodes []proto.NodeStatus) error {
+	for i, n := range nodes {
+		if i == m.cl.NumNodes() {
+			m.cl.AddNode(n.Name, n.Cores)
+		}
+		state, used := cluster.Down, 0
+		if n.State == "up" {
+			state, used = cluster.Up, n.Used
+		}
+		if node := m.cl.Node(i); node.State == state && node.Used() == used {
+			continue
+		}
+		fill := mirrorFillID + job.ID(i)
+		m.cl.Release(fill)
+		m.cl.SetNodeState(i, state)
+		if used > 0 && m.cl.AllocateOn(fill, i, used) == nil {
+			return fmt.Errorf("mauid: cannot mirror %d used cores on %s", used, n.Name)
+		}
+	}
+	return nil
+}
+
+// place files the server's record of one job, overwriting whatever the
+// mirror held for it. tail says the server appended the job to its
+// queue since the last pull; a queued job is otherwise (re)seated where
+// its key puts it. A job in a terminal state is forgotten.
+func (m *mirror) place(sj *proto.SchedJob, tail bool) error {
+	st, err := parseState(sj.State)
+	if err != nil {
+		return err
+	}
+	e := m.jobs[job.ID(sj.ID)]
+	if e != nil {
+		m.unlist(e)
+	} else {
+		e = &entry{}
+		m.jobs[job.ID(sj.ID)] = e
+	}
+	class := job.Rigid
+	if sj.Evolving {
+		class = job.Evolving
+	}
+	e.Job = job.Job{
+		ID:    job.ID(sj.ID),
+		Name:  sj.Name,
+		Cred:  job.Credentials{User: sj.User, Group: sj.Group},
+		Class: class, Cores: sj.Cores, DynCores: sj.DynCores,
+		Walltime:       sim.Duration(sj.WallSecs) * sim.Second,
+		SubmitTime:     sim.Time(sj.SubmitMS),
+		StartTime:      sim.Time(sj.StartMS),
+		State:          st,
+		SystemPriority: sj.SysPrio,
+		Backfilled:     sj.Backfilled,
+	}
+	if st == job.Queued && (tail || e.qkey == 0) {
+		m.lastKey++
+		e.qkey = m.lastKey
+	}
+	if !m.list(e) {
+		delete(m.jobs, e.ID)
+	}
+	return nil
+}
+
+func byID(j *job.Job, id job.ID) int { return cmp.Compare(j.ID, id) }
+
+// list files e under its state — the queue in key order, the active
+// list by id, as the server orders them — if the state has a list.
+func (m *mirror) list(e *entry) bool {
+	switch {
+	case e.State == job.Queued:
+		i, _ := slices.BinarySearch(m.qkeys, e.qkey)
+		m.queued = slices.Insert(m.queued, i, &e.Job)
+		m.qkeys = slices.Insert(m.qkeys, i, e.qkey)
+		m.bumpQueue()
+	case e.Active():
+		m.insertActive(&e.Job)
+		m.bump()
+	default:
+		return false
+	}
+	return true
+}
+
+func (m *mirror) insertActive(j *job.Job) {
+	i, _ := slices.BinarySearchFunc(m.active, j.ID, byID)
+	m.active = slices.Insert(m.active, i, j)
+}
+
+// unlist takes e off the list its state files it under.
+func (m *mirror) unlist(e *entry) {
+	switch {
+	case e.State == job.Queued:
+		m.dequeue(e)
+	case e.Active():
+		if i, ok := slices.BinarySearchFunc(m.active, e.ID, byID); ok {
+			m.active = slices.Delete(m.active, i, i+1)
+			m.bump()
+		}
+	}
+}
+
+func (m *mirror) dequeue(e *entry) {
+	if i, ok := slices.BinarySearch(m.qkeys, e.qkey); ok {
+		m.queued = slices.Delete(m.queued, i, i+1)
+		m.qkeys = slices.Delete(m.qkeys, i, i+1)
+	}
+	m.bumpQueue()
+}
+
+// setDyn replaces the pending dynamic requests with the server's list
+// (FIFO by Seq); it carries the state-epoch bump of an applied pull.
+func (m *mirror) setDyn(reqs []proto.SchedDynReq) {
+	m.dyn = m.dyn[:0]
+	for _, dr := range reqs {
+		e := m.jobs[job.ID(dr.JobID)]
+		if e == nil {
+			continue
+		}
+		m.dyn = append(m.dyn, &job.DynRequest{
+			Job: &e.Job, Cores: dr.Cores, Nodes: dr.Nodes, PPN: dr.PPN, Seq: dr.Seq,
+			Deadline: sim.Time(dr.DeadlineMS),
+		})
+	}
+	slices.SortStableFunc(m.dyn, func(a, b *job.DynRequest) int { return cmp.Compare(a.Seq, b.Seq) })
+	m.bump()
+}
+
+// stateOf maps a wire state name back to the state.
+var stateOf = func() map[string]job.State {
+	t := make(map[string]job.State)
+	for st := job.Queued; st <= job.Preempted; st++ {
+		t[st.String()] = st
+	}
+	return t
+}()
+
+func parseState(s string) (job.State, error) {
+	if st, ok := stateOf[s]; ok {
+		return st, nil
 	}
 	return job.Queued, fmt.Errorf("mauid: unknown state %q", s)
 }
 
 func (m *mirror) Cluster() *cluster.Cluster      { return m.cl }
 func (m *mirror) QueuedJobs() []*job.Job         { return append([]*job.Job(nil), m.queued...) }
+func (m *mirror) QueueRef() []*job.Job           { return m.queued } // core.QueueSnapshotter
 func (m *mirror) ActiveJobs() []*job.Job         { return append([]*job.Job(nil), m.active...) }
 func (m *mirror) DynRequests() []*job.DynRequest { return append([]*job.DynRequest(nil), m.dyn...) }
 
 func (m *mirror) StartJob(j *job.Job) (cluster.Alloc, error) {
+	e := m.jobs[j.ID]
+	if e == nil || &e.Job != j || j.State != job.Queued {
+		return nil, fmt.Errorf("mauid: %s is not queued in the mirror", j.ID)
+	}
 	alloc := m.cl.Allocate(j.ID, j.Cores)
 	if alloc == nil {
 		return nil, fmt.Errorf("mauid: mirror cannot place %s", j.ID)
 	}
-	for i, q := range m.queued {
-		if q.ID == j.ID {
-			m.queued = append(m.queued[:i], m.queued[i+1:]...)
-			break
-		}
-	}
+	m.insertActive(j)
+	m.dequeue(e)
 	j.State = job.Running
-	m.active = append(m.active, j)
-	m.bumpQueue()
 	m.actions = append(m.actions, proto.SchedAction{Kind: "start", JobID: int(j.ID)})
 	return alloc, nil
 }

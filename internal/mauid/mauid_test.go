@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"repro/internal/testutil/leak"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -258,5 +259,244 @@ func TestCommitSurfacesServerError(t *testing.T) {
 	<-served
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("commit against a refusing server = %+v, %v; want the server's error", resp, err)
+	}
+}
+
+// TestMirrorRejectsUnknownState: a job record in a state this build
+// does not know must fail the cycle. It used to plan as queued.
+func TestMirrorRejectsUnknownState(t *testing.T) {
+	leak.Check(t)
+	st := &proto.SchedState{
+		Nodes:  []proto.NodeStatus{{Name: "n0", Cores: 8, State: "up"}},
+		Queued: []proto.SchedJob{{ID: 1, User: "u", State: "suspended", Cores: 1, WallSecs: 60}},
+	}
+	if _, err := newMirror(st); err == nil || !strings.Contains(err.Error(), "suspended") {
+		t.Fatalf("newMirror with an unknown state = %v, want an error naming it", err)
+	}
+	st.Queued[0].State = "queued"
+	m, err := newMirror(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &proto.SchedDelta{Serial: 1, Jobs: []proto.SchedJob{{ID: 1, State: "suspended"}}}
+	if err := m.apply(bad); err == nil {
+		t.Fatal("a delta with an unknown state must fail the cycle")
+	}
+}
+
+// TestCloseWithoutStart: Close on a daemon whose loop never ran must
+// return (it used to wait for the loop's exit forever), hang up the
+// sched link, and leave nothing behind.
+func TestCloseWithoutStart(t *testing.T) {
+	leak.Check(t)
+	srv := serverd.New(serverd.Options{})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	d := New(srv.Addr(), core.New(core.Options{}, 0), time.Hour)
+	if _, _, err := d.RunOnce(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.Close()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close on a never-started daemon hangs")
+	}
+	if _, _, err := d.RunOnce(); err == nil {
+		t.Error("RunOnce after Close must fail, not dial again")
+	}
+}
+
+// TestServerCloseEndsSchedSessions: a daemon that is never closed (the
+// benchmark's probes do that) must not keep Server.Close waiting on
+// its session.
+func TestServerCloseEndsSchedSessions(t *testing.T) {
+	leak.Check(t)
+	srv := serverd.New(serverd.Options{})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	d := New(srv.Addr(), core.New(core.Options{}, 0), time.Hour)
+	for i := 0; i < 2; i++ {
+		if _, _, err := d.RunOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Close()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close waits on an open sched session")
+	}
+	if _, _, err := d.RunOnce(); err == nil {
+		t.Error("RunOnce against a closed server must fail")
+	}
+	d.Close()
+}
+
+// TestExternalSchedulerProtoV1: with the JSON codec pinned on both
+// sides the session and its deltas work as under v2 — the second and
+// later cycles update the mirror in place.
+func TestExternalSchedulerProtoV1(t *testing.T) {
+	leak.Check(t)
+	srv := serverd.New(serverd.Options{ProtoMode: proto.ModeV1})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	momSet(t, srv, 1, 8)
+	d := New(srv.Addr(), core.New(core.Options{}, 0), time.Hour)
+	d.Proto = proto.ModeV1
+	t.Cleanup(d.Close)
+	var ids []int
+	for i := 0; i < 3; i++ {
+		id, err := srv.QSub(proto.JobSpec{Name: "v1", User: "u", Cores: 8, WallSecs: 60, Script: "sleep:5ms"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	var first *mirror
+	deadline := time.Now().Add(10 * time.Second)
+	for _, id := range ids {
+		for jobStateOf(srv, id) != "completed" {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d never completed", id)
+			}
+			if _, _, err := d.RunOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = d.m
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if _, _, err := d.RunOnce(); err != nil { // hears of the last completion
+		t.Fatal(err)
+	}
+	if d.m != first {
+		t.Error("the mirror was rebuilt: v1 pulls after the first should be deltas too")
+	}
+	if n := len(d.m.jobs); n != 0 {
+		t.Errorf("%d jobs left in the mirror after all completed", n)
+	}
+}
+
+func jobStateOf(srv *serverd.Server, id int) string {
+	for _, j := range srv.QStat().Jobs {
+		if j.ID == id {
+			return j.State
+		}
+	}
+	return ""
+}
+
+// TestIdlePollLeavesEpochs: with nothing happening on either side a
+// pull is an empty delta and the mirror — the same one — reports the
+// epochs it reported before, which is what lets core.Scheduler skip the
+// iteration outright.
+func TestIdlePollLeavesEpochs(t *testing.T) {
+	leak.Check(t)
+	srv, _ := externalClusterNoSched(t, 1, 8)
+	run, err := srv.QSub(proto.JobSpec{Name: "long", User: "u", Cores: 8, WallSecs: 3600, Script: "sleep:1m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.QSub(proto.JobSpec{Name: "waits", User: "u", Cores: 8, WallSecs: 3600, Script: "sleep:1m"}); err != nil {
+		t.Fatal(err)
+	}
+	d := New(srv.Addr(), core.New(core.Options{}, 0), time.Hour)
+	t.Cleanup(d.Close)
+	for i := 0; i < 3; i++ { // full; delta confirming the start; settled
+		if _, _, err := d.RunOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitState(t, srv, run, "running", 5*time.Second)
+	m, epoch, qepoch := d.m, d.m.StateEpoch(), d.m.QueueEpoch()
+	for i := 0; i < 5; i++ {
+		if _, _, err := d.RunOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.m.StateEpoch() != epoch || d.m.QueueEpoch() != qepoch {
+		t.Errorf("idle polls moved the epochs: %d/%d -> %d/%d", epoch, qepoch, d.m.StateEpoch(), d.m.QueueEpoch())
+	}
+	if d.m != m {
+		t.Error("idle polls rebuilt the mirror")
+	}
+}
+
+// TestDeltaApplyAllocsAreDeltaSized: applying a 100-job delta to a
+// mirror of 10 000 jobs allocates for the 100, not for the 10 000 — no
+// copy of the queue, no rebuilt index.
+func TestDeltaApplyAllocsAreDeltaSized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const depth, touched = 10000, 100
+	st := &proto.SchedState{Serial: 1, Nodes: []proto.NodeStatus{{Name: "n0", Cores: 4096, State: "up"}}}
+	for id := 1; id <= depth; id++ {
+		st.Queued = append(st.Queued, proto.SchedJob{ID: id, Name: "j", User: "u", Group: "g", State: "queued", Cores: 1, WallSecs: 60})
+	}
+	m, err := newMirror(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each delta starts 50 jobs from all over the queue, finishes the
+	// previous delta's 50, and appends 50 new ones.
+	next, serial := depth+1, uint64(1)
+	var running []proto.SchedJob
+	delta := func() *proto.SchedDelta {
+		serial++
+		d := &proto.SchedDelta{Serial: serial, Nodes: []proto.NodeStatus{{Name: "n0", Cores: 4096, Used: touched / 2, State: "up"}}}
+		for i := range running {
+			running[i].State = "completed"
+		}
+		d.Jobs = append(d.Jobs, running...)
+		running = running[:0]
+		for i := 0; i < touched/2; i++ {
+			j := *m.queued[(i*197)%len(m.queued)]
+			running = append(running, proto.SchedJob{ID: int(j.ID), Name: "j", User: "u", Group: "g", State: "running", Cores: 1, WallSecs: 60, StartMS: 5})
+		}
+		d.Jobs = append(d.Jobs, running...)
+		for i := 0; i < touched/2; i++ {
+			d.Tail = append(d.Tail, proto.SchedJob{ID: next, Name: "j", User: "u", Group: "g", State: "queued", Cores: 1, WallSecs: 60})
+			next++
+		}
+		return d
+	}
+	for i := 0; i < 3; i++ { // let the lists grow their spare capacity
+		if err := m.apply(delta()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := delta()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := m.apply(d); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if len(m.queued) != depth || len(m.active) != touched/2 {
+		t.Fatalf("mirror holds %d queued and %d active, want %d and %d", len(m.queued), len(m.active), depth, touched/2)
+	}
+	// One entry per new job, plus change; a copy of the queue alone
+	// would be 80 kB in one allocation.
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	if allocs > 3*touched || bytes > 32<<10 {
+		t.Errorf("a %d-job delta on a %d-job mirror cost %d allocations, %d bytes; want at most %d and %d",
+			touched, depth, allocs, bytes, 3*touched, 32<<10)
 	}
 }

@@ -226,11 +226,12 @@ var tagID = map[MsgType]byte{
 	TTMDynGet: 17, TTMDynFree: 18, TTMDone: 19, TTMResp: 20,
 	TSchedPull: 21, TSchedState: 22, TSchedCommit: 23,
 	TOK: 24, TError: 25,
+	TSchedDelta: 26,
 }
 
 // tagType is the id → type reverse table.
-var tagType = func() [26]MsgType {
-	var t [26]MsgType
+var tagType = func() [27]MsgType {
+	var t [27]MsgType
 	for m, id := range tagID {
 		t[id] = m
 	}

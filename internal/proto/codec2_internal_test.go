@@ -58,6 +58,12 @@ func samplePayloads() []payloadSample {
 		{TTMDone, 19, &TMDoneReq{JobID: 7, Error: "boom"}},
 		{TTMResp, 20, &TMResp{OK: true, Reason: "r", Hosts: hosts}},
 		{TError, 21, &ErrorResp{Error: "unexpected"}},
+		{TSchedDelta, 22, &SchedDelta{NowMS: 12346, Nodes: nodes,
+			Jobs: []SchedJob{{ID: 2, User: "v", State: "completed", Cores: 8, StartMS: 1000, Evolving: true},
+				{ID: 4, Name: "L.14", User: "u", Group: "g", State: "running", Cores: 2, DynCores: 1, WallSecs: 61, SubmitMS: 901, StartMS: 1100, Backfilled: true}},
+			Tail:   []SchedJob{{ID: 5, Name: "L.15", User: "w", Group: "g", State: "queued", Cores: 3, WallSecs: 62, SubmitMS: 1200, SysPrio: -1}},
+			Dyn:    []SchedDynReq{{JobID: 4, Cores: 4, Nodes: 1, PPN: 4, Seq: 2, DeadlineMS: 199}},
+			Serial: 1<<63 + 43}},
 	}
 }
 
@@ -246,7 +252,7 @@ func TestV2MalformedFrames(t *testing.T) {
 		{"length over maxFrame", []byte{0x81, 0x80, 0x80, 0x09}}, // uvarint 18<<20
 		{"unterminated length varint", []byte{0xff, 0xff, 0xff, 0xff, 0xff}},
 		{"tag only, no kind", []byte{0x01, 0x0a}},
-		{"unknown tag id", []byte{0x02, 26, 0x00}},
+		{"unknown tag id", []byte{0x02, 27, 0x00}},
 		{"truncated literal tag", []byte{0x04, 0x00, 0x0a, 'a', 'b'}},
 		{"unknown payload kind", []byte{0x03, 0x0a, 0x09, 0x00}},
 		{"empty JSON payload", []byte{0x02, 0x0a, 0x01}},

@@ -41,6 +41,7 @@ const (
 	codecTMDone          byte = 19
 	codecTMResp          byte = 20
 	codecError           byte = 21
+	codecSchedDelta      byte = 22
 )
 
 // --- mom link ---
@@ -345,16 +346,7 @@ func (p SchedState) appendBin(buf *bytes.Buffer) {
 	putNodes(buf, p.Nodes)
 	putSchedJobs(buf, p.Queued)
 	putSchedJobs(buf, p.Active)
-	putUvarint(buf, uint64(len(p.Dyn)))
-	for i := range p.Dyn {
-		d := &p.Dyn[i]
-		putInt(buf, d.JobID)
-		putInt(buf, d.Cores)
-		putInt(buf, d.Nodes)
-		putInt(buf, d.PPN)
-		putInt(buf, d.Seq)
-		putVarint(buf, d.DeadlineMS)
-	}
+	putSchedDyn(buf, p.Dyn)
 	putUvarint(buf, p.Serial)
 }
 
@@ -364,20 +356,60 @@ func (p *SchedState) readBin(r *binReader) {
 	p.Nodes = r.nodes("nodes", in)
 	p.Queued = r.schedJobs("queued", in)
 	p.Active = r.schedJobs("active", in)
-	p.Dyn = nil
-	if n := r.count("dyn", 6); n > 0 {
-		p.Dyn = make([]SchedDynReq, n)
-	}
-	for i := range p.Dyn {
-		d := &p.Dyn[i]
-		d.JobID = r.int("dyn.job_id")
-		d.Cores = r.int("dyn.cores")
-		d.Nodes = r.int("dyn.nodes")
-		d.PPN = r.int("dyn.ppn")
-		d.Seq = r.int("dyn.seq")
-		d.DeadlineMS = r.varint("dyn.deadline_ms")
-	}
+	p.Dyn = r.schedDyn("dyn")
 	p.Serial = r.uvarint("serial")
+}
+
+func (SchedDelta) codecID() byte { return codecSchedDelta }
+
+func (p SchedDelta) appendBin(buf *bytes.Buffer) {
+	putVarint(buf, p.NowMS)
+	putNodes(buf, p.Nodes)
+	putSchedJobs(buf, p.Jobs)
+	putSchedJobs(buf, p.Tail)
+	putSchedDyn(buf, p.Dyn)
+	putUvarint(buf, p.Serial)
+}
+
+func (p *SchedDelta) readBin(r *binReader) {
+	in := interner{}
+	p.NowMS = r.varint("now_ms")
+	p.Nodes = r.nodes("nodes", in)
+	p.Jobs = r.schedJobs("jobs", in)
+	p.Tail = r.schedJobs("tail", in)
+	p.Dyn = r.schedDyn("dyn")
+	p.Serial = r.uvarint("serial")
+}
+
+func putSchedDyn(buf *bytes.Buffer, ds []SchedDynReq) {
+	putUvarint(buf, uint64(len(ds)))
+	for i := range ds {
+		d := &ds[i]
+		putInt(buf, d.JobID)
+		putInt(buf, d.Cores)
+		putInt(buf, d.Nodes)
+		putInt(buf, d.PPN)
+		putInt(buf, d.Seq)
+		putVarint(buf, d.DeadlineMS)
+	}
+}
+
+func (r *binReader) schedDyn(what string) []SchedDynReq {
+	n := r.count(what, 6)
+	if n == 0 {
+		return nil
+	}
+	ds := make([]SchedDynReq, n)
+	for i := range ds {
+		d := &ds[i]
+		d.JobID = r.int(what)
+		d.Cores = r.int(what)
+		d.Nodes = r.int(what)
+		d.PPN = r.int(what)
+		d.Seq = r.int(what)
+		d.DeadlineMS = r.varint(what)
+	}
+	return ds
 }
 
 func putSchedJobs(buf *bytes.Buffer, js []SchedJob) {

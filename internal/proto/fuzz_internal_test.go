@@ -32,7 +32,7 @@ func FuzzV2MalformedFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})       // unterminated length varint
 	f.Add([]byte{0x81, 0x80, 0x80, 0x09})             // declared length over maxFrame
 	f.Add([]byte{0x04, 0x00, 0x0a, 'a', 'b'})         // truncated literal tag table entry
-	f.Add([]byte{0x02, 26, 0x00})                     // unknown tag id
+	f.Add([]byte{0x02, 27, 0x00})                     // unknown tag id
 	f.Add([]byte{0x03, 0x0a, 0x02, 0x01})             // short binary payload
 	f.Add([]byte{0x05, 0x07, 0x02, 0x02, 0x0e, 0x00}) // valid binary jobdone
 	samples := samplePayloads()
@@ -142,6 +142,7 @@ func FuzzCodecDifferential(f *testing.F) {
 			&TMDoneReq{JobID: jobID, Error: errStr},
 			&TMResp{OK: granted, Reason: reason, Hosts: hosts},
 			&ErrorResp{Error: errStr},
+			&SchedDelta{NowMS: sent, Nodes: nodes, Jobs: sjobs, Tail: sjobs, Dyn: dyn, Serial: serial},
 		}
 		// The sample table is complete (TestEveryPayloadHasBinaryCodec);
 		// holding this list to its length keeps the differential complete.

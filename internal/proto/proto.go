@@ -65,9 +65,10 @@ const (
 	TTMResp    MsgType = "tm.resp"    // dispatch:reply
 
 	// Scheduler ↔ server (external Maui daemon).
-	TSchedPull   MsgType = "sched.pull"   // dispatch:server.conn
-	TSchedState  MsgType = "sched.state"  // dispatch:reply
-	TSchedCommit MsgType = "sched.commit" // dispatch:server.conn
+	TSchedPull   MsgType = "sched.pull"   // dispatch:server.conn,server.sched
+	TSchedState  MsgType = "sched.state"  // dispatch:reply — a link's first pull: the full snapshot
+	TSchedDelta  MsgType = "sched.delta"  // dispatch:reply — every later pull on the same link
+	TSchedCommit MsgType = "sched.commit" // dispatch:server.conn,server.sched
 
 	// Generic replies.
 	TOK    MsgType = "ok"    // dispatch:reply
@@ -586,6 +587,19 @@ type SchedState struct {
 	Active []SchedJob    `json:"active"`
 	Dyn    []SchedDynReq `json:"dyn"`
 	Serial uint64        `json:"serial"` // state version for commit validation
+}
+
+// SchedDelta answers every sched.pull after a link's first: what changed
+// since the previous pull on that link. Nodes and Dyn are complete; Tail
+// holds the jobs appended to the server's queue in between, in queue
+// order, and Jobs every other job touched (a terminal state: forget it).
+type SchedDelta struct {
+	NowMS  int64         `json:"now_ms"`
+	Nodes  []NodeStatus  `json:"nodes"`
+	Jobs   []SchedJob    `json:"jobs"`
+	Tail   []SchedJob    `json:"tail"`
+	Dyn    []SchedDynReq `json:"dyn"`
+	Serial uint64        `json:"serial"`
 }
 
 // SchedAction is one decision in a commit.

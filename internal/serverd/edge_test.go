@@ -80,7 +80,9 @@ func TestSchedPullSnapshotContents(t *testing.T) {
 	waitFor(t, 3*time.Second, func() bool { return jobState(srv, runID) == "running" }, "runner up")
 	qID, _ := srv.QSub(proto.JobSpec{Name: "q", User: "v", Cores: 99, WallSecs: 60, Script: "sleep:1m"})
 
-	st := srv.snapshot()
+	srv.mu.Lock()
+	st := srv.snapshotLocked()
+	srv.mu.Unlock()
 	if len(st.Nodes) != 2 {
 		t.Errorf("nodes = %d", len(st.Nodes))
 	}
@@ -204,4 +206,146 @@ func TestManyConcurrentClients(t *testing.T) {
 		}
 		return true
 	}, "all client jobs done")
+}
+
+// schedPull issues one sched.pull on c and decodes whichever answer
+// comes back; exactly one of the results is non-nil.
+func schedPull(t *testing.T, c *proto.Conn) (*proto.SchedState, *proto.SchedDelta) {
+	t.Helper()
+	env, err := c.Request(proto.TSchedPull, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Type == proto.TSchedState {
+		var st proto.SchedState
+		if err := env.Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return &st, nil
+	}
+	if env.Type != proto.TSchedDelta {
+		t.Fatalf("sched.pull answered %s", env.Type)
+	}
+	var d proto.SchedDelta
+	if err := env.Decode(&d); err != nil {
+		t.Fatal(err)
+	}
+	return nil, &d
+}
+
+// TestSchedSessionFullThenDelta pins when a sched.pull is answered in
+// full and when as a delta, under both codecs: the first pull on a link
+// is the full snapshot, later ones carry only what was touched since —
+// new and requeued jobs in Tail, everything else in Jobs, each job once
+// — a commit's jobs are reported back applied or not, a link that fell
+// behind the change log gets the full snapshot again, and so does every
+// new link.
+func TestSchedSessionFullThenDelta(t *testing.T) {
+	leak.Check(t)
+	for _, mode := range []proto.Mode{proto.ModeV1, proto.ModeV2} {
+		srv := New(Options{})
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		c, err := proto.DialMode(srv.Addr(), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		qsub := func(cores int) int {
+			id, err := srv.QSub(proto.JobSpec{Name: "s", User: "u", Cores: cores, WallSecs: 60, Script: "sleep:1m"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return id
+		}
+		a := qsub(1)
+		if st, _ := schedPull(t, c); st == nil || len(st.Queued) != 1 || st.Queued[0].ID != a {
+			t.Fatalf("%s: first pull = %+v, want the full snapshot with job %d", mode, st, a)
+		}
+		if _, d := schedPull(t, c); d == nil || len(d.Jobs)+len(d.Tail) != 0 {
+			t.Fatalf("%s: idle pull = %+v, want an empty delta", mode, d)
+		}
+		b, cc := qsub(2), qsub(3)
+		srv.QDel(a)
+		srv.QDel(cc)
+		_, d := schedPull(t, c)
+		if d == nil || len(d.Tail) != 1 || d.Tail[0].ID != b || d.Tail[0].State != "queued" {
+			t.Fatalf("%s: delta after qsub+qdel = %+v, want job %d alone in Tail", mode, d, b)
+		}
+		if len(d.Jobs) != 2 || d.Jobs[0].State != "cancelled" || d.Jobs[1].State != "cancelled" {
+			t.Fatalf("%s: delta Jobs = %+v, want jobs %d and %d cancelled, once each", mode, d.Jobs, a, cc)
+		}
+		// A commit nobody can apply (no mom is registered): its job comes
+		// back in the next delta all the same, still queued, not in Tail.
+		env, err := c.Request(proto.TSchedCommit, proto.SchedCommit{Actions: []proto.SchedAction{{Kind: "start", JobID: b}}})
+		if err != nil || env.Type != proto.TOK {
+			t.Fatalf("%s: commit on the session = %v, %v", mode, env, err)
+		}
+		var resp proto.SchedCommitResp
+		if err := env.Decode(&resp); err != nil || resp.Skipped != 1 {
+			t.Fatalf("%s: commit response %+v, %v; want one skipped", mode, resp, err)
+		}
+		if _, d := schedPull(t, c); d == nil || len(d.Tail) != 0 || len(d.Jobs) != 1 || d.Jobs[0].ID != b || d.Jobs[0].State != "queued" {
+			t.Fatalf("%s: delta after a skipped commit = %+v, want job %d queued in Jobs", mode, d, b)
+		}
+		// Fall behind: more touches than the log keeps.
+		for i := 0; i < touchLogKeep; i++ {
+			srv.QDel(qsub(1)) // three log entries each
+		}
+		st, _ := schedPull(t, c)
+		if st == nil || len(st.Queued) != 1 || st.Queued[0].ID != b {
+			t.Fatalf("%s: pull after the log overflowed = %+v, want the full snapshot with job %d", mode, st, b)
+		}
+		if _, d := schedPull(t, c); d == nil {
+			t.Fatalf("%s: the pull after a resync should be a delta again", mode)
+		}
+		// A one-shot client, as every scheduler before this protocol was.
+		one, err := proto.DialMode(srv.Addr(), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ = schedPull(t, one)
+		_ = one.Close()
+		if st == nil || st.Serial == 0 {
+			t.Fatalf("%s: a new link's first pull = %+v, want the full snapshot", mode, st)
+		}
+	}
+}
+
+// TestChangeLogOffWithoutSession: nothing is recorded while no
+// scheduler is connected, and the log is dropped when the last one
+// leaves.
+func TestChangeLogOffWithoutSession(t *testing.T) {
+	leak.Check(t)
+	srv := New(Options{})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	logLen := func() (n, links int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.touched), srv.schedLinks
+	}
+	if _, err := srv.QSub(proto.JobSpec{Name: "s", User: "u", Cores: 1, WallSecs: 60, Script: "sleep:1m"}); err != nil {
+		t.Fatal(err)
+	}
+	if n, links := logLen(); n != 0 || links != 0 {
+		t.Fatalf("log holds %d entries with %d sessions open, want 0 and 0", n, links)
+	}
+	c, err := proto.DialMode(srv.Addr(), proto.ModeAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedPull(t, c)
+	if _, err := srv.QSub(proto.JobSpec{Name: "s", User: "u", Cores: 1, WallSecs: 60, Script: "sleep:1m"}); err != nil {
+		t.Fatal(err)
+	}
+	if n, links := logLen(); n != 1 || links != 1 {
+		t.Fatalf("log holds %d entries with %d sessions open, want 1 and 1", n, links)
+	}
+	_ = c.Close()
+	waitFor(t, 3*time.Second, func() bool { n, links := logLen(); return n == 0 && links == 0 }, "the session to end and the log to go")
 }

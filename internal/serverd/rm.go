@@ -118,7 +118,7 @@ func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 	ji.hosts = hosts
 	ji.msNode = hosts[0].Node
 	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
-	s.bumpQueueLocked()
+	s.bumpQueueLocked(j)
 	// Walltime enforcement.
 	wall := sim.ToReal(j.Walltime)
 	id := int(j.ID)
@@ -142,7 +142,7 @@ func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 		delete(s.active, id)
 		j.State = job.Queued
 		s.queued = append(s.queued, j)
-		s.bumpQueueLocked()
+		s.bumpQueueLocked(j)
 		return nil, fmt.Errorf("serverd: dispatch to %s: %w", hosts[0].Node, err)
 	}
 	s.logf("job %d started on %s (ms=%s)", id, cluster.Alloc(alloc).String(), ji.msNode)
@@ -178,7 +178,7 @@ func (r *serverRM) GrantDyn(req *job.DynRequest) (cluster.Alloc, error) {
 	ji.hosts = append(ji.hosts, hosts...)
 	s.dropDynLocked(int(req.Job.ID))
 	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
-	s.bumpLocked()
+	s.bumpLocked(req.Job)
 	s.deliverVerdictLocked(ji, proto.DynGetResp{
 		JobID: int(req.Job.ID), Granted: true, Hosts: hosts,
 	})
@@ -193,7 +193,7 @@ func (r *serverRM) RejectDyn(req *job.DynRequest, reason string) {
 	s := r.s()
 	req.Job.State = job.Running
 	s.dropDynLocked(int(req.Job.ID))
-	s.bumpLocked()
+	s.bumpLocked(req.Job)
 	if ji := s.jobs[int(req.Job.ID)]; ji != nil {
 		s.deliverVerdictLocked(ji, proto.DynGetResp{
 			JobID: int(req.Job.ID), Granted: false, Reason: reason,
@@ -226,52 +226,151 @@ func (r *serverRM) Preempt(j *job.Job) error {
 	ji.msNode = ""
 	s.queued = append(s.queued, j)
 	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
-	s.bumpQueueLocked()
+	s.bumpQueueLocked(j)
 	s.logf("job %d preempted and requeued", j.ID)
 	return nil
 }
 
 // --- external scheduler protocol ---
 
-// snapshot renders the scheduler state for a sched.pull. The lists are
-// sized once up front: the copy runs under s.mu, and growing a deep
-// queue's list by doubling would hold every other handler off for the
-// reallocations too.
-func (s *Server) snapshot() proto.SchedState {
+// schedSession serves one external scheduler's link until it fails or
+// the peer hangs up, starting with env, the message that classified it.
+// handleConn keeps the connection tracked, so Close ends the session.
+func (s *Server) schedSession(c *proto.Conn, env *proto.Envelope) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := proto.SchedState{NowMS: int64(s.now()), Serial: s.serial}
-	st.Nodes = sized[proto.NodeStatus](len(s.cl.Nodes()))
-	for _, n := range s.cl.Nodes() {
-		st.Nodes = append(st.Nodes, proto.NodeStatus{
-			Name: n.Name, Cores: n.Cores, Used: n.Used(), State: n.State.String(),
-		})
-	}
-	conv := func(j *job.Job) proto.SchedJob {
-		return proto.SchedJob{
-			ID: int(j.ID), Name: j.Name, User: j.Cred.User, Group: j.Cred.Group,
-			State: j.State.String(), Cores: j.Cores, DynCores: j.DynCores,
-			WallSecs: int64(j.Walltime / sim.Second),
-			SubmitMS: int64(j.SubmitTime), StartMS: int64(j.StartTime),
-			SysPrio: j.SystemPriority, Evolving: j.Class == job.Evolving,
-			Backfilled: j.Backfilled,
+	s.schedLinks++
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		if s.schedLinks--; s.schedLinks == 0 {
+			// Nobody is left to read the log; positions stay monotone.
+			s.touchBase += uint64(len(s.touched))
+			s.touched = nil
+		}
+		s.mu.Unlock()
+		_ = c.Close()
+	}()
+	var cursor uint64
+	synced := false
+	for {
+		var err error
+		//schedlint:dispatch server.sched
+		switch env.Type {
+		case proto.TSchedPull:
+			s.mu.Lock()
+			t, state := s.pullLocked(&cursor, synced)
+			s.mu.Unlock()
+			synced = true
+			err = c.Send(t, state)
+		case proto.TSchedCommit:
+			var commit proto.SchedCommit
+			if derr := env.Decode(&commit); derr != nil {
+				// Not a zero SchedCommitResp under TOK: that reads as "nothing
+				// applied" and the scheduler would keep its normal cadence.
+				err = c.Send(proto.TError, proto.ErrorResp{Error: fmt.Sprintf("bad %s: %v", env.Type, derr)})
+			} else {
+				err = c.Send(proto.TOK, s.applyCommit(commit))
+			}
+		default:
+			err = c.Send(proto.TError, proto.ErrorResp{Error: fmt.Sprintf("unexpected %s", env.Type)})
+		}
+		if err == nil {
+			env, err = c.Recv()
+		}
+		if err != nil {
+			return
 		}
 	}
+}
+
+// pullLocked answers one sched.pull of a session whose last answer
+// covered the change log up to *cursor, and advances the cursor: the
+// full snapshot when the session has none yet or the log no longer
+// reaches back to the cursor, else the delta. Caller holds s.mu.
+func (s *Server) pullLocked(cursor *uint64, synced bool) (proto.MsgType, any) {
+	from := *cursor
+	*cursor = s.touchBase + uint64(len(s.touched))
+	if !synced || from < s.touchBase {
+		return proto.TSchedState, s.snapshotLocked()
+	}
+	return proto.TSchedDelta, s.deltaLocked(s.touched[from-s.touchBase:])
+}
+
+// snapshotLocked renders the full scheduler state. The lists are sized
+// once up front: the copy runs under s.mu, and growing a deep queue's
+// list by doubling would hold every other handler off for the
+// reallocations too. Caller holds s.mu.
+func (s *Server) snapshotLocked() proto.SchedState {
+	st := proto.SchedState{NowMS: int64(s.now()), Serial: s.serial, Nodes: s.nodeStatusLocked(), Dyn: s.schedDynLocked()}
 	st.Queued = sized[proto.SchedJob](len(s.queued))
 	for _, j := range s.queued {
-		st.Queued = append(st.Queued, conv(j))
+		st.Queued = append(st.Queued, schedJob(j))
 	}
 	st.Active = sized[proto.SchedJob](len(s.active))
 	for _, j := range (*serverRM)(s).ActiveJobs() {
-		st.Active = append(st.Active, conv(j))
+		st.Active = append(st.Active, schedJob(j))
 	}
+	return st
+}
+
+// deltaLocked renders what the log entries in window changed: one
+// record per job, in the order of its last queue-membership change (of
+// its first mention when it had none), so that the jobs now queued
+// whose membership changed — each was appended to s.queued by that
+// change — come out in queue order. Caller holds s.mu.
+func (s *Server) deltaLocked(window []int) proto.SchedDelta {
+	d := proto.SchedDelta{NowMS: int64(s.now()), Serial: s.serial, Nodes: s.nodeStatusLocked(), Dyn: s.schedDynLocked()}
+	if len(window) == 0 {
+		return d
+	}
+	order := make([]int, 0, len(window))
+	slot := make(map[int]int, len(window)) // job id → index in order
+	for _, t := range window {
+		if i, seen := slot[t>>1]; seen {
+			if t&1 == 0 {
+				continue
+			}
+			order[i] = 0 // superseded: job ids start at 1
+		}
+		slot[t>>1] = len(order)
+		order = append(order, t)
+	}
+	for _, t := range order {
+		ji := s.jobs[t>>1]
+		if ji == nil {
+			continue
+		}
+		if t&1 == 1 && ji.j.State == job.Queued {
+			d.Tail = append(d.Tail, schedJob(ji.j))
+		} else {
+			d.Jobs = append(d.Jobs, schedJob(ji.j))
+		}
+	}
+	return d
+}
+
+func schedJob(j *job.Job) proto.SchedJob {
+	return proto.SchedJob{
+		ID: int(j.ID), Name: j.Name, User: j.Cred.User, Group: j.Cred.Group,
+		State: j.State.String(), Cores: j.Cores, DynCores: j.DynCores,
+		WallSecs: int64(j.Walltime / sim.Second),
+		SubmitMS: int64(j.SubmitTime), StartMS: int64(j.StartTime),
+		SysPrio: j.SystemPriority, Evolving: j.Class == job.Evolving,
+		Backfilled: j.Backfilled,
+	}
+}
+
+// schedDynLocked renders the pending dynamic requests in FIFO order.
+// Caller holds s.mu.
+func (s *Server) schedDynLocked() []proto.SchedDynReq {
+	out := sized[proto.SchedDynReq](len(s.dyn))
 	for _, r := range s.dyn {
-		st.Dyn = append(st.Dyn, proto.SchedDynReq{
+		out = append(out, proto.SchedDynReq{
 			JobID: int(r.Job.ID), Cores: r.Cores, Nodes: r.Nodes, PPN: r.PPN, Seq: r.Seq,
 			DeadlineMS: int64(r.Deadline),
 		})
 	}
-	return st
+	return out
 }
 
 // sized returns an empty list with room for n elements, or nil for
@@ -298,6 +397,7 @@ func (s *Server) applyCommit(c proto.SchedCommit) proto.SchedCommitResp {
 			resp.Skipped++
 			continue
 		}
+		s.touchLocked(ji.j, 0)
 		switch a.Kind {
 		case "start":
 			if ji.j.State != job.Queued {

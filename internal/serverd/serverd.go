@@ -153,6 +153,14 @@ type Server struct {
 	qserial  uint64                   // guarded by mu
 	rec      *metrics.Recorder        // guarded by mu
 
+	// touched is the sched sessions' change log, kept while one is open:
+	// per bump (and per job a commit names) the job's id shifted left one
+	// bit, the low bit set for a queue-membership bump; oldest first.
+	// Sessions remember log positions; touched[0] is at touchBase.
+	touched    []int  // guarded by mu
+	touchBase  uint64 // guarded by mu
+	schedLinks int    // guarded by mu: open sched sessions
+
 	kick   chan struct{}
 	closed chan struct{} //schedlint:chan-owner Close
 	wg     sync.WaitGroup
@@ -282,18 +290,40 @@ func (s *Server) Kick() {
 	}
 }
 
-// bumpLocked advances the state epoch (the snapshot serial). Caller
-// holds s.mu.
-func (s *Server) bumpLocked() { s.serial++ }
+// bumpLocked advances the state epoch (the snapshot serial) and logs j,
+// the job the mutation was about (nil for a node-only change), for the
+// sched sessions' next delta. Caller holds s.mu.
+func (s *Server) bumpLocked(j *job.Job) {
+	s.serial++
+	s.touchLocked(j, 0)
+}
 
 // bumpQueueLocked advances both epochs: a queue-membership change also
 // invalidates state-level caches, never the other way round. Caller
 // holds s.mu.
 //
 //schedlint:epoch-bump subsumes bumpLocked
-func (s *Server) bumpQueueLocked() {
+func (s *Server) bumpQueueLocked(j *job.Job) {
 	s.serial++
 	s.qserial++
+	s.touchLocked(j, 1)
+}
+
+// touchLogKeep is how many entries of the change log survive a trim;
+// the log is trimmed when it holds twice as many.
+const touchLogKeep = 1 << 14
+
+// touchLocked appends j to the change log, if a sched session is open
+// to read it. Caller holds s.mu.
+func (s *Server) touchLocked(j *job.Job, queueMove int) {
+	if s.schedLinks == 0 || j == nil {
+		return
+	}
+	if len(s.touched) == 2*touchLogKeep {
+		s.touched = s.touched[:copy(s.touched, s.touched[touchLogKeep:])]
+		s.touchBase += touchLogKeep
+	}
+	s.touched = append(s.touched, int(j.ID)<<1|queueMove)
 }
 
 // reply delivers a best-effort response on a transient client
@@ -406,17 +436,12 @@ func (s *Server) handleConn(c *proto.Conn) {
 			s.QDel(req.JobID)
 		}
 		s.reply(c, proto.TOK, nil)
-	case proto.TSchedPull:
-		s.reply(c, proto.TSchedState, s.snapshot())
-	case proto.TSchedCommit:
-		var commit proto.SchedCommit
-		if err := env.Decode(&commit); err != nil {
-			// Not a zero SchedCommitResp under TOK: that reads as "nothing
-			// applied" and the scheduler would keep its normal cadence.
-			s.reply(c, proto.TError, proto.ErrorResp{Error: fmt.Sprintf("bad %s: %v", env.Type, err)})
-		} else {
-			s.reply(c, proto.TOK, s.applyCommit(commit))
-		}
+	case proto.TSchedPull, proto.TSchedCommit:
+		// An external scheduler's link is persistent like a mom's; a
+		// one-shot client is a session of one message.
+		c.SetReadTimeout(0)
+		release()
+		s.schedSession(c, env)
 	default:
 		s.reply(c, proto.TError, proto.ErrorResp{Error: fmt.Sprintf("unexpected %s", env.Type)})
 	}
@@ -464,7 +489,7 @@ func (s *Server) registerMom(c *proto.Conn, req proto.RegisterReq) {
 		}
 		s.reconcileMomLocked(ni, req.Jobs)
 		s.replayVerdictsLocked(ni)
-		s.bumpLocked()
+		s.bumpLocked(nil)
 		s.mu.Unlock()
 		s.logf("mom %s re-registered at %s (%d jobs reported)", req.Node, req.Addr, len(req.Jobs))
 	} else {
@@ -473,7 +498,7 @@ func (s *Server) registerMom(c *proto.Conn, req proto.RegisterReq) {
 		s.nodes[req.Node] = ni
 		s.nodeByID[n.ID] = ni
 		s.rec = metrics.NewRecorder(s.cl.TotalCores())
-		s.bumpLocked()
+		s.bumpLocked(nil)
 		s.mu.Unlock()
 		s.logf("mom %s registered: %d cores at %s", req.Node, req.Cores, req.Addr)
 	}
@@ -677,7 +702,7 @@ func (s *Server) QSub(spec proto.JobSpec) (int, error) {
 	s.jobs[id] = &jobInfo{j: j, spec: spec, fsID: fsID}
 	s.queued = append(s.queued, j)
 	s.rec.ObserveSubmit(j.SubmitTime)
-	s.bumpQueueLocked()
+	s.bumpQueueLocked(j)
 	s.mu.Unlock()
 	s.logf("qsub job=%d user=%s cores=%d wall=%ds", id, spec.User, cores, spec.WallSecs)
 	s.Kick()
@@ -707,12 +732,20 @@ func (s *Server) QStat() proto.QStatResp {
 			Cores: j.Cores, DynCores: j.DynCores, WaitSecs: wait, Hosts: ji.hosts,
 		})
 	}
+	resp.Nodes = s.nodeStatusLocked()
+	return resp
+}
+
+// nodeStatusLocked renders the node table of qstat and of a sched.pull
+// answer. Caller holds s.mu.
+func (s *Server) nodeStatusLocked() []proto.NodeStatus {
+	out := sized[proto.NodeStatus](len(s.cl.Nodes()))
 	for _, n := range s.cl.Nodes() {
-		resp.Nodes = append(resp.Nodes, proto.NodeStatus{
+		out = append(out, proto.NodeStatus{
 			Name: n.Name, Cores: n.Cores, Used: n.Used(), State: n.State.String(),
 		})
 	}
-	return resp
+	return out
 }
 
 // QDel cancels a job.
@@ -739,7 +772,7 @@ func (s *Server) killLocked(ji *jobInfo, why string) {
 				break
 			}
 		}
-		s.bumpQueueLocked()
+		s.bumpQueueLocked(j)
 	case j.Active():
 		s.dropDynLocked(int(j.ID))
 		s.cl.Release(j.ID)
@@ -754,7 +787,7 @@ func (s *Server) killLocked(ji *jobInfo, why string) {
 	}
 	j.State = job.Cancelled
 	j.EndTime = s.now()
-	s.bumpLocked()
+	s.bumpLocked(j)
 	s.logf("job %d killed (%s)", j.ID, why)
 }
 
@@ -878,7 +911,7 @@ func (s *Server) failNodeLocked(ni *nodeInfo, why string) {
 		}
 		s.failJobSliceLocked(ni.node, id, why)
 	}
-	s.bumpLocked()
+	s.bumpLocked(nil)
 }
 
 // failJobSliceLocked strips a job's cores on one dead node and applies
@@ -971,7 +1004,7 @@ func (s *Server) jobDone(from *nodeInfo, done proto.JobDoneReq) {
 		s.opts.Sched.Fairshare().RecordID(ji.fsID,
 			float64(j.TotalCores())*sim.SecondsOf(j.EndTime-j.StartTime))
 	}
-	s.bumpLocked()
+	s.bumpLocked(j)
 	s.mu.Unlock()
 	s.logf("job %d done", done.JobID)
 	s.Kick()
@@ -1010,7 +1043,7 @@ func (s *Server) dynGet(from *nodeInfo, req proto.DynGetReq) {
 	s.dynSeq++
 	ji.j.State = job.DynQueued
 	s.dyn = append(s.dyn, r)
-	s.bumpLocked()
+	s.bumpLocked(ji.j)
 	if req.TimeoutSecs > 0 {
 		// Negotiation deadline: if the request is still pending when
 		// it expires, deliver the final rejection ourselves. The timer
@@ -1094,7 +1127,7 @@ func (s *Server) dynFree(from *nodeInfo, req proto.DynFreeReq) {
 	}
 	ji.hosts = subtractHostSlices(ji.hosts, req.Hosts)
 	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
-	s.bumpLocked()
+	s.bumpLocked(ji.j)
 	s.mu.Unlock()
 	s.logf("dynfree job=%d released %d cores", req.JobID, released)
 	s.Kick()
