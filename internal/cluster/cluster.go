@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -110,6 +111,7 @@ func (a Alloc) String() string {
 type Cluster struct {
 	nodes  []*Node
 	allocs map[job.ID]Alloc
+	order  []*Node // Allocate's candidate scratch
 }
 
 // New creates a cluster of n identical Up nodes with coresPerNode cores
@@ -199,17 +201,18 @@ func (c *Cluster) Allocate(id job.ID, cores int) Alloc {
 	}
 	// Sort candidate nodes by descending free cores, ID ascending for
 	// determinism.
-	order := make([]*Node, 0, len(c.nodes))
+	order := c.order[:0]
 	for _, n := range c.nodes {
 		if n.Free() > 0 {
 			order = append(order, n)
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Free() != order[j].Free() {
-			return order[i].Free() > order[j].Free()
+	c.order = order
+	slices.SortFunc(order, func(a, b *Node) int {
+		if a.Free() != b.Free() {
+			return b.Free() - a.Free()
 		}
-		return order[i].ID < order[j].ID
+		return a.ID - b.ID
 	})
 	var alloc Alloc
 	remaining := cores

@@ -13,24 +13,52 @@ import (
 )
 
 // trackedRM wraps testRM with core.ChangeTracker/QueueSnapshotter so
-// tests can exercise the order cache, the QueueRef fast path and the
+// tests can exercise the kept job table, the QueueRef fast path and the
 // event-driven skip. Scheduler-driven mutations bump epochs here;
-// test-driver mutations must call bump/bumpQueue themselves.
+// test-driver mutations must call bump/bumpQueue/bumpQueueFor
+// themselves. It keeps a queue change log but does not hand it out:
+// loggedRM does.
 type trackedRM struct {
 	testRM
-	epoch  uint64
-	qepoch uint64
+	epoch uint64
+	qlog  QueueLog
 }
 
 func (r *trackedRM) StateEpoch() uint64   { return r.epoch }
-func (r *trackedRM) QueueEpoch() uint64   { return r.qepoch }
+func (r *trackedRM) QueueEpoch() uint64   { return r.qlog.Epoch() }
 func (r *trackedRM) QueueRef() []*job.Job { return r.queued }
 func (r *trackedRM) bump()                { r.epoch++ }
-func (r *trackedRM) bumpQueue()           { r.epoch++; r.qepoch++ }
 
+// bumpQueue is a queue change the log cannot name; bumpQueueFor names
+// the job.
+func (r *trackedRM) bumpQueue()              { r.epoch++; r.qlog.Bump(nil) }
+func (r *trackedRM) bumpQueueFor(j *job.Job) { r.epoch++; r.qlog.Bump(j) }
+
+// StartJob bumps the way serverd does: once for the start, once more
+// when the dispatch fails and the job goes back on the queue.
 func (r *trackedRM) StartJob(j *job.Job) (cluster.Alloc, error) {
-	r.bumpQueue()
-	return r.testRM.StartJob(j)
+	r.bumpQueueFor(j)
+	alloc, err := r.testRM.StartJob(j)
+	if err != nil {
+		r.bumpQueueFor(j)
+	}
+	return alloc, err
+}
+
+// loggedRM is a trackedRM that is a core.QueueLogger too. overflow makes
+// the next read of the log fail, as one that was trimmed past the reader
+// does.
+type loggedRM struct {
+	*trackedRM
+	overflow bool
+}
+
+func (r *loggedRM) QueueChanges(since uint64) ([]*job.Job, bool) {
+	if r.overflow {
+		r.overflow = false
+		return nil, false
+	}
+	return r.qlog.Since(since)
 }
 
 func (r *trackedRM) GrantDyn(req *job.DynRequest) (cluster.Alloc, error) {
@@ -44,16 +72,18 @@ func (r *trackedRM) RejectDyn(req *job.DynRequest, reason string) {
 }
 
 func (r *trackedRM) Preempt(j *job.Job) error {
-	r.bumpQueue()
+	r.bumpQueueFor(j)
 	return r.testRM.Preempt(j)
 }
 
 // oracleSched replays the retained full-rebuild planning path: flat
 // profiles rebuilt from the cluster state for every dynamic request
 // and for the final walk, full-queue planJobs with no caching, a
-// stable re-sort every iteration. It is the behavioural oracle the
-// incremental scheduler (segmented profiles, cached base plans, order
-// cache, event-driven skip) is differenced against.
+// stable re-sort of the whole queue every iteration, and a final walk
+// that looks for a slot for every row. It is the behavioural oracle the
+// incremental scheduler (segmented profiles, cached base plans, kept and
+// patched job table, pruned walk, event-driven skip) is differenced
+// against.
 type oracleSched struct {
 	opts Options
 	fair *fairness.Tracker
@@ -88,8 +118,13 @@ func (o *oracleSched) iterate(now sim.Time, rm ResourceManager) *IterationResult
 	res := &IterationResult{Now: now}
 	ordered := append([]*job.Job(nil), rm.QueuedJobs()...)
 	SortByPriority(ordered, now, o.opts.Weights, o.fs)
-	for _, req := range rm.DynRequests() {
-		res.DynDecisions = append(res.DynDecisions, o.processDyn(now, rm, req, ordered))
+	processDyn := func() {
+		for _, req := range rm.DynRequests() {
+			res.DynDecisions = append(res.DynDecisions, o.processDyn(now, rm, req, ordered))
+		}
+	}
+	if !o.opts.DynRequestsAfterBackfill {
+		processDyn()
 	}
 	startNowBlocked := false
 	if o.opts.StrictSystemPriority {
@@ -107,6 +142,20 @@ func (o *oracleSched) iterate(now sim.Time, rm ResourceManager) *IterationResult
 		start := final.FindSlot(j.Cores, j.Walltime, now)
 		suppressed := (startNowBlocked && j.SystemPriority == 0) ||
 			(anyBlocked && o.opts.Config.BackfillPolicy == "NONE")
+		if !suppressed && o.opts.Moldable && j.Class == job.Moldable {
+			// moldToFit over the flat profile.
+			lo, hi := j.MinCores, j.MaxCores
+			if lo <= 0 {
+				lo = j.Cores
+			}
+			if hi < j.Cores {
+				hi = j.Cores
+			}
+			if c := min(final.MinFree(now, holdEnd(now, j.Walltime)), hi); c >= lo && c != j.Cores {
+				j.Cores = c
+				start = now
+			}
+		}
 		if start == now && !suppressed {
 			j.Backfilled = anyBlocked
 			alloc, err := rm.StartJob(j)
@@ -132,6 +181,11 @@ func (o *oracleSched) iterate(now sim.Time, rm ResourceManager) *IterationResult
 			final.AddHold(start, holdEnd(start, j.Walltime), j.Cores)
 			res.Reservations = append(res.Reservations, Planned{Job: j, Start: start, Held: true})
 		}
+	}
+	if o.opts.DynRequestsAfterBackfill {
+		// The scheduler plans these against the table of this
+		// iteration, the rows it has just started included.
+		processDyn()
 	}
 	return res
 }
@@ -219,14 +273,25 @@ func (o *oracleSched) processDyn(now sim.Time, rm ResourceManager, req *job.DynR
 // scnJob is a position-addressed job spec, instantiated once per RM so
 // the two sides mutate independent object graphs.
 type scnJob struct {
-	id      int
-	user    string
-	cores   int
-	wall    sim.Duration
-	submit  sim.Time
-	sys     int64
-	class   job.Class
-	running bool
+	id       int
+	user     string
+	cores    int
+	minCores int // moldable jobs only
+	maxCores int
+	wall     sim.Duration
+	submit   sim.Time
+	sys      int64
+	class    job.Class
+	running  bool
+}
+
+func (s scnJob) job() *job.Job {
+	return &job.Job{
+		ID: job.ID(s.id), Cred: job.Credentials{User: s.user, Group: "g"},
+		Cores: s.cores, MinCores: s.minCores, MaxCores: s.maxCores,
+		Walltime: s.wall, SubmitTime: s.submit,
+		SystemPriority: s.sys, Class: s.class,
+	}
 }
 
 type scnDyn struct {
@@ -238,8 +303,14 @@ type scnDyn struct {
 type scnStep struct {
 	now      sim.Time
 	complete []int // job IDs to complete before iterating
+	cancel   []int // queued job IDs to take out of the queue (qdel)
+	requeue  []int // running job IDs to put back on the queue (node failure)
+	failNext []int // job IDs whose next StartJob fails after the dispatch
 	submit   []scnJob
 	dyn      []scnDyn
+	// overflow makes the change log unreadable for this step's first
+	// iteration (logged RMs only).
+	overflow bool
 }
 
 type scenario struct {
@@ -251,6 +322,8 @@ type scenario struct {
 	single     sim.Duration
 	strict     bool
 	noBackfill bool
+	moldable   bool
+	dynAfter   bool
 	resDepth   int
 	delayDepth int
 }
@@ -264,7 +337,9 @@ func genScenario(rng *rand.Rand) scenario {
 		single:     sim.Duration(1+rng.Intn(120)) * sim.Minute,
 		strict:     rng.Intn(4) == 0,
 		noBackfill: rng.Intn(4) == 0,
-		resDepth:   1 + rng.Intn(6),
+		moldable:   rng.Intn(4) == 0,
+		dynAfter:   rng.Intn(5) == 0,
+		resDepth:   []int{0, 1, 5, rng.Intn(7)}[rng.Intn(4)],
 		delayDepth: 1 + rng.Intn(6),
 	}
 	id := 1
@@ -280,8 +355,13 @@ func genScenario(rng *rand.Rand) scenario {
 		if rng.Intn(10) == 0 {
 			j.sys = int64(1 + rng.Intn(3))
 		}
-		if running && rng.Intn(2) == 0 {
+		switch {
+		case running && rng.Intn(2) == 0:
 			j.class = job.Evolving
+		case !running && rng.Intn(5) == 0:
+			j.class = job.Moldable
+			j.minCores = 1 + rng.Intn(j.cores)
+			j.maxCores = j.cores + rng.Intn(sc.ppn)
 		}
 		id++
 		return j
@@ -296,18 +376,33 @@ func genScenario(rng *rand.Rand) scenario {
 		used += j.cores
 		sc.jobs = append(sc.jobs, j)
 	}
-	for n := 3 + rng.Intn(20); n > 0; n-- {
+	// Most scenarios queue enough for a few changes to be worth patching
+	// into the table rather than refilling it.
+	queued := 3 + rng.Intn(20)
+	if rng.Intn(4) != 0 {
+		queued += 40 + rng.Intn(80)
+	}
+	for ; queued > 0; queued-- {
 		sc.jobs = append(sc.jobs, mk(false))
 	}
 	now := sim.Time(10 * sim.Minute)
 	for step := 0; step < 12; step++ {
-		st := scnStep{now: now}
+		st := scnStep{now: now, overflow: rng.Intn(6) == 0}
+		// Each list names jobs by id whatever their state will be when
+		// the step is applied; a job in the wrong state is passed over.
 		for _, j := range sc.jobs {
-			if j.running && rng.Intn(8) == 0 {
+			switch r := rng.Intn(48); {
+			case r < 6 && j.running:
 				st.complete = append(st.complete, j.id)
+			case r < 7:
+				st.cancel = append(st.cancel, j.id)
+			case r < 8:
+				st.requeue = append(st.requeue, j.id)
+			case r < 10:
+				st.failNext = append(st.failNext, j.id)
 			}
 		}
-		if rng.Intn(2) == 0 {
+		for n := rng.Intn(3); n > 0; n-- {
 			j := mk(false)
 			j.submit = now
 			st.submit = append(st.submit, j)
@@ -345,50 +440,57 @@ func (sc scenario) options() Options {
 		})
 	}
 	cfg.Fairness = f
-	return Options{Config: cfg, StrictSystemPriority: sc.strict}
+	return Options{
+		Config: cfg, StrictSystemPriority: sc.strict,
+		Moldable: sc.moldable, DynRequestsAfterBackfill: sc.dynAfter,
+	}
 }
+
+// The RM flavours a scenario runs against: no change tracking at all,
+// epochs only, and epochs with the queue change log.
+const (
+	rmPlain = iota
+	rmTracked
+	rmLogged
+)
 
 // instance is one independent materialization of a scenario.
 type instance struct {
 	rm   ResourceManager
 	jobs map[int]*job.Job
-	// track mirrors epoch bumps when the RM is tracked.
-	track *trackedRM
-	base  *testRM
+	// track mirrors epoch bumps when the RM is tracked, logged is set
+	// when it hands out its change log too.
+	track  *trackedRM
+	logged *loggedRM
+	base   *testRM
 }
 
-func (sc scenario) instantiate(tracked bool) *instance {
+func (sc scenario) instantiate(flavour int) *instance {
 	var in instance
-	if tracked {
-		in.track = &trackedRM{testRM: *newTestRM(sc.nodes, sc.ppn)}
-		in.track.rejected = make(map[job.ID]string)
-		in.base = &in.track.testRM
-		in.rm = in.track
-	} else {
+	if flavour == rmPlain {
 		in.base = newTestRM(sc.nodes, sc.ppn)
 		in.rm = in.base
+	} else {
+		in.track = &trackedRM{testRM: *newTestRM(sc.nodes, sc.ppn)}
+		in.base = &in.track.testRM
+		in.rm = in.track
+		if flavour == rmLogged {
+			in.logged = &loggedRM{trackedRM: in.track}
+			in.rm = in.logged
+		}
+	}
+	later := make(map[int]bool) // jobs that enter via steps
+	for _, st := range sc.steps {
+		for _, sub := range st.submit {
+			later[sub.id] = true
+		}
 	}
 	in.jobs = make(map[int]*job.Job)
 	for _, s := range sc.jobs {
-		if !s.running && len(sc.steps) > 0 {
-			// Later-submitted jobs enter via steps.
-			isInitial := true
-			for _, st := range sc.steps {
-				for _, sub := range st.submit {
-					if sub.id == s.id {
-						isInitial = false
-					}
-				}
-			}
-			if !isInitial {
-				continue
-			}
+		if later[s.id] {
+			continue
 		}
-		j := &job.Job{
-			ID: job.ID(s.id), Cred: job.Credentials{User: s.user, Group: "g"},
-			Cores: s.cores, Walltime: s.wall, SubmitTime: s.submit,
-			SystemPriority: s.sys, Class: s.class,
-		}
+		j := s.job()
 		in.jobs[s.id] = j
 		if s.running {
 			in.base.addRunning(j)
@@ -398,6 +500,19 @@ func (sc scenario) instantiate(tracked bool) *instance {
 		}
 	}
 	return &in
+}
+
+// bumpQueue and bump record a test-driver mutation on a tracked RM.
+func (in *instance) bumpQueue(j *job.Job) {
+	if in.track != nil {
+		in.track.bumpQueueFor(j)
+	}
+}
+
+func (in *instance) bump() {
+	if in.track != nil {
+		in.track.bump()
+	}
 }
 
 // applyStep mutates the instance and reports whether anything actually
@@ -412,30 +527,40 @@ func (in *instance) applyStep(st scnStep) bool {
 		}
 		mutated = true
 		in.base.cl.Release(j.ID)
-		for i, a := range in.base.active {
-			if a.ID == j.ID {
-				in.base.active = append(in.base.active[:i], in.base.active[i+1:]...)
-				break
-			}
-		}
+		in.base.active = without(in.base.active, j)
 		j.State = job.Completed
 		j.EndTime = st.now
-		if in.track != nil {
-			in.track.bump()
+		in.bump()
+	}
+	for _, id := range st.cancel {
+		if j := in.jobs[id]; j != nil && j.State == job.Queued {
+			mutated = true
+			in.base.queued = without(in.base.queued, j)
+			j.State = job.Cancelled
+			in.bumpQueue(j)
+		}
+	}
+	for _, id := range st.requeue {
+		// Evolving jobs stay: a requeue would strand their requests.
+		if j := in.jobs[id]; j != nil && j.State == job.Running && j.Class != job.Evolving {
+			mutated = true
+			if err := in.rm.Preempt(j); err != nil {
+				panic(err)
+			}
+		}
+	}
+	for _, id := range st.failNext {
+		if j := in.jobs[id]; j != nil && j.State == job.Queued {
+			in.base.failStart[j.ID] = true
 		}
 	}
 	for _, s := range st.submit {
-		j := &job.Job{
-			ID: job.ID(s.id), Cred: job.Credentials{User: s.user, Group: "g"},
-			Cores: s.cores, Walltime: s.wall, SubmitTime: s.submit,
-			SystemPriority: s.sys, Class: s.class, State: job.Queued,
-		}
+		j := s.job()
+		j.State = job.Queued
 		in.jobs[s.id] = j
 		in.base.queued = append(in.base.queued, j)
 		mutated = true
-		if in.track != nil {
-			in.track.bumpQueue()
-		}
+		in.bumpQueue(j)
 	}
 	for _, d := range st.dyn {
 		j := in.jobs[d.jobID]
@@ -449,11 +574,47 @@ func (in *instance) applyStep(st scnStep) bool {
 		j.State = job.DynQueued
 		in.base.dyn = append(in.base.dyn, r)
 		mutated = true
-		if in.track != nil {
-			in.track.bump()
-		}
+		in.bump()
+	}
+	if in.logged != nil {
+		in.logged.overflow = st.overflow
 	}
 	return mutated
+}
+
+func without(jobs []*job.Job, j *job.Job) []*job.Job {
+	for i, q := range jobs {
+		if q == j {
+			return append(jobs[:i], jobs[i+1:]...)
+		}
+	}
+	return jobs
+}
+
+// checkTable requires a kept job table that claims to be current — valid
+// and at the RM's queue epoch — to be what a fill from the RM's queue
+// gives, column for column.
+func checkTable(t *testing.T, step int, s *Scheduler, rm ResourceManager, now sim.Time) {
+	t.Helper()
+	ct, ok := rm.(ChangeTracker)
+	if !ok || !s.table.valid || s.table.queueEpoch != ct.QueueEpoch() {
+		return
+	}
+	var ref jobTable
+	ref.fill(rm.QueuedJobs(), now, s.opts.Weights, s.fs)
+	got := &s.table
+	if !sameIDs(tableIDs(got), tableIDs(&ref)) {
+		t.Fatalf("step %d: kept table holds %v, a fill gives %v", step, tableIDs(got), tableIDs(&ref))
+	}
+	for i := range ref.jobs {
+		if got.cores[i] != ref.cores[i] || got.wall[i] != ref.wall[i] || got.sys[i] != ref.sys[i] || got.mold[i] != ref.mold[i] {
+			t.Fatalf("step %d: kept table row %d (%v) differs from a fill's", step, i, ref.jobs[i].ID)
+		}
+	}
+	if got.nSys != ref.nSys || got.minCores > ref.minCores || got.minWall > ref.minWall {
+		t.Fatalf("step %d: kept table counts %d system rows (fill: %d), bounds %d cores / %v (fill: %d / %v)",
+			step, got.nSys, ref.nSys, got.minCores, got.minWall, ref.minCores, ref.minWall)
+	}
 }
 
 func idsOf(jobs []*job.Job) []job.ID {
@@ -524,9 +685,18 @@ func compareResults(t *testing.T, step int, got, want *IterationResult, full boo
 // full-rebuild oracle through identical randomized job mixes and
 // dynamic-request schedules and requires identical decisions — grant,
 // reject, defer, start, backfill, reservation, and the measured delay
-// vectors behind every fairness verdict. Both RM flavours are covered:
-// the tracked one exercises the order cache, QueueRef and the
-// event-driven skip; the plain one the uncached paths.
+// vectors behind every fairness verdict. Between iterations the queue
+// changes under the scheduler's kept table the way a live one does:
+// submissions, cancellations, running jobs thrown back on the queue,
+// dispatches that fail after the allocation. All three RM flavours are
+// covered: the logged one has the table patched from the change log (and
+// refilled when the log cannot be read), the tracked one has it follow
+// its own starts and refilled on any other change, the plain one
+// refilled every time; with them the QueueRef path and the event-driven
+// skip. The scenarios vary what the pruned walk depends on: reservation
+// depth (0, 1, 5, …), backfill off, strict system priority with Z jobs
+// leaving the queue by start and by cancellation, moldable rows, dynamic
+// requests served after backfill.
 //
 // Between mutation steps the schedule interleaves frozen-epoch idle
 // ticks against the incremental side only: the tracked RM must
@@ -535,14 +705,16 @@ func compareResults(t *testing.T, step int, got, want *IterationResult, full boo
 // the RM — otherwise the instance silently diverges from the oracle
 // and the next step's comparison unmasks it.
 func TestSchedulerDifferential(t *testing.T) {
+	var repairs, fills [3]uint64
 	for seed := int64(1); seed <= 25; seed++ {
-		for _, tracked := range []bool{true, false} {
-			seed, tracked := seed, tracked
-			t.Run(fmt.Sprintf("seed-%d-tracked-%v", seed, tracked), func(t *testing.T) {
+		for flavour, name := range []string{"tracked-false", "tracked-true", "logged"} {
+			seed, flavour := seed, flavour
+			t.Run(fmt.Sprintf("seed-%d-%s", seed, name), func(t *testing.T) {
+				tracked := flavour != rmPlain
 				sc := genScenario(rand.New(rand.NewSource(seed)))
 				opts := sc.options()
-				inA := sc.instantiate(tracked)
-				inB := sc.instantiate(false)
+				inA := sc.instantiate(flavour)
+				inB := sc.instantiate(rmPlain)
 				sched := New(opts, 0)
 				oracle := newOracle(sc.options()) // independent fairness state
 				for i, st := range sc.steps {
@@ -560,20 +732,22 @@ func TestSchedulerDifferential(t *testing.T) {
 					resB := oracle.iterate(st.now, inB.rm)
 					compareResults(t, i, resA, resB, mutated || !tracked)
 					sched.Recycle(resA)
+					checkTable(t, i, sched, inA.rm, st.now)
 					// Settle phase: a single pass is deliberately not
 					// idempotent (StrictSystemPriority computes its
 					// suppression flag before the loop, so the tick that
 					// starts the system job still suppresses everyone
 					// behind it; deferred dyn decisions can likewise fire
-					// a round late). Re-iterate both implementations at
-					// the same now, still in lockstep with the oracle,
-					// until a round changes nothing.
+					// a round late; a failed dispatch is retried). Re-iterate
+					// both implementations at the same now, still in
+					// lockstep with the oracle, until a round changes
+					// nothing.
 					maxSettle := len(inA.base.queued) + len(inA.base.dyn) + 2
 					for round := 0; ; round++ {
 						if round >= maxSettle {
 							t.Fatalf("step %d: no fixed point after %d settle rounds", i, round)
 						}
-						nq, na, nd := len(inA.base.queued), len(inA.base.active), len(inA.base.dyn)
+						nq, na, nd, nf := len(inA.base.queued), len(inA.base.active), len(inA.base.dyn), len(inA.base.failStart)
 						sA := sched.Iterate(st.now, inA.rm)
 						sB := oracle.iterate(st.now, inB.rm)
 						// A settled tracked round may skip, returning a
@@ -582,15 +756,19 @@ func TestSchedulerDifferential(t *testing.T) {
 						compareResults(t, i, sA, sB, !tracked)
 						quiet := len(sA.Started)+len(sA.Backfilled)+sA.GrantedCount() == 0
 						sched.Recycle(sA)
-						if quiet && len(inA.base.queued) == nq && len(inA.base.active) == na && len(inA.base.dyn) == nd {
+						checkTable(t, i, sched, inA.rm, st.now)
+						if quiet && len(inA.base.queued) == nq && len(inA.base.active) == na && len(inA.base.dyn) == nd && len(inA.base.failStart) == nf {
 							break
 						}
+					}
+					if !sameIDs(idsOf(inA.base.queued), idsOf(inB.base.queued)) {
+						t.Fatalf("step %d: queues diverged: %v, oracle %v", i, idsOf(inA.base.queued), idsOf(inB.base.queued))
 					}
 					for tick := 0; tick < 2; tick++ {
 						nq, na, nd := len(inA.base.queued), len(inA.base.active), len(inA.base.dyn)
 						var e0, q0 uint64
 						if inA.track != nil {
-							e0, q0 = inA.track.epoch, inA.track.qepoch
+							e0, q0 = inA.track.epoch, inA.track.QueueEpoch()
 						}
 						idle := sched.Iterate(st.now, inA.rm)
 						if len(idle.Started)+len(idle.Backfilled)+idle.GrantedCount() != 0 {
@@ -601,14 +779,26 @@ func TestSchedulerDifferential(t *testing.T) {
 						if len(inA.base.queued) != nq || len(inA.base.active) != na || len(inA.base.dyn) != nd {
 							t.Fatalf("step %d idle tick %d mutated the RM", i, tick)
 						}
-						if inA.track != nil && (inA.track.epoch != e0 || inA.track.qepoch != q0) {
+						if inA.track != nil && (inA.track.epoch != e0 || inA.track.QueueEpoch() != q0) {
 							t.Fatalf("step %d idle tick %d bumped epochs %d/%d → %d/%d",
-								i, tick, e0, q0, inA.track.epoch, inA.track.qepoch)
+								i, tick, e0, q0, inA.track.epoch, inA.track.QueueEpoch())
 						}
 					}
 				}
+				repairs[flavour] += sched.table.repairs
+				fills[flavour] += sched.table.fills
 			})
 		}
+	}
+	// The kept table must have been what was tested: patched from the
+	// log where there is one, and refilled less the more the RM tells.
+	t.Logf("table fills/repairs: plain %d/%d, tracked %d/%d, logged %d/%d",
+		fills[rmPlain], repairs[rmPlain], fills[rmTracked], repairs[rmTracked], fills[rmLogged], repairs[rmLogged])
+	if repairs[rmLogged] == 0 || repairs[rmPlain] != 0 || repairs[rmTracked] != 0 {
+		t.Errorf("repairs = %v: want the logged RM's table patched and no other", repairs)
+	}
+	if !(fills[rmLogged] < fills[rmTracked] && fills[rmTracked] < fills[rmPlain]) {
+		t.Errorf("fills = %v: want fewer the more the RM reports", fills)
 	}
 }
 
@@ -618,7 +808,6 @@ func TestSchedulerDifferential(t *testing.T) {
 // or crossing the earliest walltime release — resumes full planning.
 func TestIterateSkipFrozenState(t *testing.T) {
 	rm := &trackedRM{testRM: *newTestRM(2, 8)}
-	rm.rejected = make(map[job.ID]string)
 	run := &job.Job{ID: 1, Cred: job.Credentials{User: "r"}, Cores: 8, Walltime: sim.Hour}
 	rm.addRunning(run)
 	rm.bump()

@@ -32,10 +32,12 @@ func tableIDs(t *jobTable) []job.ID {
 }
 
 // TestRepairMatchesFullFill drives the fairshare-ordered table cache
-// through randomized usage-change sequences and asserts the repaired
-// order is identical to a from-scratch fill at every step — including
-// steps where the dirty set is big enough to trip the rebuild
-// fallback, and charges arriving through the sharded path.
+// through randomized usage-change sequences, with jobs entering and
+// leaving the queue in between, and asserts the repaired order is
+// identical to a from-scratch fill at every step — including steps
+// where the dirty set is big enough to trip the rebuild fallback,
+// charges arriving through the sharded path, and jobs of a dirty entity
+// that are also in the queue's change log.
 func TestRepairMatchesFullFill(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -43,7 +45,7 @@ func TestRepairMatchesFullFill(t *testing.T) {
 		for i := range users {
 			users[i] = fmt.Sprintf("u%02d", i)
 		}
-		rm := &trackedRM{testRM: *newTestRM(1, 4)} // tiny cluster: nothing starts, queue is stable
+		rm := &loggedRM{trackedRM: &trackedRM{testRM: *newTestRM(1, 4)}} // tiny cluster: nothing starts
 		const nJobs = 150
 		for i := 0; i < nJobs; i++ {
 			rm.queued = append(rm.queued,
@@ -81,6 +83,23 @@ func TestRepairMatchesFullFill(t *testing.T) {
 			}
 			if rng.Intn(5) == 0 {
 				now += sim.Time(rng.Intn(3)) * sim.Time(sim.Hour)
+			}
+			// Queue churn: a submission (now and then by a user the
+			// tree has not seen) and a cancellation.
+			if rng.Intn(2) == 0 {
+				u := users[rng.Intn(len(users))]
+				if rng.Intn(4) == 0 {
+					u = fmt.Sprintf("new%02d", step)
+				}
+				j := mkQueued(nJobs+step+1, u, 8, sim.Hour, now)
+				rm.queued = append(rm.queued, j)
+				rm.bumpQueueFor(j)
+			}
+			if rng.Intn(2) == 0 {
+				j := rm.queued[rng.Intn(len(rm.queued))]
+				rm.queued = without(rm.queued, j)
+				j.State = job.Cancelled
+				rm.bumpQueueFor(j)
 			}
 			s.fs.Advance(now) // folds sharded charges, rolls epochs
 			s.ensureTable(now, rm)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/fairness"
+	"repro/internal/fairtree"
 	"repro/internal/job"
 	"repro/internal/profile"
 	"repro/internal/sim"
@@ -49,6 +50,19 @@ type ResourceManager interface {
 type ChangeTracker interface {
 	StateEpoch() uint64
 	QueueEpoch() uint64
+}
+
+// QueueLogger is the optional ChangeTracker capability that lets the
+// sorted job table follow the queue instead of being refilled from it:
+// QueueChanges names, oldest first, the job behind every QueueEpoch
+// advance after since — submitted, cancelled, started, requeued; a job
+// may be named more than once — or reports false when the RM's log no
+// longer reaches back that far. What a queued job's priority is computed
+// from must not change while it stays queued. The slice is the RM's own,
+// valid until the RM next mutates. QueueLog implements it for an RM to
+// embed.
+type QueueLogger interface {
+	QueueChanges(since uint64) (changed []*job.Job, ok bool)
 }
 
 // QueueSnapshotter is an optional ResourceManager fast path: QueueRef
@@ -396,44 +410,25 @@ func (s *Scheduler) noteIteration(rm ResourceManager, now sim.Time, deferred boo
 	s.lastDeferred = deferred
 }
 
-// ensureTable refreshes the sorted struct-of-arrays queue snapshot,
-// reusing the previous iteration's order when the RM reports an
-// unchanged queue epoch and the priority weights are time-invariant
-// (no XFactor, no Fairshare: pairwise priority differences are then
-// constant in time, so the sorted order cannot drift between epochs).
-//
-// Fairshare-ordered mode (Fairshare weight alone, no time-varying
-// factors) additionally keeps the cached order across usage changes:
-// uniform decay scales every entity's usage share by the same factor
-// and entity births/deaths shift every target equally, so relative
-// order among entities whose usage did not change is invariant. The
-// share tree's change log names the touched entities; repair re-ranks
-// only their jobs (O(k log n)) instead of re-sorting the queue.
+// ensureTable brings the sorted struct-of-arrays queue snapshot up to
+// date. The order is kept across iterations when the RM reports queue
+// epochs and the priority weights are time-invariant (no XFactor:
+// pairwise priority differences are then constant in time, so the
+// sorted order cannot drift between epochs), and with a Fairshare
+// weight only when it stands alone over a flat tree: in a hierarchy,
+// one leaf's usage moves its cousins' factors through the shared
+// ancestors, so untouched entities' relative order is no longer
+// invariant. A kept order is patched (patchTable); everything else is a
+// fill.
 func (s *Scheduler) ensureTable(now sim.Time, rm ResourceManager) {
 	t := &s.table
 	ct, tracked := rm.(ChangeTracker)
 	w := s.opts.Weights
-	// Fairshare-only weights keep the cached order exact only over a
-	// flat tree: in a hierarchy, one leaf's usage moves its cousins'
-	// factors through the shared ancestors, so untouched entities'
-	// relative order is no longer invariant.
 	fsOrder := w.Fairshare != 0 && w.QueueTime == 0 && w.XFactor == 0 && w.Resource == 0 &&
 		s.fs.tree.Flat()
 	cacheable := tracked && w.XFactor == 0 && (w.Fairshare == 0 || fsOrder)
-	if cacheable && t.valid && rm == s.lastRM && t.queueEpoch == ct.QueueEpoch() {
-		if w.Fairshare == 0 {
-			return
-		}
-		if dirty, ok := s.fs.tree.DirtySince(t.fsSerial); ok {
-			if len(dirty) == 0 {
-				return
-			}
-			if t.repair(dirty, now, w, s.fs) {
-				t.fsSerial = s.fs.tree.ChangeSerial()
-				t.repairs++
-				return
-			}
-		}
+	if cacheable && t.valid && rm == s.lastRM && s.patchTable(now, rm, ct) {
+		return
 	}
 	var queued []*job.Job
 	if qs, ok := rm.(QueueSnapshotter); ok {
@@ -449,6 +444,107 @@ func (s *Scheduler) ensureTable(now sim.Time, rm ResourceManager) {
 	if tracked {
 		t.queueEpoch = ct.QueueEpoch()
 	}
+}
+
+// patchTable makes the kept order current from the two change logs —
+// the RM's, for queue membership (the table itself has already followed
+// the starts of its own walk), and the share tree's, for the entities
+// whose usage moved — and reports false when either does not reach back
+// to where the table stands, or names too much for a repair to pay.
+func (s *Scheduler) patchTable(now sim.Time, rm ResourceManager, ct ChangeTracker) bool {
+	t := &s.table
+	var changed []*job.Job
+	if ct.QueueEpoch() != t.queueEpoch {
+		// A per-user throttle makes eligibility depend on the rest of
+		// the queue, which a list of changed jobs does not carry.
+		ql, ok := rm.(QueueLogger)
+		if !ok || s.opts.MaxIdleJobsPerUser > 0 {
+			return false
+		}
+		if changed, ok = ql.QueueChanges(t.queueEpoch); !ok {
+			return false
+		}
+	}
+	var dirty []fairtree.NodeID
+	if s.opts.Weights.Fairshare != 0 {
+		var ok bool
+		if dirty, ok = s.fs.tree.DirtySince(t.fsSerial); !ok {
+			return false
+		}
+	}
+	if len(changed)+len(dirty) == 0 {
+		return true
+	}
+	if !t.repair(dirty, changed, now, s.opts.Weights, s.fs) {
+		return false
+	}
+	t.queueEpoch = ct.QueueEpoch()
+	if len(dirty) > 0 {
+		t.fsSerial = s.fs.tree.ChangeSerial()
+	}
+	t.repairs++
+	return true
+}
+
+// noFit is the pruned walk's memory of requests it found not to start
+// now: the smallest few, since one that is at least as wide and at least
+// as long as any of them cannot start either while the profile only
+// loses capacity.
+type noFit struct {
+	n   int
+	req [4]struct {
+		cores int
+		wall  sim.Duration
+	}
+}
+
+func (f *noFit) rulesOut(cores int, wall sim.Duration) bool {
+	for _, r := range f.req[:f.n] {
+		if r.cores <= cores && r.wall <= wall {
+			return true
+		}
+	}
+	return false
+}
+
+// add records a request rulesOut did not cover: in place of one it
+// covers in turn, else in a free slot, else not at all.
+func (f *noFit) add(cores int, wall sim.Duration) {
+	k := f.n
+	for i, r := range f.req[:f.n] {
+		if cores <= r.cores && wall <= r.wall {
+			k = i
+			break
+		}
+	}
+	if k == len(f.req) {
+		return
+	}
+	f.req[k].cores, f.req[k].wall = cores, wall
+	if k == f.n {
+		f.n++
+	}
+}
+
+// startRow starts row i's job through the RM and reports whether it
+// did. A table that was in step with the RM's queue epoch stays in
+// step: StartJob changes the queue membership of its job alone, so
+// whatever the epoch did across the call — one advance for the start, a
+// second for a dispatch that was rolled back — is this row's doing. The
+// row of a started job leaves the table when the iteration ends.
+func (s *Scheduler) startRow(rm ResourceManager, i int) bool {
+	t := &s.table
+	ct, _ := rm.(ChangeTracker)
+	inStep := ct != nil && t.valid && ct.QueueEpoch() == t.queueEpoch
+	alloc, err := rm.StartJob(t.jobs[i])
+	if inStep {
+		t.queueEpoch = ct.QueueEpoch()
+	}
+	if err != nil || alloc == nil {
+		return false
+	}
+	t.started = append(t.started, int32(i))
+	return true
 }
 
 // Iterate runs one scheduling iteration at virtual time now against
@@ -511,7 +607,7 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 	// Step 25: schedule static jobs in priority order and start the
 	// ones that fit now. The plan is rebuilt because granted dynamic
 	// requests consumed resources.
-	startNowBlocked := s.opts.StrictSystemPriority && t.anySys
+	startNowBlocked := s.opts.StrictSystemPriority && t.nSys > 0
 
 	// Steps 25–26 merged: walk the queue in priority order. Jobs that
 	// fit now start; once a higher-priority job has blocked, further
@@ -519,16 +615,54 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 	// is allowed only when backfill is enabled and no system-priority
 	// (Z) job is waiting. The top ReservationDepth blocked jobs place
 	// reservation holds so backfilled jobs cannot delay them.
+	//
+	// Once every hold is placed and something has blocked, the only
+	// thing a row can still do is start now: it cannot block anything
+	// further, and it gets no reservation. The walk then prunes, and
+	// exactly so. A row wider than the cores free at this instant cannot
+	// start — FindSlot returns now only when its cores are free at now —
+	// and is passed over without the slot search; free cores only fall
+	// as the walk adds holds, so with none left nothing behind can start
+	// either (a row of no cores never does: Allocate refuses it) and the
+	// walk ends; with backfill off it ends at once. For the same reason
+	// a request found not to fit now rules out every later one at least
+	// as wide and as long (noFit), and the walk ends when that is every
+	// row. Moldable rows may shrink to fit and keep the full path.
 	final := s.ensureBase(pc, rm).CloneInto(&s.finalBuf)
+	noBackfill := s.opts.Config.BackfillPolicy == "NONE"
 	heldBlocked := 0
 	anyBlocked := false
+	pruning := false
+	freeNow := 0
+	startFailed := false
+	var tried noFit
 	for i := 0; i < t.len(); i++ {
-		j := t.jobs[i]
 		cores := int(t.cores[i])
+		if !pruning && anyBlocked && heldBlocked >= s.opts.Config.ReservationDepth {
+			if noBackfill {
+				break
+			}
+			pruning = true
+			freeNow = final.FreeAt(now)
+		}
+		if pruning {
+			if freeNow <= 0 {
+				break
+			}
+			if (startNowBlocked && t.sys[i] == 0) || (!t.mold[i] && (cores > freeNow || tried.rulesOut(cores, t.wall[i]))) {
+				continue
+			}
+		}
+		j := t.jobs[i]
 		wall := t.wall[i]
 		start := final.FindSlot(cores, wall, now)
-		suppressed := (startNowBlocked && t.sys[i] == 0) ||
-			(anyBlocked && s.opts.Config.BackfillPolicy == "NONE")
+		if pruning && start != now && !t.mold[i] {
+			tried.add(cores, wall)
+			if tried.rulesOut(int(t.minCores), t.minWall) {
+				break // not even the least any row asks for
+			}
+		}
+		suppressed := (startNowBlocked && t.sys[i] == 0) || (anyBlocked && noBackfill)
 		if !suppressed && t.mold[i] {
 			// Moldable jobs: reshape the request to start now (down)
 			// or to exploit abundance (up) before committing.
@@ -544,8 +678,7 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 			// Mark out-of-order starts before dispatch so the RM can
 			// log them as backfills.
 			j.Backfilled = anyBlocked
-			alloc, err := rm.StartJob(j)
-			if err == nil && alloc != nil {
+			if s.startRow(rm, i) {
 				if anyBlocked {
 					res.Backfilled = append(res.Backfilled, j)
 				} else {
@@ -553,12 +686,16 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 				}
 				s.fair.ForgetJob(j.ID)
 				final.AddHold(now, holdEnd(now, wall), cores)
+				if pruning {
+					freeNow = final.FreeAt(now)
+				}
 				continue
 			}
 			// Node-level fragmentation or a race in live mode: the
 			// core count fits but placement failed; treat as blocked.
 			j.Backfilled = false
 			anyBlocked = true
+			startFailed = true
 			continue
 		}
 		if start > now {
@@ -583,9 +720,17 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 	// tick that starts the last queued Z job still suppresses every
 	// normal job behind it even though nothing suppresses them anymore.
 	// Treat the iteration as unsettled so the next tick replans instead
-	// of skipping on the post-iteration epoch.
-	unsettled := startNowBlocked && len(res.Started)+len(res.Backfilled) > 0
+	// of skipping on the post-iteration epoch. A start the RM refused is
+	// no fixed point either (the next tick tries it again), nor is a
+	// grant or a preemption made after the walk, whose cores the walk
+	// planned without.
+	unsettled := startFailed || startNowBlocked && len(res.Started)+len(res.Backfilled) > 0 ||
+		s.opts.DynRequestsAfterBackfill && res.GrantedCount()+len(res.Preempted) > 0
 	s.noteIteration(rm, now, deferred || unsettled)
+	if t.valid {
+		t.extract(t.started)
+	}
+	t.started = t.started[:0]
 	return res
 }
 

@@ -19,10 +19,14 @@ type testRM struct {
 	active   []*job.Job
 	dyn      []*job.DynRequest
 	rejected map[job.ID]string
+	// failStart names jobs whose next StartJob fails the way a live
+	// dispatch does: after the allocation, with the job back at the
+	// queue's tail.
+	failStart map[job.ID]bool
 }
 
 func newTestRM(nodes, cores int) *testRM {
-	return &testRM{cl: cluster.New(nodes, cores), rejected: make(map[job.ID]string)}
+	return &testRM{cl: cluster.New(nodes, cores), rejected: make(map[job.ID]string), failStart: make(map[job.ID]bool)}
 }
 
 func (r *testRM) Cluster() *cluster.Cluster      { return r.cl }
@@ -35,14 +39,20 @@ func (r *testRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 	if alloc == nil {
 		return nil, fmt.Errorf("no resources")
 	}
-	j.State = job.Running
-	j.StartTime = r.now
 	for i, q := range r.queued {
 		if q.ID == j.ID {
 			r.queued = append(r.queued[:i], r.queued[i+1:]...)
 			break
 		}
 	}
+	if r.failStart[j.ID] {
+		delete(r.failStart, j.ID)
+		r.cl.Release(j.ID)
+		r.queued = append(r.queued, j)
+		return nil, fmt.Errorf("dispatch failed")
+	}
+	j.State = job.Running
+	j.StartTime = r.now
 	r.active = append(r.active, j)
 	return alloc, nil
 }

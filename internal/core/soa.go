@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/fairtree"
@@ -17,10 +19,13 @@ import (
 // reused across iterations.
 //
 // When the ResourceManager reports queue epochs (ChangeTracker) and
-// the priority weights are time-invariant (no XFactor, no Fairshare —
-// pairwise priority differences then stay constant as jobs age), the
-// sorted table survives across iterations and a tick whose queue did
-// not change skips the O(n log n) re-sort entirely.
+// the priority weights are time-invariant (no XFactor — pairwise
+// priority differences then stay constant as jobs age), the sorted
+// table lives across iterations and is kept current by repair: the rows
+// the walk started are dropped where they stand, and whatever else moved
+// — jobs the RM's change log names, jobs of entities whose fairshare
+// usage changed — is pulled out, re-keyed and merged back. A full fill
+// is the fallback, never a second way of getting the same order.
 type jobTable struct {
 	// Sorted (priority-descending) parallel arrays.
 	jobs  []*job.Job
@@ -28,6 +33,10 @@ type jobTable struct {
 	wall  []sim.Duration
 	sys   []int64
 	mold  []bool
+	// users holds each sorted position's interned share-tree leaf,
+	// filled only in fairshare-ordered mode (fsOrder); it is what lets
+	// repair find the jobs of a dirty entity with a flat int32 scan.
+	users []int32
 
 	// Sort scratch, indexed by pre-sort position.
 	prio   []float64
@@ -35,35 +44,40 @@ type jobTable struct {
 	id     []job.ID
 	perm   []int32
 
-	// users holds each sorted position's interned share-tree leaf,
-	// filled only in fairshare-ordered mode; it is what lets repair
-	// find the jobs of a dirty entity with a flat int32 scan.
-	users []int32
+	fsOrder bool
+	// nSys counts the rows carrying SystemPriority, for the
+	// StrictSystemPriority gate.
+	nSys int
+	// minCores and minWall bound from below what any row asks for (a
+	// moldable row: what it may shrink to). A fill makes them exact;
+	// rows leaving the table leave them standing.
+	minCores int32
+	minWall  sim.Duration
 
-	// anySys caches whether any eligible job carries SystemPriority,
-	// for the StrictSystemPriority gate.
-	anySys bool
-
-	// Order-cache state: valid marks the sorted arrays reusable while
-	// the RM's queue epoch stays at queueEpoch; fsSerial is the share
-	// tree change-log serial the cached order reflects.
+	// Order-cache state: valid marks the sorted arrays reusable; they
+	// reflect the RM's queue at queueEpoch and the share tree's change
+	// log up to fsSerial.
 	valid      bool
 	queueEpoch uint64
 	fsSerial   uint64
 
-	// repair scratch.
-	dirtyBits   []uint64
-	extractRows []extractRow
+	// started lists, ascending, the rows this iteration's walk started;
+	// they leave the table when the iteration ends.
+	started []int32
 
-	// repairs counts successful incremental repairs, so tests can
-	// assert the fast path actually engaged rather than silently
-	// falling back to a full fill.
-	repairs uint64
+	// repair scratch.
+	dirtyBits []uint64
+	rows      []tableRow
+
+	// repairs and fills count the two ways the table is brought up to
+	// date, so tests can assert the fast path actually engaged rather
+	// than silently falling back to a full fill.
+	repairs, fills uint64
 }
 
-// extractRow is one dirty-entity job pulled out of the sorted table
-// during repair, carrying every column plus its recomputed sort key.
-type extractRow struct {
+// tableRow is one row outside the table: pulled out by repair, or about
+// to go in, with its sort key evaluated at the repair's instant.
+type tableRow struct {
 	j      *job.Job
 	prio   float64
 	submit sim.Time
@@ -71,37 +85,63 @@ type extractRow struct {
 	wall   sim.Duration
 	sys    int64
 	cores  int32
+	least  int32 // the fewest cores the job may start with; not a column
 	user   int32
 	mold   bool
 }
 
 func (t *jobTable) len() int { return len(t.jobs) }
 
-// grow resizes every array to n, reusing capacity.
+// grow sizes every array to n for a fill; contents need not be kept.
 func (t *jobTable) grow(n int) {
-	if cap(t.jobs) < n {
-		t.jobs = make([]*job.Job, n)
-		t.cores = make([]int32, n)
-		t.wall = make([]sim.Duration, n)
-		t.sys = make([]int64, n)
-		t.mold = make([]bool, n)
-		t.users = make([]int32, n)
+	t.setLen(0)
+	t.extend(n)
+	if cap(t.prio) < n {
 		t.prio = make([]float64, n)
 		t.submit = make([]sim.Time, n)
 		t.id = make([]job.ID, n)
-		t.perm = make([]int32, n)
-		return
 	}
+	t.prio, t.submit, t.id = t.prio[:n], t.submit[:n], t.id[:n]
+	t.perm = t.permBuf(n)
+}
+
+// setLen reslices the sorted columns to n rows within their capacity.
+func (t *jobTable) setLen(n int) {
 	t.jobs = t.jobs[:n]
 	t.cores = t.cores[:n]
 	t.wall = t.wall[:n]
 	t.sys = t.sys[:n]
 	t.mold = t.mold[:n]
 	t.users = t.users[:n]
-	t.prio = t.prio[:n]
-	t.submit = t.submit[:n]
-	t.id = t.id[:n]
-	t.perm = t.perm[:n]
+}
+
+// extend makes room for k more rows behind the present ones, which are
+// kept. The columns are reallocated together, with headroom, so that
+// they keep one common capacity and a run of single submissions does
+// not copy the table once per job.
+func (t *jobTable) extend(k int) {
+	n := t.len() + k
+	if cap(t.jobs) >= n {
+		t.setLen(n)
+		return
+	}
+	c := n + n/4 + 16
+	t.jobs = regrow(t.jobs, n, c)
+	t.cores = regrow(t.cores, n, c)
+	t.wall = regrow(t.wall, n, c)
+	t.sys = regrow(t.sys, n, c)
+	t.mold = regrow(t.mold, n, c)
+	t.users = regrow(t.users, n, c)
+}
+
+func regrow[T any](s []T, n, c int) []T { return append(make([]T, 0, c), s...)[:n] }
+
+// permBuf returns n entries of position scratch.
+func (t *jobTable) permBuf(n int) []int32 {
+	if cap(t.perm) < n {
+		t.perm = make([]int32, n)
+	}
+	return t.perm[:n]
 }
 
 // fill loads the eligible jobs, computes priority keys, sorts a
@@ -110,6 +150,7 @@ func (t *jobTable) grow(n int) {
 // the RM's own queue storage via QueueSnapshotter).
 func (t *jobTable) fill(eligible []*job.Job, now sim.Time, w PriorityWeights, fs *Fairshare) {
 	n := len(eligible)
+	t.fills++
 	t.grow(n)
 	for i, j := range eligible {
 		t.prio[i] = w.Priority(j, now, fs)
@@ -118,47 +159,131 @@ func (t *jobTable) fill(eligible []*job.Job, now sim.Time, w PriorityWeights, fs
 		t.perm[i] = int32(i)
 	}
 	sort.Sort((*tableSorter)(t))
-	fsOrder := fs != nil && w.Fairshare != 0 && w.QueueTime == 0 && w.XFactor == 0 && w.Resource == 0
-	anySys := false
+	t.fsOrder = fs != nil && w.Fairshare != 0 && w.QueueTime == 0 && w.XFactor == 0 && w.Resource == 0
+	t.nSys, t.minCores, t.minWall = 0, math.MaxInt32, sim.Forever
+	t.started = t.started[:0]
 	for k, pi := range t.perm {
-		j := eligible[pi]
-		t.jobs[k] = j
-		t.cores[k] = int32(j.Cores)
-		t.wall[k] = j.Walltime
-		t.sys[k] = j.SystemPriority
-		if j.SystemPriority > 0 {
-			anySys = true
-		}
-		t.mold[k] = j.Class == job.Moldable
-		if fsOrder {
-			t.users[k] = int32(fs.UserID(j.Cred.User))
-		}
+		t.setRow(k, t.rowOf(eligible[pi], fs))
 	}
-	t.anySys = anySys
 }
 
-// repair restores priority order after fairshare usage changed for the
-// given dirty entities, without re-sorting the queue. It is only valid
-// in fairshare-ordered mode (Fairshare weight alone): there, priority
-// is sys·1e12 + w·factor(user), uniform decay scales every entity's
-// usage share by the same positive constant, and entity births/deaths
-// shift every level target equally — so the relative order of jobs
-// whose entity usage did NOT change is invariant, and only the dirty
-// entities' jobs (k of n) can move. Those are extracted, re-keyed with
-// current factors, sorted among themselves, and merged back with
-// binary-searched insertion points: O(n) flat scans and column moves
-// plus O(k log n) priority evaluations, versus the O(n log n)
-// full-queue re-sort. The result is byte-identical to a full fill
-// because both orders are the same unique (priority, submit, id) total
-// order evaluated at the same instant.
-//
-// Returns false when the affected set is too large for repair to beat
-// a rebuild; the caller falls back to fill.
-func (t *jobTable) repair(dirty []fairtree.NodeID, now sim.Time, w PriorityWeights, fs *Fairshare) bool {
-	n := t.len()
-	if n == 0 {
-		return true
+// rowOf reads a queued job's columns (not its sort key).
+func (t *jobTable) rowOf(j *job.Job, fs *Fairshare) tableRow {
+	r := tableRow{j: j, cores: int32(j.Cores), least: leastCores(j), wall: j.Walltime, sys: j.SystemPriority, mold: j.Class == job.Moldable}
+	if t.fsOrder {
+		r.user = int32(fs.UserID(j.Cred.User))
 	}
+	return r
+}
+
+// rowAt reads row i back out of the table.
+func (t *jobTable) rowAt(i int) tableRow {
+	return tableRow{j: t.jobs[i], cores: t.cores[i], least: leastCores(t.jobs[i]), wall: t.wall[i], sys: t.sys[i], mold: t.mold[i], user: t.users[i]}
+}
+
+// leastCores is the smallest request j can start with: a moldable job
+// may shrink to MinCores (moldToFit).
+func leastCores(j *job.Job) int32 {
+	if j.Class == job.Moldable && j.MinCores > 0 && j.MinCores < j.Cores {
+		return int32(j.MinCores)
+	}
+	return int32(j.Cores)
+}
+
+// setRow writes a row that is entering the table.
+func (t *jobTable) setRow(i int, r tableRow) {
+	t.jobs[i] = r.j
+	t.cores[i] = r.cores
+	t.wall[i] = r.wall
+	t.sys[i] = r.sys
+	t.mold[i] = r.mold
+	t.users[i] = r.user
+	if r.sys > 0 {
+		t.nSys++
+	}
+	t.minCores, t.minWall = min(t.minCores, r.least), min(t.minWall, r.wall)
+}
+
+// repair brings the sorted table up to date without re-sorting the
+// queue, given everything that can have moved since it was last
+// current: changed, the jobs whose queue membership changed (the RM's
+// change log — submitted, cancelled, started, requeued), and dirty, the
+// share-tree leaves whose usage changed (fairshare-ordered mode only).
+// The rows of both are pulled out, the jobs among them that are queued
+// now are keyed afresh, sorted among themselves, and merged back at
+// binary-searched insertion points: O(k log n) priority evaluations and
+// block moves, against the O(n log n) re-sort.
+//
+// The result is byte-identical to a full fill because both are the same
+// unique (priority, submit, id) total order over the same jobs at the
+// same instant, and the rows that stay keep their relative order: a
+// queued job's key inputs do not change while it is queued (a moldable
+// reshape invalidates the table instead), pairwise differences of
+// queue-time priorities are constant in time, and in fairshare-ordered
+// mode — priority is sys·1e12 + w·factor(user) — uniform decay scales
+// every entity's usage share by the same positive constant and entity
+// births/deaths shift every level target equally, so only the dirty
+// entities' jobs can move against the rest.
+//
+// Returns false, with the table untouched, when so much moved that a
+// rebuild is cheaper; the caller falls back to fill.
+func (t *jobTable) repair(dirty []fairtree.NodeID, changed []*job.Job, now sim.Time, w PriorityWeights, fs *Fairshare) bool {
+	n := t.len()
+	rows := t.rows[:0]
+	defer func() {
+		clear(rows)
+		t.rows = rows[:0]
+	}()
+	// in collects, keyed afresh, what goes (back) in: the rows that are
+	// queued now.
+	in := func(r tableRow) {
+		if r.j.State == job.Queued {
+			r.prio, r.submit, r.id = w.Priority(r.j, now, fs), r.j.SubmitTime, r.j.ID
+			rows = append(rows, r)
+		}
+	}
+	if len(dirty) > 0 && n > 0 {
+		pos := t.dirtyRows(dirty)
+		if (len(pos)+len(changed))*8 > n {
+			return false
+		}
+		for _, p := range pos {
+			in(t.rowAt(int(p)))
+		}
+		t.extract(pos)
+	} else if len(changed)*8 > n {
+		return false
+	}
+	// With the dirty rows gone every row left sorts consistently under
+	// the current keys, so a changed job's row — if it has one — is
+	// where its key says.
+	pos := t.permBuf(len(changed))[:0]
+	for _, j := range changed {
+		i := t.lowerBound(0, t.len(), w.Priority(j, now, fs), j.SubmitTime, j.ID, now, w, fs)
+		if i < t.len() && t.jobs[i] == j {
+			pos = append(pos, int32(i))
+		}
+		in(t.rowOf(j, fs))
+	}
+	slices.Sort(pos)
+	t.extract(slices.Compact(pos))
+	// A job named twice, or dirty and named, goes in once.
+	slices.SortFunc(rows, func(a, b tableRow) int {
+		if rowBefore(a.prio, a.submit, a.id, b.prio, b.submit, b.id) {
+			return -1
+		}
+		if a.id == b.id {
+			return 0
+		}
+		return 1
+	})
+	t.merge(slices.CompactFunc(rows, func(a, b tableRow) bool { return a.id == b.id }), now, w, fs)
+	return true
+}
+
+// dirtyRows returns, ascending in position scratch, the rows whose
+// share-tree leaf is in dirty.
+func (t *jobTable) dirtyRows(dirty []fairtree.NodeID) []int32 {
 	maxID := fairtree.NodeID(0)
 	for _, d := range dirty {
 		if d > maxID {
@@ -177,84 +302,100 @@ func (t *jobTable) repair(dirty []fairtree.NodeID, now sim.Time, w PriorityWeigh
 			t.dirtyBits[int(d)/64] |= 1 << (uint32(d) % 64)
 		}
 	}
-	// Flat scan of the interned-user column for affected positions,
-	// parked in the perm scratch.
+	pos := t.permBuf(t.len())
 	k := 0
-	for i := 0; i < n; i++ {
-		u := t.users[i]
+	for i, u := range t.users {
 		if u >= 0 && fairtree.NodeID(u) <= maxID && t.dirtyBits[u/64]&(1<<(uint32(u)%64)) != 0 {
-			t.perm[k] = int32(i)
+			pos[k] = int32(i)
 			k++
 		}
 	}
+	return pos[:k]
+}
+
+// extract removes the rows at the given ascending positions and keeps
+// the order of the rest. Whichever side of the table is shorter moves:
+// the rows a walk starts sit at the head of a deep queue, and dropping
+// them shifts the few rows in front of them, not the queue behind.
+func (t *jobTable) extract(pos []int32) {
+	k, n := len(pos), t.len()
 	if k == 0 {
-		return true
+		return
 	}
-	if k*8 > n {
-		return false
-	}
-	// Pull the affected rows out with freshly evaluated priorities.
-	rows := t.extractRows
-	if cap(rows) < k {
-		rows = make([]extractRow, k)
-	}
-	rows = rows[:k]
-	for x := 0; x < k; x++ {
-		i := int(t.perm[x])
-		j := t.jobs[i]
-		rows[x] = extractRow{
-			j:      j,
-			prio:   w.Priority(j, now, fs),
-			submit: j.SubmitTime,
-			id:     j.ID,
-			wall:   t.wall[i],
-			sys:    t.sys[i],
-			cores:  t.cores[i],
-			user:   t.users[i],
-			mold:   t.mold[i],
+	for _, p := range pos {
+		if t.sys[p] > 0 {
+			t.nSys--
 		}
 	}
-	t.extractRows = rows[:0]
-	// Compact the untouched rows in place (order preserved).
-	wi := int(t.perm[0])
-	next := 0
-	for i := wi; i < n; i++ {
-		if next < k && int(t.perm[next]) == i {
-			next++
-			continue
+	first, last := int(pos[0]), int(pos[k-1])
+	if last < n-first {
+		// Close the gaps towards the back, then cut the head off.
+		wi := last + 1
+		for x := k - 1; x >= 0; x-- {
+			start := 0
+			if x > 0 {
+				start = int(pos[x-1]) + 1
+			}
+			if cnt := int(pos[x]) - start; cnt > 0 {
+				wi -= cnt
+				t.moveRows(wi, start, cnt)
+			}
 		}
-		t.moveRow(wi, i)
-		wi++
+		clear(t.jobs[:k])
+		t.jobs, t.cores, t.wall = t.jobs[k:], t.cores[k:], t.wall[k:]
+		t.sys, t.mold, t.users = t.sys[k:], t.mold[k:], t.users[k:]
+		return
 	}
-	m := n - k // untouched count
-	// Order the extracted rows by the same unique total order the
-	// full sort uses.
-	sort.Slice(rows, func(a, b int) bool {
-		return rowBefore(rows[a].prio, rows[a].submit, rows[a].id, rows[b].prio, rows[b].submit, rows[b].id)
-	})
-	// Insertion points into the untouched run, binary-searched with
-	// pivot priorities evaluated on the fly. perm is free again.
-	ins := t.perm[:k]
+	wi := first
 	for x := 0; x < k; x++ {
-		lo, hi := 0, m
+		src, end := int(pos[x])+1, n
+		if x+1 < k {
+			end = int(pos[x+1])
+		}
+		if cnt := end - src; cnt > 0 {
+			t.moveRows(wi, src, cnt)
+			wi += cnt
+		}
+	}
+	clear(t.jobs[n-k:])
+	t.setLen(n - k)
+}
+
+// lowerBound returns the first row in [lo, hi) that does not sort
+// before the key, the rows' priorities evaluated on the fly.
+func (t *jobTable) lowerBound(lo, hi int, prio float64, submit sim.Time, id job.ID, now sim.Time, w PriorityWeights, fs *Fairshare) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		pj := t.jobs[mid]
+		if rowBefore(w.Priority(pj, now, fs), pj.SubmitTime, pj.ID, prio, submit, id) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// merge inserts rows, sorted by key and absent from the table, each at
+// its place.
+func (t *jobTable) merge(rows []tableRow, now sim.Time, w PriorityWeights, fs *Fairshare) {
+	k, m := len(rows), t.len()
+	if k == 0 {
+		return
+	}
+	ins := t.permBuf(k)
+	for x, r := range rows {
+		lo := 0
 		if x > 0 {
 			lo = int(ins[x-1]) // rows are sorted: points are non-decreasing
 		}
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			pj := t.jobs[mid]
-			if rowBefore(w.Priority(pj, now, fs), pj.SubmitTime, pj.ID, rows[x].prio, rows[x].submit, rows[x].id) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		ins[x] = int32(lo)
+		ins[x] = int32(t.lowerBound(lo, m, r.prio, r.submit, r.id, now, w, fs))
 	}
-	// Single backward merge: shift untouched blocks right and drop
-	// each extracted row into its slot. Go's copy is memmove, so the
+	// Single backward merge: shift the resident blocks right and drop
+	// each new row into its slot. Go's copy is memmove, so the
 	// overlapping block shifts are safe.
-	wi = n - 1
+	t.extend(k)
+	wi := m + k - 1
 	uj := m - 1
 	for x := k - 1; x >= 0; x-- {
 		if cnt := uj - int(ins[x]) + 1; cnt > 0 {
@@ -262,15 +403,9 @@ func (t *jobTable) repair(dirty []fairtree.NodeID, now sim.Time, w PriorityWeigh
 			wi -= cnt
 			uj = int(ins[x]) - 1
 		}
-		t.jobs[wi] = rows[x].j
-		t.cores[wi] = rows[x].cores
-		t.wall[wi] = rows[x].wall
-		t.sys[wi] = rows[x].sys
-		t.mold[wi] = rows[x].mold
-		t.users[wi] = rows[x].user
+		t.setRow(wi, rows[x])
 		wi--
 	}
-	return true
 }
 
 // rowBefore is the table's total sort order: priority descending,
@@ -283,16 +418,6 @@ func rowBefore(pa float64, sa sim.Time, ia job.ID, pb float64, sb sim.Time, ib j
 		return sa < sb
 	}
 	return ia < ib
-}
-
-// moveRow copies one row across every sorted column.
-func (t *jobTable) moveRow(dst, src int) {
-	t.jobs[dst] = t.jobs[src]
-	t.cores[dst] = t.cores[src]
-	t.wall[dst] = t.wall[src]
-	t.sys[dst] = t.sys[src]
-	t.mold[dst] = t.mold[src]
-	t.users[dst] = t.users[src]
 }
 
 // moveRows block-copies cnt rows from src to dst in every column.
@@ -317,11 +442,5 @@ func (t *tableSorter) Swap(a, b int) { t.perm[a], t.perm[b] = t.perm[b], t.perm[
 
 func (t *tableSorter) Less(a, b int) bool {
 	pa, pb := t.perm[a], t.perm[b]
-	if t.prio[pa] != t.prio[pb] {
-		return t.prio[pa] > t.prio[pb]
-	}
-	if t.submit[pa] != t.submit[pb] {
-		return t.submit[pa] < t.submit[pb]
-	}
-	return t.id[pa] < t.id[pb]
+	return rowBefore(t.prio[pa], t.submit[pa], t.id[pa], t.prio[pb], t.submit[pb], t.id[pb])
 }

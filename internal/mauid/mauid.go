@@ -44,9 +44,20 @@ type Daemon struct {
 	cycle sync.Mutex
 	m     *mirror // guarded by cycle: nil until the first full snapshot
 
+	// timeout bounds the dial and every wait for the server's answer, so
+	// that a server that is up but hung fails the cycle — and the link
+	// with it — instead of holding the cycle until somebody cuts the
+	// link.
+	timeout time.Duration
+
 	link    atomic.Pointer[proto.Conn] // the sched session; dialled by the next request when nil
 	started atomic.Bool                // Start ran, so Close has a goroutine to wait for
 }
+
+// requestTimeout is how long the daemon waits for the server to answer a
+// pull or a commit: far beyond what a full snapshot of a deep queue
+// takes, short against an operator noticing that scheduling has stopped.
+const requestTimeout = 30 * time.Second
 
 // New creates a daemon that schedules the server at srvAddr every
 // interval (plus immediately after any iteration that made progress).
@@ -58,6 +69,7 @@ func New(srvAddr string, sched *core.Scheduler, interval time.Duration) *Daemon 
 		srvAddr:  srvAddr,
 		sched:    sched,
 		interval: interval,
+		timeout:  requestTimeout,
 		closed:   make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -74,7 +86,7 @@ func (d *Daemon) Start() {
 	d.started.Store(true)
 	go func() {
 		defer close(d.done)
-		pol := backoff.Policy{Max: d.interval * 8}
+		pol := d.retryPolicy()
 		rng := backoff.NewRand("mauid")
 		failures := 0
 		t := time.NewTimer(d.interval) //lint:wallclock the external scheduler polls the server in real time
@@ -100,6 +112,14 @@ func (d *Daemon) Start() {
 			t.Reset(d.interval)
 		}
 	}()
+}
+
+// retryPolicy is the pause after failed cycles: from one polling interval
+// up to eight, so that a daemon polling every millisecond is back within
+// milliseconds of a link loss, not after the 100 ms a slow poller starts
+// at.
+func (d *Daemon) retryPolicy() backoff.Policy {
+	return backoff.Policy{Base: d.interval, Max: d.interval * 8}
 }
 
 // Close stops the loop and hangs up the sched link. It is safe on a
@@ -198,9 +218,10 @@ func (d *Daemon) request(t proto.MsgType, payload any) (*proto.Envelope, error) 
 	c := d.link.Load()
 	if c == nil {
 		var err error
-		if c, err = proto.DialMode(d.srvAddr, d.Proto); err != nil {
+		if c, err = proto.DialModeTimeout(d.srvAddr, d.Proto, d.timeout); err != nil {
 			return nil, err
 		}
+		c.SetReadTimeout(d.timeout)
 		d.link.Store(c)
 		select {
 		case <-d.closed: // Close ran meanwhile and may have missed c
@@ -247,9 +268,11 @@ type mirror struct {
 	//schedlint:confined cycle see the type's comment
 	dyn []*job.DynRequest //schedlint:epoch-guarded by bump
 
-	// The mirror's own epochs, the Serial of the last pull, and the
+	// The mirror's own state epoch, the Serial of the last pull, and the
 	// newest queue key handed out.
-	serial, qserial, srvSerial, lastKey uint64 //schedlint:confined cycle see the type's comment
+	serial, srvSerial, lastKey uint64 //schedlint:confined cycle see the type's comment
+	// qlog is the mirror's queue epoch and the jobs behind it.
+	qlog core.QueueLog //schedlint:confined cycle see the type's comment
 	// actions are this cycle's decisions; they stay until the next
 	// delta, which undoes their placements in cl.
 	actions []proto.SchedAction //schedlint:confined cycle see the type's comment
@@ -267,20 +290,23 @@ type entry struct {
 // bump advances the state epoch.
 func (m *mirror) bump() { m.serial++ }
 
-// bumpQueue advances both epochs: a queue-membership change also
-// invalidates state-level caches.
+// bumpQueue advances both epochs for a change of j's queue membership,
+// which also invalidates state-level caches.
 //
 //schedlint:epoch-bump subsumes bump
-func (m *mirror) bumpQueue() {
+func (m *mirror) bumpQueue(j *job.Job) {
 	m.serial++
-	m.qserial++
+	m.qlog.Bump(j)
 }
 
 // StateEpoch implements core.ChangeTracker.
 func (m *mirror) StateEpoch() uint64 { return m.serial }
 
 // QueueEpoch implements core.ChangeTracker.
-func (m *mirror) QueueEpoch() uint64 { return m.qserial }
+func (m *mirror) QueueEpoch() uint64 { return m.qlog.Epoch() }
+
+// QueueChanges implements core.QueueLogger.
+func (m *mirror) QueueChanges(since uint64) ([]*job.Job, bool) { return m.qlog.Since(since) }
 
 // mirrorFillID marks the synthetic allocations that reproduce the
 // server's per-node usage in the mirror cluster.
@@ -304,7 +330,8 @@ func newMirror(st *proto.SchedState) (*mirror, error) {
 		}
 	}
 	m.setDyn(st.Dyn)
-	m.serial, m.qserial, m.srvSerial = st.Serial, st.Serial, st.Serial
+	m.serial, m.srvSerial = st.Serial, st.Serial
+	m.qlog.Reset(st.Serial)
 	return m, nil
 }
 
@@ -412,7 +439,7 @@ func (m *mirror) list(e *entry) bool {
 		i, _ := slices.BinarySearch(m.qkeys, e.qkey)
 		m.queued = slices.Insert(m.queued, i, &e.Job)
 		m.qkeys = slices.Insert(m.qkeys, i, e.qkey)
-		m.bumpQueue()
+		m.bumpQueue(&e.Job)
 	case e.Active():
 		m.insertActive(&e.Job)
 		m.bump()
@@ -445,7 +472,7 @@ func (m *mirror) dequeue(e *entry) {
 		m.queued = slices.Delete(m.queued, i, i+1)
 		m.qkeys = slices.Delete(m.qkeys, i, i+1)
 	}
-	m.bumpQueue()
+	m.bumpQueue(&e.Job)
 }
 
 // setDyn replaces the pending dynamic requests with the server's list

@@ -2,6 +2,7 @@ package mauid
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"repro/internal/testutil/leak"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/mom"
@@ -498,5 +500,70 @@ func TestDeltaApplyAllocsAreDeltaSized(t *testing.T) {
 	if allocs > 3*touched || bytes > 32<<10 {
 		t.Errorf("a %d-job delta on a %d-job mirror cost %d allocations, %d bytes; want at most %d and %d",
 			touched, depth, allocs, bytes, 3*touched, 32<<10)
+	}
+}
+
+// TestRetryPolicyFollowsInterval: the pause after a failed cycle starts
+// at the polling interval. It used to start at the backoff package's
+// 100 ms default whatever the interval, so a daemon polling every
+// millisecond sat out 50–100 ms after any link loss.
+func TestRetryPolicyFollowsInterval(t *testing.T) {
+	d := New("127.0.0.1:1", core.New(core.Options{}, 0), time.Millisecond)
+	pol, rng := d.retryPolicy(), backoff.NewRand("mauid")
+	for attempt := 0; attempt < 12; attempt++ {
+		limit := min(time.Millisecond<<attempt, 8*time.Millisecond)
+		if got := pol.Delay(attempt, rng); got > limit || got < time.Millisecond/2 {
+			t.Errorf("pause after failure %d = %v, want within [0.5ms, %v]", attempt+1, got, limit)
+		}
+	}
+}
+
+// TestHungServerFailsTheCycle: a server that accepts the sched link and
+// then never answers costs a cycle its request timeout and its link, not
+// the daemon.
+func TestHungServerFailsTheCycle(t *testing.T) {
+	leak.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	held := make(chan net.Conn, 4)
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				close(held)
+				return
+			}
+			held <- nc // open, never read, never answered
+		}
+	}()
+	defer func() {
+		ln.Close()
+		for nc := range held {
+			nc.Close()
+		}
+	}()
+	d := New(ln.Addr().String(), core.New(core.Options{}, 0), time.Hour)
+	d.Proto = proto.ModeV1 // no handshake: the hang is in the first pull
+	d.timeout = 50 * time.Millisecond
+	defer d.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := d.RunOnce()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Errorf("cycle against a hung server = %v, want a timeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a hung server wedged the cycle")
+	}
+	if d.link.Load() != nil {
+		t.Error("the link to a hung server must be dropped")
 	}
 }

@@ -54,14 +54,13 @@ func lookupGoApp(name string) (GoApp, bool) {
 	return fn, ok
 }
 
-// momJob is the node-local state of one job. Records live in the
-// m.mu-guarded jobs map and share that lock: the TM handler
-// goroutines, the server read loop, and Close all mutate them.
+// momJob is the node-local state of one job this mom is mother superior
+// of. Records live in the m.mu-guarded jobs map and share that lock: the
+// TM handler goroutines, the server read loop, and Close all mutate
+// them.
 type momJob struct {
 	id     int
-	spec   proto.JobSpec
 	hosts  []proto.HostSlice // guarded by m.mu
-	isMS   bool
 	cancel context.CancelFunc
 	// pendingTM is the parked application connection awaiting a
 	// tm_dynget verdict from the server.
@@ -106,10 +105,16 @@ type Mom struct {
 	ln      net.Listener
 	srvAddr string
 
-	mu     sync.Mutex
-	srv    *proto.Conn     // guarded by mu: current server link
-	jobs   map[int]*momJob // guarded by mu
-	outbox []outMsg        // guarded by mu: undelivered completions awaiting replay
+	// sisters holds the links this mom dialled to sibling moms (join,
+	// dyn_join, dyn_disjoin): one per sister, kept between jobs.
+	sisters *proto.LinkCache
+
+	mu      sync.Mutex
+	srv     *proto.Conn              // guarded by mu: current server link
+	jobs    map[int]*momJob          // guarded by mu: jobs this mom is mother superior of
+	sister  map[int]int              // guarded by mu: cores held here for jobs of other mother superiors, by job id
+	outbox  []outMsg                 // guarded by mu: undelivered completions awaiting replay
+	inbound map[*proto.Conn]struct{} // guarded by mu: accepted connections being served, for Close to end
 
 	wg     sync.WaitGroup
 	closed chan struct{} //schedlint:chan-owner Close
@@ -120,7 +125,10 @@ type Mom struct {
 
 // New creates a mom for a node with the given name and core count.
 func New(name string, cores int) *Mom {
-	return &Mom{name: name, cores: cores, jobs: make(map[int]*momJob), closed: make(chan struct{})}
+	return &Mom{
+		name: name, cores: cores, jobs: make(map[int]*momJob), sister: make(map[int]int),
+		inbound: make(map[*proto.Conn]struct{}), closed: make(chan struct{}),
+	}
 }
 
 // Name returns the node name.
@@ -143,6 +151,7 @@ func (m *Mom) Start(listenAddr, srvAddr string) error {
 	}
 	m.ln = ln
 	m.srvAddr = srvAddr
+	m.sisters = proto.NewLinkCache(m.Proto, m.HandshakeTimeout)
 	srv, err := m.dialRegister()
 	if err != nil {
 		ln.Close()
@@ -185,8 +194,11 @@ func (m *Mom) dialRegister() (*proto.Conn, error) {
 func (m *Mom) knownJobs() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	seen := make(map[int]bool, len(m.jobs)+len(m.outbox))
+	seen := make(map[int]bool, len(m.jobs)+len(m.sister)+len(m.outbox))
 	for id := range m.jobs {
+		seen[id] = true
+	}
+	for id := range m.sister {
 		seen[id] = true
 	}
 	for _, om := range m.outbox {
@@ -230,7 +242,16 @@ func (m *Mom) Close() {
 	if srv := m.server(); srv != nil {
 		_ = srv.Close()
 	}
+	if m.sisters != nil {
+		m.sisters.Close()
+	}
 	m.mu.Lock()
+	// A sister's session, or a peer that connected and never spoke, ends
+	// when the peer hangs up — which a peer that is still up may never
+	// do. The handlers drop their own entries as they return.
+	for c := range m.inbound {
+		_ = c.Close()
+	}
 	ids := make([]int, 0, len(m.jobs))
 	for id := range m.jobs {
 		ids = append(ids, id)
@@ -339,9 +360,32 @@ func (m *Mom) serveLoop() {
 	}
 }
 
+// trackConn records an accepted connection so that Close can end it;
+// false means the mom is already closing.
+func (m *Mom) trackConn(c *proto.Conn) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.isClosed() {
+		return false
+	}
+	m.inbound[c] = struct{}{}
+	return true
+}
+
+func (m *Mom) untrackConn(c *proto.Conn) {
+	m.mu.Lock()
+	delete(m.inbound, c)
+	m.mu.Unlock()
+}
+
 // handleConn serves one inbound connection (an application's TM call
-// or a sibling mom's join).
+// or a sibling mom's link).
 func (m *Mom) handleConn(c *proto.Conn) {
+	if !m.trackConn(c) {
+		_ = c.Close()
+		return
+	}
+	defer m.untrackConn(c)
 	c.SetReadTimeout(m.HandshakeTimeout)
 	if err := c.AcceptHandshake(m.Proto); err != nil {
 		_ = c.Close()
@@ -378,24 +422,48 @@ func (m *Mom) handleConn(c *proto.Conn) {
 		}
 		m.tellServerBuffered(proto.TJobDone, req.JobID, proto.JobDoneReq{JobID: req.JobID, Error: req.Error})
 		m.reply(c, proto.TTMResp, proto.TMResp{OK: true})
-	case proto.TJoin, proto.TDynJoin:
-		var req proto.JoinReq
-		if err := env.Decode(&req); err == nil {
-			m.handleJoin(req, env.Type == proto.TDynJoin)
-			m.reply(c, proto.TOK, nil)
-		} else {
-			m.reply(c, proto.TError, proto.ErrorResp{Error: err.Error()})
-		}
-	case proto.TDynDisjoin:
-		var req proto.JoinReq
-		if err := env.Decode(&req); err == nil {
-			m.handleDisjoin(req)
-			m.reply(c, proto.TOK, nil)
-		} else {
-			m.reply(c, proto.TError, proto.ErrorResp{Error: err.Error()})
-		}
+	case proto.TJoin, proto.TDynJoin, proto.TDynDisjoin:
+		// A sister's link is persistent like the server's; an old mom
+		// that hangs up after one reply is a session of one message.
+		m.sisterSession(c, env)
 	default:
 		m.reply(c, proto.TError, proto.ErrorResp{Error: fmt.Sprintf("unexpected %s", env.Type)})
+	}
+}
+
+// sisterSession serves one sibling mom's link until it fails or the
+// peer hangs up, starting with env, the message that classified it:
+// one reply per request, in order. The dialling mom owns the link's
+// lifetime — it keeps the link between jobs and closes it when idle —
+// so there is no read deadline here; Close ends the session through
+// the inbound set.
+func (m *Mom) sisterSession(c *proto.Conn, env *proto.Envelope) {
+	defer c.Close()
+	for {
+		var err error
+		//schedlint:dispatch mom.sister
+		switch env.Type {
+		case proto.TJoin, proto.TDynJoin, proto.TDynDisjoin:
+			var req proto.JoinReq
+			if derr := env.Decode(&req); derr != nil {
+				err = c.Send(proto.TError, proto.ErrorResp{Error: derr.Error()})
+				break
+			}
+			if env.Type == proto.TDynDisjoin {
+				m.handleDisjoin(req)
+			} else {
+				m.handleJoin(req, env.Type == proto.TDynJoin)
+			}
+			err = c.Send(proto.TOK, nil)
+		default:
+			err = c.Send(proto.TError, proto.ErrorResp{Error: fmt.Sprintf("unexpected %s", env.Type)})
+		}
+		if err == nil {
+			env, err = c.Recv()
+		}
+		if err != nil {
+			return
+		}
 	}
 }
 
@@ -409,14 +477,15 @@ func (m *Mom) tmFail(c *proto.Conn, reason string) {
 func (m *Mom) handleTMDynGet(c *proto.Conn, req proto.TMDynGetReq) {
 	m.mu.Lock()
 	j, ok := m.jobs[req.JobID]
+	_, joined := m.sister[req.JobID]
 	switch {
+	case joined:
+		m.mu.Unlock()
+		m.tmFail(c, "tm_dynget must go through the mother superior")
+		return
 	case !ok:
 		m.mu.Unlock()
 		m.tmFail(c, fmt.Sprintf("job %d unknown on %s", req.JobID, m.name))
-		return
-	case !j.isMS:
-		m.mu.Unlock()
-		m.tmFail(c, "tm_dynget must go through the mother superior")
 		return
 	case j.pendingTM != nil:
 		m.mu.Unlock()
@@ -448,7 +517,7 @@ func (m *Mom) handleTMDynGet(c *proto.Conn, req proto.TMDynGetReq) {
 func (m *Mom) handleTMDynFree(c *proto.Conn, req proto.TMDynFreeReq) {
 	m.mu.Lock()
 	j, ok := m.jobs[req.JobID]
-	if !ok || !j.isMS {
+	if !ok {
 		m.mu.Unlock()
 		m.tmFail(c, "job unknown or not mother superior")
 		return
@@ -475,43 +544,46 @@ func (m *Mom) handleTMDynFree(c *proto.Conn, req proto.TMDynFreeReq) {
 	m.reply(c, proto.TTMResp, proto.TMResp{OK: true})
 }
 
-// handleJoin records a job this node now participates in.
+// handleJoin records a job of another mother superior that this node
+// now holds cores for. A sister keeps of the host list only how many
+// cores are its own — all that handleDisjoin needs — so the record of a
+// joined job is a map slot, not the decoded request.
 func (m *Mom) handleJoin(req proto.JoinReq, dynamic bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[req.JobID]
-	if !ok {
-		j = &momJob{id: req.JobID}
-		m.jobs[req.JobID] = j
-	}
+	cores := ownCores(req.Hosts, m.name)
 	if dynamic {
-		j.hosts = append(j.hosts, req.Hosts...)
-	} else {
-		j.hosts = req.Hosts
+		cores += m.sister[req.JobID]
 	}
-	m.logf("join job=%d dynamic=%v hosts=%d", req.JobID, dynamic, len(j.hosts))
+	m.sister[req.JobID] = cores
+	m.logf("join job=%d dynamic=%v cores=%d", req.JobID, dynamic, cores)
 }
 
-// handleDisjoin removes released slices (and the whole job when this
-// node no longer holds any).
+// handleDisjoin gives back released cores (and forgets the job when
+// this node no longer holds any).
 func (m *Mom) handleDisjoin(req proto.JoinReq) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[req.JobID]
+	cores, ok := m.sister[req.JobID]
 	if !ok {
 		return
 	}
-	j.hosts = subtractHosts(j.hosts, req.Hosts)
-	stillHere := false
-	for _, h := range j.hosts {
-		if h.Node == m.name {
-			stillHere = true
-			break
+	if cores -= ownCores(req.Hosts, m.name); cores > 0 {
+		m.sister[req.JobID] = cores
+	} else {
+		delete(m.sister, req.JobID)
+	}
+}
+
+// ownCores sums the slices of hosts that are on node.
+func ownCores(hosts []proto.HostSlice, node string) int {
+	n := 0
+	for _, h := range hosts {
+		if h.Node == node {
+			n += h.Cores
 		}
 	}
-	if !stillHere && !j.isMS {
-		delete(m.jobs, req.JobID)
-	}
+	return n
 }
 
 func subtractHosts(have, remove []proto.HostSlice) []proto.HostSlice {
@@ -534,15 +606,10 @@ func subtractHosts(have, remove []proto.HostSlice) []proto.HostSlice {
 	return out
 }
 
-// notifyMom performs one fire-and-confirm exchange with a sibling mom.
+// notifyMom performs one fire-and-confirm exchange with a sibling mom,
+// on the link kept for it.
 func (m *Mom) notifyMom(addr string, t proto.MsgType, payload any) {
-	c, err := proto.DialMode(addr, m.Proto)
-	if err != nil {
-		m.logf("notify %s %s: %v", addr, t, err)
-		return
-	}
-	defer c.Close()
-	if _, err := c.Request(t, payload); err != nil {
+	if _, err := m.sisters.Request(addr, t, payload); err != nil {
 		m.logf("notify %s %s: %v", addr, t, err)
 	}
 }
@@ -669,9 +736,10 @@ func (m *Mom) heartbeatLoop() {
 func (m *Mom) runJob(req proto.RunJobReq) {
 	m.logf("run job=%d script=%q hosts=%d", req.JobID, req.Spec.Script, len(req.Hosts))
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &momJob{id: req.JobID, spec: req.Spec, hosts: req.Hosts, isMS: true, cancel: cancel}
+	j := &momJob{id: req.JobID, hosts: req.Hosts, cancel: cancel}
 	m.mu.Lock()
 	m.jobs[req.JobID] = j
+	delete(m.sister, req.JobID) // a requeued job's earlier run may have left cores of it here
 	m.mu.Unlock()
 
 	// Initial join with the sibling moms (Fig. 2: the mother superior
@@ -748,9 +816,8 @@ func (m *Mom) launch(ctx context.Context, script string, tmc *tm.Context) error 
 func (m *Mom) killJob(id int) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
-	if ok {
-		delete(m.jobs, id)
-	}
+	delete(m.jobs, id)
+	delete(m.sister, id)
 	m.mu.Unlock()
 	if !ok {
 		return
@@ -797,8 +864,11 @@ func (m *Mom) handleDynGetResp(resp proto.DynGetResp) {
 func (m *Mom) Jobs() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]int, 0, len(m.jobs))
+	out := make([]int, 0, len(m.jobs)+len(m.sister))
 	for id := range m.jobs {
+		out = append(out, id)
+	}
+	for id := range m.sister {
 		out = append(out, id)
 	}
 	sort.Ints(out)

@@ -54,9 +54,9 @@ const (
 	TDynGetResp MsgType = "srv.dynget.resp" // dispatch:mom.server
 
 	// Mom ↔ mom.
-	TJoin       MsgType = "mom.join"       // dispatch:mom.conn
-	TDynJoin    MsgType = "mom.dynjoin"    // dispatch:mom.conn
-	TDynDisjoin MsgType = "mom.dyndisjoin" // dispatch:mom.conn
+	TJoin       MsgType = "mom.join"       // dispatch:mom.conn,mom.sister
+	TDynJoin    MsgType = "mom.dynjoin"    // dispatch:mom.conn,mom.sister
+	TDynDisjoin MsgType = "mom.dyndisjoin" // dispatch:mom.conn,mom.sister
 
 	// App ↔ mom (the TM interface).
 	TTMDynGet  MsgType = "tm.dynget"  // dispatch:mom.conn

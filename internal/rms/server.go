@@ -85,27 +85,32 @@ type Server struct {
 
 	cancelled int
 
-	// epoch/qepoch implement core.ChangeTracker: epoch advances on
-	// every externally visible state mutation, qepoch on the subset
-	// that changes queue membership. The scheduler's event-driven
-	// requeue and order cache key off them.
-	epoch  uint64
-	qepoch uint64
+	// epoch/qlog implement core.ChangeTracker and core.QueueLogger:
+	// epoch advances on every externally visible state mutation, qlog
+	// on the subset that changes queue membership, remembering the job.
+	// The scheduler's event-driven requeue and its sorted job table key
+	// off them.
+	epoch uint64
+	qlog  core.QueueLog
 }
 
 // bump advances the state epoch after a cluster/job mutation.
 func (s *Server) bump() { s.epoch++ }
 
-// bumpQueue advances both epochs after a queue-membership change.
+// bumpQueue advances both epochs after a change of j's queue
+// membership.
 //
 //schedlint:epoch-bump subsumes bump
-func (s *Server) bumpQueue() { s.epoch++; s.qepoch++ }
+func (s *Server) bumpQueue(j *job.Job) { s.epoch++; s.qlog.Bump(j) }
 
 // StateEpoch implements core.ChangeTracker.
 func (s *Server) StateEpoch() uint64 { return s.epoch }
 
 // QueueEpoch implements core.ChangeTracker.
-func (s *Server) QueueEpoch() uint64 { return s.qepoch }
+func (s *Server) QueueEpoch() uint64 { return s.qlog.Epoch() }
+
+// QueueChanges implements core.QueueLogger.
+func (s *Server) QueueChanges(since uint64) ([]*job.Job, bool) { return s.qlog.Since(since) }
 
 // QueueRef implements core.QueueSnapshotter: the scheduler reads the
 // queue in place during Iterate (it copies what it keeps), skipping
@@ -173,7 +178,7 @@ func (s *Server) Submit(j *job.Job, app App) {
 		s.rec.ObserveSubmit(now)
 	}
 	s.traceEvent(trace.Submit, j, j.Cores, "")
-	s.bumpQueue()
+	s.bumpQueue(j)
 	s.requestIteration()
 }
 
@@ -465,7 +470,7 @@ func (s *Server) StartJob(j *job.Job) (cluster.Alloc, error) {
 	j.State = job.Running
 	j.StartTime = now
 	s.active[j.ID] = j
-	s.bumpQueue()
+	s.bumpQueue(j)
 	s.observeUsage()
 	if j.Backfilled {
 		s.traceEvent(trace.Backfill, j, j.Cores, "")
@@ -501,7 +506,7 @@ func (s *Server) CancelJob(j *job.Job) {
 				break
 			}
 		}
-		s.bumpQueue()
+		s.bumpQueue(j)
 	case j.Active():
 		s.dropDynRequest(j.ID)
 		s.cl.Release(j.ID)
@@ -588,7 +593,7 @@ func (s *Server) Preempt(j *job.Job) error {
 	j.DynCores = 0
 	j.Backfilled = false
 	s.queued = append(s.queued, j)
-	s.bumpQueue()
+	s.bumpQueue(j)
 	s.observeUsage()
 	s.traceEvent(trace.Preempt, j, j.Cores, "")
 	if app := s.apps[j.ID]; app != nil {

@@ -49,9 +49,9 @@ func TestDispatchRollbackAdvancesEpochs(t *testing.T) {
 	if _, err := rm.StartJob(j); err == nil {
 		t.Fatal("dispatch over a dead mom link must fail")
 	}
-	if j.State != job.Queued || len(srv.queued) != 1 || len(srv.active) != 0 {
+	if q := srv.queuedLocked(); j.State != job.Queued || len(q) != 1 || q[0] != j || len(srv.active) != 0 {
 		t.Fatalf("rollback incomplete: state=%v queued=%d active=%d",
-			j.State, len(srv.queued), len(srv.active))
+			j.State, len(q), len(srv.active))
 	}
 	if srv.cl.UsedCores() != 0 {
 		t.Fatalf("rollback leaked %d cores", srv.cl.UsedCores())

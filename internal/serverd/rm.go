@@ -2,7 +2,6 @@ package serverd
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -29,7 +28,12 @@ func (r *serverRM) StateEpoch() uint64 { return r.serial }
 // sorted-order cache.
 //
 //lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
-func (r *serverRM) QueueEpoch() uint64 { return r.qserial }
+func (r *serverRM) QueueEpoch() uint64 { return r.qlog.Epoch() }
+
+// QueueChanges implements core.QueueLogger.
+//
+//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
+func (r *serverRM) QueueChanges(since uint64) ([]*job.Job, bool) { return r.qlog.Since(since) }
 
 // Cluster returns the live cluster mirror.
 //
@@ -39,21 +43,12 @@ func (r *serverRM) Cluster() *cluster.Cluster { return r.cl }
 // QueuedJobs returns the queued jobs in submission order.
 //
 //lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
-func (r *serverRM) QueuedJobs() []*job.Job {
-	return append([]*job.Job(nil), r.queued...)
-}
+func (r *serverRM) QueuedJobs() []*job.Job { return r.s().queuedLocked() }
 
 // ActiveJobs returns running/dynqueued jobs in ID order.
 //
 //lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
-func (r *serverRM) ActiveJobs() []*job.Job {
-	out := make([]*job.Job, 0, len(r.active))
-	for _, j := range r.active {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
-}
+func (r *serverRM) ActiveJobs() []*job.Job { return append([]*job.Job(nil), r.active...) }
 
 // DynRequests returns the pending dynamic requests in FIFO order.
 //
@@ -106,15 +101,10 @@ func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 		s.cl.Release(j.ID)
 		return nil, fmt.Errorf("serverd: mother superior %s unreachable", hosts[0].Node)
 	}
-	for i, q := range s.queued {
-		if q.ID == j.ID {
-			s.queued = append(s.queued[:i], s.queued[i+1:]...)
-			break
-		}
-	}
+	s.dequeueLocked(ji)
 	j.State = job.Running
 	j.StartTime = s.now()
-	s.active[int(j.ID)] = j
+	s.activateLocked(j)
 	ji.hosts = hosts
 	ji.msNode = hosts[0].Node
 	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
@@ -137,11 +127,11 @@ func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 		// needs its own — without it a scheduler cache validated
 		// against the dispatch epoch would keep serving the job as
 		// started when it is in fact back in the queue.
-		ji.killTimer.Stop()
+		ji.stopKillTimerLocked()
 		s.cl.Release(j.ID)
-		delete(s.active, id)
+		s.deactivateLocked(id)
 		j.State = job.Queued
-		s.queued = append(s.queued, j)
+		s.enqueueLocked(ji)
 		s.bumpQueueLocked(j)
 		return nil, fmt.Errorf("serverd: dispatch to %s: %w", hosts[0].Node, err)
 	}
@@ -213,10 +203,8 @@ func (r *serverRM) Preempt(j *job.Job) error {
 	}
 	s.dropDynLocked(int(j.ID))
 	s.cl.Release(j.ID)
-	delete(s.active, int(j.ID))
-	if ji.killTimer != nil {
-		ji.killTimer.Stop()
-	}
+	s.deactivateLocked(int(j.ID))
+	ji.stopKillTimerLocked()
 	s.sendMomLocked(s.nodes[ji.msNode], proto.TKillJob, proto.KillJobReq{JobID: int(j.ID)})
 	j.State = job.Queued
 	j.StartTime = 0
@@ -224,7 +212,7 @@ func (r *serverRM) Preempt(j *job.Job) error {
 	j.Backfilled = false
 	ji.hosts = nil
 	ji.msNode = ""
-	s.queued = append(s.queued, j)
+	s.enqueueLocked(ji)
 	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
 	s.bumpQueueLocked(j)
 	s.logf("job %d preempted and requeued", j.ID)
@@ -302,12 +290,14 @@ func (s *Server) pullLocked(cursor *uint64, synced bool) (proto.MsgType, any) {
 // reallocations too. Caller holds s.mu.
 func (s *Server) snapshotLocked() proto.SchedState {
 	st := proto.SchedState{NowMS: int64(s.now()), Serial: s.serial, Nodes: s.nodeStatusLocked(), Dyn: s.schedDynLocked()}
-	st.Queued = sized[proto.SchedJob](len(s.queued))
-	for _, j := range s.queued {
-		st.Queued = append(st.Queued, schedJob(j))
+	st.Queued = sized[proto.SchedJob](s.qlive)
+	for _, j := range s.queued[s.qhead:] {
+		if j != nil {
+			st.Queued = append(st.Queued, schedJob(j))
+		}
 	}
 	st.Active = sized[proto.SchedJob](len(s.active))
-	for _, j := range (*serverRM)(s).ActiveJobs() {
+	for _, j := range s.active {
 		st.Active = append(st.Active, schedJob(j))
 	}
 	return st

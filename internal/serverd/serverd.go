@@ -12,9 +12,11 @@
 package serverd
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -100,10 +102,21 @@ type jobInfo struct {
 	negTimer  *time.Timer       // guarded by s.mu: negotiation deadline; stopped when the dyn request resolves
 	dynGrant  sim.Time          // guarded by s.mu
 	granted   bool              // guarded by s.mu
+	qpos      int               // guarded by s.mu: the job's slot in s.queued while it is queued
 	// fsID is the user's share-tree leaf, interned once at submit so
 	// completion-path usage accounting is an O(1) sharded append
 	// instead of a string-map lookup under the server mutex.
 	fsID fairtree.NodeID
+}
+
+// stopKillTimerLocked disarms the walltime timer and lets go of it:
+// s.jobs keeps every record for qstat, and a stopped timer kept with it
+// is ~80 bytes per finished job for nothing. Caller holds s.mu.
+func (ji *jobInfo) stopKillTimerLocked() {
+	if ji.killTimer != nil {
+		ji.killTimer.Stop()
+		ji.killTimer = nil
+	}
 }
 
 // nodeInfo mirrors one registered mom. Like jobInfo, the record is
@@ -144,14 +157,21 @@ type Server struct {
 	nodeByID map[int]*nodeInfo        // guarded by mu
 	pending  map[*proto.Conn]struct{} // pre-classification conns; guarded by mu
 	jobs     map[int]*jobInfo         // guarded by mu
-	queued   []*job.Job               // guarded by mu //schedlint:epoch-guarded by bumpQueueLocked
-	active   map[int]*job.Job         // guarded by mu //schedlint:epoch-guarded by bumpLocked
-	dyn      []*job.DynRequest        // guarded by mu //schedlint:epoch-guarded by bumpLocked
-	dynSeq   int                      // guarded by mu
-	nextID   int                      // guarded by mu
-	serial   uint64                   // guarded by mu
-	qserial  uint64                   // guarded by mu
-	rec      *metrics.Recorder        // guarded by mu
+	// queued is the queue in submission order, indexed through
+	// jobInfo.qpos: a job that leaves it leaves its slot nil, so that
+	// taking one out is not a search and a shift of everything behind it
+	// (see dequeueLocked). qhead is the first slot that may be in use,
+	// qlive the number that are.
+	queued []*job.Job        // guarded by mu //schedlint:epoch-guarded by bumpQueueLocked
+	qhead  int               // guarded by mu
+	qlive  int               // guarded by mu
+	active []*job.Job        // by id; guarded by mu //schedlint:epoch-guarded by bumpLocked
+	dyn    []*job.DynRequest // guarded by mu //schedlint:epoch-guarded by bumpLocked
+	dynSeq int               // guarded by mu
+	nextID int               // guarded by mu
+	serial uint64            // guarded by mu
+	qlog   core.QueueLog     // guarded by mu: the queue epoch and the jobs behind it, for the embedded scheduler's table
+	rec    *metrics.Recorder // guarded by mu
 
 	// touched is the sched sessions' change log, kept while one is open:
 	// per bump (and per job a commit names) the job's id shifted left one
@@ -189,7 +209,6 @@ func New(opts Options) *Server {
 		nodes:      make(map[string]*nodeInfo),
 		nodeByID:   make(map[int]*nodeInfo),
 		jobs:       make(map[int]*jobInfo),
-		active:     make(map[int]*job.Job),
 		pending:    make(map[*proto.Conn]struct{}),
 		handshakes: make(chan struct{}, opts.MaxHandshakes),
 		nextID:     1,
@@ -305,8 +324,84 @@ func (s *Server) bumpLocked(j *job.Job) {
 //schedlint:epoch-bump subsumes bumpLocked
 func (s *Server) bumpQueueLocked(j *job.Job) {
 	s.serial++
-	s.qserial++
+	s.qlog.Bump(j)
 	s.touchLocked(j, 1)
+}
+
+// enqueueLocked appends ji's job to the queue. Caller holds s.mu and
+// bumps.
+func (s *Server) enqueueLocked(ji *jobInfo) {
+	ji.qpos = len(s.queued)
+	s.queued = append(s.queued, ji.j)
+	s.qlive++
+}
+
+// dequeueLocked takes ji's job out of the queue where it stands. The
+// slot stays behind empty; once the empty ones outnumber the rest the
+// queue is closed up and the survivors re-indexed, so a removal costs
+// O(1) amortised wherever in the queue it happens. Caller holds s.mu
+// and bumps.
+func (s *Server) dequeueLocked(ji *jobInfo) {
+	s.queued[ji.qpos] = nil
+	s.qlive--
+	for s.qhead < len(s.queued) && s.queued[s.qhead] == nil {
+		s.qhead++
+	}
+	if len(s.queued) <= 2*s.qlive+64 {
+		return
+	}
+	w := 0
+	for _, j := range s.queued[s.qhead:] {
+		if j != nil {
+			s.queued[w] = j
+			s.jobs[int(j.ID)].qpos = w
+			w++
+		}
+	}
+	clear(s.queued[w:])
+	s.queued, s.qhead = s.queued[:w], 0
+}
+
+// activeIndexLocked returns where job id is, or would go, in s.active.
+// Caller holds s.mu.
+func (s *Server) activeIndexLocked(id int) (int, bool) {
+	return slices.BinarySearchFunc(s.active, job.ID(id), func(j *job.Job, id job.ID) int { return cmp.Compare(j.ID, id) })
+}
+
+// activeLocked returns job id if it is running. Caller holds s.mu.
+func (s *Server) activeLocked(id int) (*job.Job, bool) {
+	if i, ok := s.activeIndexLocked(id); ok {
+		return s.active[i], true
+	}
+	return nil, false
+}
+
+// activateLocked files j under the running jobs, which are kept in id
+// order so that the scheduler's view of them (ActiveJobs, twice per
+// iteration) is a copy and not a sort. Caller holds s.mu and bumps.
+func (s *Server) activateLocked(j *job.Job) {
+	i, _ := s.activeIndexLocked(int(j.ID))
+	s.active = slices.Insert(s.active, i, j)
+}
+
+// deactivateLocked takes job id off the running jobs. Caller holds s.mu
+// and bumps.
+func (s *Server) deactivateLocked(id int) {
+	if i, ok := s.activeIndexLocked(id); ok {
+		s.active = slices.Delete(s.active, i, i+1)
+	}
+}
+
+// queuedLocked returns the queued jobs in submission order. Caller
+// holds s.mu.
+func (s *Server) queuedLocked() []*job.Job {
+	out := make([]*job.Job, 0, s.qlive)
+	for _, j := range s.queued[s.qhead:] {
+		if j != nil {
+			out = append(out, j)
+		}
+	}
+	return out
 }
 
 // touchLogKeep is how many entries of the change log survive a trim;
@@ -624,7 +719,7 @@ func (s *Server) reconcileMomLocked(ni *nodeInfo, reported []int) {
 		if known[int(id)] {
 			continue
 		}
-		if _, active := s.active[int(id)]; !active {
+		if _, active := s.activeLocked(int(id)); !active {
 			continue
 		}
 		s.logf("job %d lost on restarted mom %s", id, ni.node.Name)
@@ -633,7 +728,7 @@ func (s *Server) reconcileMomLocked(ni *nodeInfo, reported []int) {
 	ids := append([]int(nil), reported...)
 	sort.Ints(ids)
 	for _, id := range ids {
-		if j, active := s.active[id]; active {
+		if j, active := s.activeLocked(id); active {
 			ji := s.jobs[id]
 			if ni.node.HeldBy(j.ID) > 0 || (ji != nil && ji.msNode == ni.node.Name) {
 				continue // consistent on both sides
@@ -699,8 +794,9 @@ func (s *Server) QSub(spec proto.JobSpec) (int, error) {
 	if s.opts.Sched != nil {
 		fsID = s.opts.Sched.Fairshare().UserID(j.Cred.User)
 	}
-	s.jobs[id] = &jobInfo{j: j, spec: spec, fsID: fsID}
-	s.queued = append(s.queued, j)
+	ji := &jobInfo{j: j, spec: spec, fsID: fsID}
+	s.jobs[id] = ji
+	s.enqueueLocked(ji)
 	s.rec.ObserveSubmit(j.SubmitTime)
 	s.bumpQueueLocked(j)
 	s.mu.Unlock()
@@ -766,25 +862,18 @@ func (s *Server) killLocked(ji *jobInfo, why string) {
 	j := ji.j
 	switch {
 	case j.State == job.Queued:
-		for i, q := range s.queued {
-			if q.ID == j.ID {
-				s.queued = append(s.queued[:i], s.queued[i+1:]...)
-				break
-			}
-		}
+		s.dequeueLocked(ji)
 		s.bumpQueueLocked(j)
 	case j.Active():
 		s.dropDynLocked(int(j.ID))
 		s.cl.Release(j.ID)
-		delete(s.active, int(j.ID))
+		s.deactivateLocked(int(j.ID))
 		s.sendMomLocked(s.nodes[ji.msNode], proto.TKillJob, proto.KillJobReq{JobID: int(j.ID)})
 		s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
 	default:
 		return
 	}
-	if ji.killTimer != nil {
-		ji.killTimer.Stop()
-	}
+	ji.stopKillTimerLocked()
 	j.State = job.Cancelled
 	j.EndTime = s.now()
 	s.bumpLocked(j)
@@ -906,7 +995,7 @@ func (s *Server) failNodeLocked(ni *nodeInfo, why string) {
 	}
 	ni.verdicts = nil
 	for _, id := range affected { // SetNodeState returns sorted ids
-		if _, ok := s.active[int(id)]; !ok {
+		if _, ok := s.activeLocked(int(id)); !ok {
 			continue
 		}
 		s.failJobSliceLocked(ni.node, id, why)
@@ -920,7 +1009,7 @@ func (s *Server) failNodeLocked(ni *nodeInfo, why string) {
 // original request size is restored first so a requeued job asks for
 // what it was submitted with. Caller holds s.mu.
 func (s *Server) failJobSliceLocked(node *cluster.Node, id job.ID, why string) {
-	j, ok := s.active[int(id)]
+	j, ok := s.activeLocked(int(id))
 	ji := s.jobs[int(id)]
 	if !ok || ji == nil {
 		return
@@ -985,10 +1074,8 @@ func (s *Server) jobDone(from *nodeInfo, done proto.JobDoneReq) {
 	j := ji.j
 	s.dropDynLocked(done.JobID)
 	s.cl.Release(j.ID)
-	delete(s.active, done.JobID)
-	if ji.killTimer != nil {
-		ji.killTimer.Stop()
-	}
+	s.deactivateLocked(done.JobID)
+	ji.stopKillTimerLocked()
 	j.State = job.Completed
 	j.EndTime = s.now()
 	s.rec.AddJob(metrics.JobRecord{
