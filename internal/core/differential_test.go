@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/fairness"
 	"repro/internal/job"
+	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
@@ -17,7 +19,8 @@ import (
 // event-driven skip. Scheduler-driven mutations bump epochs here;
 // test-driver mutations must call bump/bumpQueue/bumpQueueFor
 // themselves. It keeps a queue change log but does not hand it out:
-// loggedRM does.
+// loggedRM does. It is a MalleableManager, which only matters to a
+// scheduler with Options.Malleable set.
 type trackedRM struct {
 	testRM
 	epoch uint64
@@ -35,14 +38,29 @@ func (r *trackedRM) bumpQueue()              { r.epoch++; r.qlog.Bump(nil) }
 func (r *trackedRM) bumpQueueFor(j *job.Job) { r.epoch++; r.qlog.Bump(j) }
 
 // StartJob bumps the way serverd does: once for the start, once more
-// when the dispatch fails and the job goes back on the queue.
+// when the dispatch fails and the job goes back on the queue, not at all
+// when nothing could be allocated.
 func (r *trackedRM) StartJob(j *job.Job) (cluster.Alloc, error) {
-	r.bumpQueueFor(j)
+	dispatchFails := r.failStart[j.ID]
 	alloc, err := r.testRM.StartJob(j)
-	if err != nil {
+	switch {
+	case err == nil:
+		r.bumpQueueFor(j)
+	case dispatchFails && !r.failStart[j.ID]: // allocated, dispatched, rolled back
+		r.bumpQueueFor(j)
 		r.bumpQueueFor(j)
 	}
 	return alloc, err
+}
+
+func (r *trackedRM) ShrinkJob(j *job.Job, cores int) error {
+	r.bump()
+	return r.shrink(j, cores)
+}
+
+func (r *trackedRM) GrowJob(j *job.Job, cores int) (cluster.Alloc, error) {
+	r.bump()
+	return r.grow(j, cores)
 }
 
 // loggedRM is a trackedRM that is a core.QueueLogger too. overflow makes
@@ -78,12 +96,15 @@ func (r *trackedRM) Preempt(j *job.Job) error {
 
 // oracleSched replays the retained full-rebuild planning path: flat
 // profiles rebuilt from the cluster state for every dynamic request
-// and for the final walk, full-queue planJobs with no caching, a
-// stable re-sort of the whole queue every iteration, and a final walk
-// that looks for a slot for every row. It is the behavioural oracle the
-// incremental scheduler (segmented profiles, cached base plans, kept and
-// patched job table, pruned walk, event-driven skip) is differenced
-// against.
+// and for the final walk, full-queue planJobs with no caching or
+// pruning on either side of a what-if, a stable re-sort of the whole
+// queue every iteration, and a final walk that looks for a slot for
+// every row. It is the behavioural oracle the incremental scheduler
+// (segmented profiles, cached base plans, pruned what-if and final walks,
+// kept and patched job table, event-driven skip) is differenced against.
+// Which running jobs a request shrinks or preempts is a policy, not a
+// cache, so the oracle asks the scheduler's own (shadow); what follows
+// them — every plan made afresh — is its own.
 type oracleSched struct {
 	opts Options
 	fair *fairness.Tracker
@@ -120,7 +141,7 @@ func (o *oracleSched) iterate(now sim.Time, rm ResourceManager) *IterationResult
 	SortByPriority(ordered, now, o.opts.Weights, o.fs)
 	processDyn := func() {
 		for _, req := range rm.DynRequests() {
-			res.DynDecisions = append(res.DynDecisions, o.processDyn(now, rm, req, ordered))
+			res.DynDecisions = append(res.DynDecisions, o.processDyn(now, rm, req, ordered, res))
 		}
 	}
 	if !o.opts.DynRequestsAfterBackfill {
@@ -187,10 +208,53 @@ func (o *oracleSched) iterate(now sim.Time, rm ResourceManager) *IterationResult
 		// iteration, the rows it has just started included.
 		processDyn()
 	}
+	o.grow(now, rm, final, res)
 	return res
 }
 
-func (o *oracleSched) processDyn(now sim.Time, rm ResourceManager, req *job.DynRequest, ordered []*job.Job) DynDecision {
+// shadow is a scheduler carrying only the oracle's options and share
+// tree, for the victim-selection policies.
+func (o *oracleSched) shadow() *Scheduler { return &Scheduler{opts: o.opts, fs: o.fs} }
+
+// grow is growMalleable over the oracle's flat final profile.
+func (o *oracleSched) grow(now sim.Time, rm ResourceManager, final *profile.Profile, res *IterationResult) {
+	mm, ok := rm.(MalleableManager)
+	if !ok || !o.opts.Malleable {
+		return
+	}
+	cl := rm.Cluster()
+	var candidates []*job.Job
+	for _, j := range rm.ActiveJobs() {
+		if j.GrowableBy() > 0 {
+			candidates = append(candidates, j)
+		}
+	}
+	SortByPriority(candidates, now, o.opts.Weights, o.fs)
+	sort.SliceStable(candidates, func(i, k int) bool { return candidates[i].GrowableBy() > candidates[k].GrowableBy() })
+	for _, j := range candidates {
+		end := j.StartTime + j.Walltime
+		if cl.IdleCores() == 0 {
+			return
+		}
+		if end <= now {
+			continue
+		}
+		want := min(j.GrowableBy(), cl.IdleCores())
+		for want > 0 && final.MinFree(now, end) < want {
+			want--
+		}
+		if want <= 0 {
+			continue
+		}
+		if _, err := mm.GrowJob(j, want); err != nil {
+			continue
+		}
+		final.AddHold(now, end, want)
+		res.Resizes = append(res.Resizes, Resize{Job: j, Cores: want})
+	}
+}
+
+func (o *oracleSched) processDyn(now sim.Time, rm ResourceManager, req *job.DynRequest, ordered []*job.Job, res *IterationResult) DynDecision {
 	dec := DynDecision{Req: req}
 	cl := rm.Cluster()
 	need := req.TotalCores()
@@ -204,7 +268,8 @@ func (o *oracleSched) processDyn(now sim.Time, rm ResourceManager, req *job.DynR
 		rm.RejectDyn(req, dec.Reason)
 		return dec
 	}
-	if cl.IdleCores() < need {
+	if cl.IdleCores() < need && !o.shadow().shrinkMalleable(now, rm, need, res) &&
+		!(o.opts.Config.PreemptPolicy == "REQUEUE" && o.shadow().tryPreempt(now, rm, need, res)) {
 		dur := req.Job.RemainingWalltime(now)
 		if dur <= 0 {
 			dur = sim.Second
@@ -273,16 +338,17 @@ func (o *oracleSched) processDyn(now sim.Time, rm ResourceManager, req *job.DynR
 // scnJob is a position-addressed job spec, instantiated once per RM so
 // the two sides mutate independent object graphs.
 type scnJob struct {
-	id       int
-	user     string
-	cores    int
-	minCores int // moldable jobs only
-	maxCores int
-	wall     sim.Duration
-	submit   sim.Time
-	sys      int64
-	class    job.Class
-	running  bool
+	id          int
+	user        string
+	cores       int
+	minCores    int // moldable and malleable jobs only
+	maxCores    int
+	wall        sim.Duration
+	submit      sim.Time
+	sys         int64
+	class       job.Class
+	running     bool
+	preemptible bool
 }
 
 func (s scnJob) job() *job.Job {
@@ -290,7 +356,7 @@ func (s scnJob) job() *job.Job {
 		ID: job.ID(s.id), Cred: job.Credentials{User: s.user, Group: "g"},
 		Cores: s.cores, MinCores: s.minCores, MaxCores: s.maxCores,
 		Walltime: s.wall, SubmitTime: s.submit,
-		SystemPriority: s.sys, Class: s.class,
+		SystemPriority: s.sys, Class: s.class, Preemptible: s.preemptible,
 	}
 }
 
@@ -326,6 +392,12 @@ type scenario struct {
 	dynAfter   bool
 	resDepth   int
 	delayDepth int
+	// preempt lets dynamic requests requeue backfilled and preemptible
+	// jobs; malleable lets them shrink malleable ones (and leftover cores
+	// grow them). Both make the scheduler drop its cached plans mid-
+	// iteration.
+	preempt   bool
+	malleable bool
 }
 
 func genScenario(rng *rand.Rand) scenario {
@@ -340,7 +412,9 @@ func genScenario(rng *rand.Rand) scenario {
 		moldable:   rng.Intn(4) == 0,
 		dynAfter:   rng.Intn(5) == 0,
 		resDepth:   []int{0, 1, 5, rng.Intn(7)}[rng.Intn(4)],
-		delayDepth: 1 + rng.Intn(6),
+		delayDepth: []int{0, 1, 5, rng.Intn(7)}[rng.Intn(4)],
+		preempt:    rng.Intn(4) == 0,
+		malleable:  rng.Intn(4) == 0,
 	}
 	id := 1
 	mk := func(running bool) scnJob {
@@ -357,11 +431,21 @@ func genScenario(rng *rand.Rand) scenario {
 		}
 		switch {
 		case running && rng.Intn(2) == 0:
+			// Evolving jobs are never preempted: a requeue would strand
+			// their requests.
 			j.class = job.Evolving
-		case !running && rng.Intn(5) == 0:
+		case running && sc.malleable && rng.Intn(2) == 0:
+			j.class = job.Malleable
+			j.minCores = 1 + rng.Intn(j.cores)
+			j.maxCores = j.cores + rng.Intn(sc.ppn)
+		case running:
+			j.preemptible = sc.preempt && rng.Intn(2) == 0
+		case rng.Intn(5) == 0:
 			j.class = job.Moldable
 			j.minCores = 1 + rng.Intn(j.cores)
 			j.maxCores = j.cores + rng.Intn(sc.ppn)
+		case rng.Intn(25) == 0:
+			j.cores = 0 // fits anywhere, starts nowhere (Allocate refuses it)
 		}
 		id++
 		return j
@@ -379,7 +463,12 @@ func genScenario(rng *rand.Rand) scenario {
 	// Most scenarios queue enough for a few changes to be worth patching
 	// into the table rather than refilling it.
 	queued := 3 + rng.Intn(20)
-	if rng.Intn(4) != 0 {
+	switch rng.Intn(4) {
+	case 0:
+	case 1:
+		// Deep enough that both what-if walks prune well before the end.
+		queued += 200 + rng.Intn(200)
+	default:
 		queued += 40 + rng.Intn(80)
 	}
 	for ; queued > 0; queued-- {
@@ -409,9 +498,13 @@ func genScenario(rng *rand.Rand) scenario {
 			sc.jobs = append(sc.jobs, j)
 		}
 		for _, j := range sc.jobs {
-			if j.running && j.class == job.Evolving && rng.Intn(6) == 0 {
+			if j.running && j.class == job.Evolving && rng.Intn(3) == 0 {
 				d := scnDyn{jobID: j.id, cores: 1 + rng.Intn(sc.ppn)}
-				if rng.Intn(3) == 0 {
+				// A deferred request retries every tick, and one that
+				// preempts or shrinks before it defers gives leftover cores
+				// back to be started or grown into — at one instant that
+				// never settles, so such scenarios negotiate nothing.
+				if rng.Intn(3) == 0 && !sc.preempt && !sc.malleable {
 					d.deadline = sim.Duration(rng.Intn(40)) * sim.Minute
 				}
 				st.dyn = append(st.dyn, d)
@@ -430,6 +523,9 @@ func (sc scenario) options() Options {
 	if sc.noBackfill {
 		cfg.BackfillPolicy = "NONE"
 	}
+	if sc.preempt {
+		cfg.PreemptPolicy = "REQUEUE"
+	}
 	f := fairness.NewConfig(sc.policy)
 	f.Interval = sim.Hour
 	for u := 0; u < 6; u++ {
@@ -443,6 +539,7 @@ func (sc scenario) options() Options {
 	return Options{
 		Config: cfg, StrictSystemPriority: sc.strict,
 		Moldable: sc.moldable, DynRequestsAfterBackfill: sc.dynAfter,
+		Malleable: sc.malleable,
 	}
 }
 
@@ -637,6 +734,15 @@ func sameIDs(a, b []job.ID) bool {
 	return true
 }
 
+// resizes lists a result's malleable resizes as (job, cores) pairs.
+func resizes(res *IterationResult) [][2]int {
+	out := make([][2]int, len(res.Resizes))
+	for i, r := range res.Resizes {
+		out[i] = [2]int{int(r.Job.ID), r.Cores}
+	}
+	return out
+}
+
 func compareResults(t *testing.T, step int, got, want *IterationResult, full bool) {
 	t.Helper()
 	if !sameIDs(idsOf(got.Started), idsOf(want.Started)) {
@@ -644,6 +750,12 @@ func compareResults(t *testing.T, step int, got, want *IterationResult, full boo
 	}
 	if !sameIDs(idsOf(got.Backfilled), idsOf(want.Backfilled)) {
 		t.Fatalf("step %d: backfilled %v, oracle %v", step, idsOf(got.Backfilled), idsOf(want.Backfilled))
+	}
+	if !sameIDs(idsOf(got.Preempted), idsOf(want.Preempted)) {
+		t.Fatalf("step %d: preempted %v, oracle %v", step, idsOf(got.Preempted), idsOf(want.Preempted))
+	}
+	if fmt.Sprint(resizes(got)) != fmt.Sprint(resizes(want)) {
+		t.Fatalf("step %d: resized %v, oracle %v", step, resizes(got), resizes(want))
 	}
 	if len(got.DynDecisions) != len(want.DynDecisions) {
 		t.Fatalf("step %d: %d dyn decisions, oracle %d", step, len(got.DynDecisions), len(want.DynDecisions))
@@ -693,10 +805,14 @@ func compareResults(t *testing.T, step int, got, want *IterationResult, full boo
 // refilled when the log cannot be read), the tracked one has it follow
 // its own starts and refilled on any other change, the plain one
 // refilled every time; with them the QueueRef path and the event-driven
-// skip. The scenarios vary what the pruned walk depends on: reservation
-// depth (0, 1, 5, …), backfill off, strict system priority with Z jobs
-// leaving the queue by start and by cancellation, moldable rows, dynamic
-// requests served after backfill.
+// skip. The scenarios vary what the pruned walks depend on: reservation
+// and delay depths (0, 1, 5, … each, equal or not), backfill off, strict
+// system priority with Z jobs leaving the queue by start and by
+// cancellation, moldable rows, rows of no cores, queues deep enough that
+// both what-if walks prune, several requests in one iteration (a grant
+// hands its plan on to the next request), negotiable requests deferred,
+// dynamic requests served after backfill, and requests that preempt or
+// shrink running jobs — which throws the cached plans away mid-iteration.
 //
 // Between mutation steps the schedule interleaves frozen-epoch idle
 // ticks against the incremental side only: the tracked RM must
@@ -706,6 +822,8 @@ func compareResults(t *testing.T, step int, got, want *IterationResult, full boo
 // and the next step's comparison unmasks it.
 func TestSchedulerDifferential(t *testing.T) {
 	var repairs, fills [3]uint64
+	var skips uint64
+	var handedOn, deferred, preempted, shrunk int
 	for seed := int64(1); seed <= 25; seed++ {
 		for flavour, name := range []string{"tracked-false", "tracked-true", "logged"} {
 			seed, flavour := seed, flavour
@@ -714,7 +832,7 @@ func TestSchedulerDifferential(t *testing.T) {
 				sc := genScenario(rand.New(rand.NewSource(seed)))
 				opts := sc.options()
 				inA := sc.instantiate(flavour)
-				inB := sc.instantiate(rmPlain)
+				inB := sc.instantiate(flavour)
 				sched := New(opts, 0)
 				oracle := newOracle(sc.options()) // independent fairness state
 				for i, st := range sc.steps {
@@ -731,6 +849,20 @@ func TestSchedulerDifferential(t *testing.T) {
 					resA := sched.Iterate(st.now, inA.rm)
 					resB := oracle.iterate(st.now, inB.rm)
 					compareResults(t, i, resA, resB, mutated || !tracked)
+					for k, d := range resA.DynDecisions {
+						if d.Granted && k+1 < len(resA.DynDecisions) {
+							handedOn++
+						}
+						if d.Deferred {
+							deferred++
+						}
+					}
+					preempted += len(resA.Preempted)
+					for _, r := range resA.Resizes {
+						if r.Cores < 0 {
+							shrunk++
+						}
+					}
 					sched.Recycle(resA)
 					checkTable(t, i, sched, inA.rm, st.now)
 					// Settle phase: a single pass is deliberately not
@@ -754,7 +886,7 @@ func TestSchedulerDifferential(t *testing.T) {
 						// degenerate result with no reservations; compare
 						// the decision set only.
 						compareResults(t, i, sA, sB, !tracked)
-						quiet := len(sA.Started)+len(sA.Backfilled)+sA.GrantedCount() == 0
+						quiet := len(sA.Started)+len(sA.Backfilled)+sA.GrantedCount()+len(sA.Preempted)+len(sA.Resizes) == 0
 						sched.Recycle(sA)
 						checkTable(t, i, sched, inA.rm, st.now)
 						if quiet && len(inA.base.queued) == nq && len(inA.base.active) == na && len(inA.base.dyn) == nd && len(inA.base.failStart) == nf {
@@ -787,6 +919,7 @@ func TestSchedulerDifferential(t *testing.T) {
 				}
 				repairs[flavour] += sched.table.repairs
 				fills[flavour] += sched.table.fills
+				skips += sched.table.whatIfSkips
 			})
 		}
 	}
@@ -799,6 +932,14 @@ func TestSchedulerDifferential(t *testing.T) {
 	}
 	if !(fills[rmLogged] < fills[rmTracked] && fills[rmTracked] < fills[rmPlain]) {
 		t.Errorf("fills = %v: want fewer the more the RM reports", fills)
+	}
+	// And the what-if walks must have pruned, after grants that hand their
+	// plan on, beside deferrals, and after preemptions and shrinks that
+	// throw it away.
+	t.Logf("what-if rows passed over: %d; grants followed by another request: %d; deferred: %d; preempted: %d; shrunk: %d",
+		skips, handedOn, deferred, preempted, shrunk)
+	if skips == 0 || handedOn == 0 || deferred == 0 || preempted == 0 || shrunk == 0 {
+		t.Errorf("the scenarios never pruned a what-if walk, handed a plan on, deferred, preempted or shrank")
 	}
 }
 

@@ -17,6 +17,24 @@ type malleableRM struct {
 }
 
 func (r *malleableRM) ShrinkJob(j *job.Job, cores int) error {
+	if err := r.shrink(j, cores); err != nil {
+		return err
+	}
+	r.shrinks++
+	return nil
+}
+
+func (r *malleableRM) GrowJob(j *job.Job, cores int) (cluster.Alloc, error) {
+	alloc, err := r.grow(j, cores)
+	if err == nil {
+		r.grows++
+	}
+	return alloc, err
+}
+
+// shrink and grow resize a running job the way a MalleableManager does;
+// testRM itself is not one, so that tests can run without the capability.
+func (r *testRM) shrink(j *job.Job, cores int) error {
 	held := r.cl.AllocOf(j.ID)
 	var part cluster.Alloc
 	remaining := cores
@@ -37,17 +55,15 @@ func (r *malleableRM) ShrinkJob(j *job.Job, cores int) error {
 	} else {
 		j.DynCores -= cores
 	}
-	r.shrinks++
 	return nil
 }
 
-func (r *malleableRM) GrowJob(j *job.Job, cores int) (cluster.Alloc, error) {
+func (r *testRM) grow(j *job.Job, cores int) (cluster.Alloc, error) {
 	alloc := r.cl.Allocate(j.ID, cores)
 	if alloc == nil {
 		return nil, fmt.Errorf("no resources")
 	}
 	j.DynCores += cores
-	r.grows++
 	return alloc, nil
 }
 

@@ -84,47 +84,101 @@ func planJobs(p *profile.Profile, ordered []*job.Job, now sim.Time, maxHeld int)
 	return plans
 }
 
-// planTable is planJobs over the struct-of-arrays job table: jobs
-// [0, upTo) are placed in priority order against p (which is mutated
-// with the Maui holds — StartNow jobs plus the first maxHeld blocked).
+// planTable is planJobs plus delaySet over the struct-of-arrays job
+// table: rows [0, upTo) are placed in priority order against p, which is
+// mutated with the Maui holds (StartNow rows plus the first maxHeld
+// blocked), and the delay-measured subset — every StartNow row plus the
+// first delayDepth blocked, delaySet's selection — is appended to
+// measured and returned. need lists, ascending by idx, the rows whose
+// planned start the caller reads back from starts[idx]: the what-if
+// side's starts for the rows the base side measured.
 //
-// When starts is non-nil, every job's planned start is recorded
-// dense-by-index — the map-free replacement for startsByID that the
-// what-if delay comparison indexes directly. When wantMeasured is set,
-// the delay-measured subset (every StartNow job plus the first
-// delayDepth blocked jobs, exactly delaySet's selection) is appended
-// to measuredBuf and returned together with the index of the last
-// measured job (-1 when none).
-func planTable(p *profile.SegProfile, t *jobTable, upTo int, now sim.Time, maxHeld, delayDepth int, starts []sim.Time, measuredBuf []Planned, wantMeasured bool) ([]Planned, int) {
-	held := 0
-	blocked := 0
-	last := -1
-	measured := measuredBuf
-	for i := 0; i < upTo; i++ {
+// Once maxHeld rows are held and delayDepth measured, a row can change
+// the plan only by starting now: a later start places no hold and is not
+// measured. The walk then prunes as the final walk does, and exactly so.
+// A row wider than the cores free at now cannot start now and is passed
+// over without the slot search, as is one at least as wide and as long
+// as a request already found not to start now (noFit) — holds only take
+// capacity away. With no free cores left, or a frontier that covers the
+// least any row asks for, nothing behind starts now and the walk ends
+// (a row of no cores starts now on any profile, so a table holding one
+// never ends for want of free cores). A need row is never passed over:
+// its start is what the caller measures. The rows of need that lie
+// beyond the end are searched against the profile as the walk left it,
+// which is the profile every later row would have seen.
+func planTable(p *profile.SegProfile, t *jobTable, upTo int, now sim.Time, maxHeld, delayDepth int, need []Planned, starts []sim.Time, measured []Planned) []Planned {
+	held, blocked := 0, 0
+	i := 0
+	for ; i < upTo && (held < maxHeld || blocked < delayDepth); i++ {
+		cores, wall := int(t.cores[i]), t.wall[i]
+		start := p.FindSlot(cores, wall, now)
+		if starts != nil {
+			starts[i] = start
+		}
+		switch {
+		case start == now:
+			p.AddHold(now, holdEnd(now, wall), cores)
+			measured = append(measured, Planned{Job: t.jobs[i], Start: now, Held: true, StartNow: true, idx: i})
+		case start < sim.Forever:
+			if held < maxHeld {
+				held++
+				p.AddHold(start, holdEnd(start, wall), cores)
+			}
+			if blocked < delayDepth {
+				blocked++
+				measured = append(measured, Planned{Job: t.jobs[i], Start: start, Held: true, idx: i})
+			}
+		}
+	}
+	for len(need) > 0 && need[0].idx < i {
+		need = need[1:]
+	}
+
+	// Every hold placed and every blocked row measured: only a start now
+	// counts from here on.
+	freeNow := p.FreeAt(now)
+	var tried noFit
+	skips := 0
+	next := upTo // the next need row
+	if len(need) > 0 {
+		next = need[0].idx
+	}
+	for ; i < upTo; i++ {
+		if freeNow <= 0 && t.minCores > 0 {
+			break
+		}
 		cores := int(t.cores[i])
-		start := p.FindSlot(cores, t.wall[i], now)
+		if i == next {
+			need = need[1:]
+			next = upTo
+			if len(need) > 0 {
+				next = need[0].idx
+			}
+		} else if cores > freeNow || tried.rulesOut(cores, t.wall[i]) {
+			skips++
+			continue
+		}
+		wall := t.wall[i]
+		start := p.FindSlot(cores, wall, now)
 		if starts != nil {
 			starts[i] = start
 		}
 		if start == now {
-			p.AddHold(start, holdEnd(start, t.wall[i]), cores)
-			if wantMeasured {
-				measured = append(measured, Planned{Job: t.jobs[i], Start: start, Held: true, StartNow: true, idx: i})
-				last = i
-			}
-		} else if start < sim.Forever {
-			if held < maxHeld {
-				held++
-				p.AddHold(start, holdEnd(start, t.wall[i]), cores)
-			}
-			if wantMeasured && blocked < delayDepth {
-				blocked++
-				measured = append(measured, Planned{Job: t.jobs[i], Start: start, Held: true, idx: i})
-				last = i
-			}
+			p.AddHold(now, holdEnd(now, wall), cores)
+			measured = append(measured, Planned{Job: t.jobs[i], Start: now, Held: true, StartNow: true, idx: i})
+			freeNow = p.FreeAt(now)
+			continue
+		}
+		tried.add(cores, wall)
+		if tried.rulesOut(int(t.minCores), t.minWall) {
+			break
 		}
 	}
-	return measured, last
+	t.whatIfSkips += uint64(skips)
+	for _, q := range need {
+		starts[q.idx] = p.FindSlot(int(t.cores[q.idx]), t.wall[q.idx], now)
+	}
+	return measured
 }
 
 func holdEnd(start sim.Time, wall sim.Duration) sim.Time {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
@@ -128,5 +130,187 @@ func TestHoldEndOverflow(t *testing.T) {
 	}
 	if holdEnd(100, 50) != 150 {
 		t.Error("normal hold end")
+	}
+}
+
+// whatIfCase is one what-if measurement: a cluster's availability, a
+// queue, the planning depths and a grant of need cores until end.
+type whatIfCase struct {
+	now                 sim.Time
+	idle                int
+	releases            [][2]int64 // (time, cores)
+	jobs                []*job.Job
+	maxHeld, delayDepth int
+	need                int
+	end                 sim.Time
+}
+
+func (c whatIfCase) builder() *profile.Builder {
+	b := profile.NewBuilder(c.now, c.idle)
+	for _, r := range c.releases {
+		b.Release(sim.Time(r[0]), int(r[1]))
+	}
+	return b
+}
+
+// whatIfPrune is where a walk over plans stops placing holds and
+// measuring blocked rows: from there on only a start now counts.
+func whatIfPrune(plans []Planned, maxHeld, delayDepth int) int {
+	held, blocked := 0, 0
+	for i, p := range plans {
+		if held >= maxHeld && blocked >= delayDepth {
+			return i
+		}
+		if !p.StartNow && p.Start < sim.Forever {
+			held, blocked = held+1, blocked+1
+		}
+	}
+	return len(plans)
+}
+
+// checkWhatIf runs both sides of the what-if through planTable — base,
+// candidate with the base's measured rows as its need list, and the
+// candidate again up to the last of them only, as a cached base does —
+// and requires what planJobs and delaySet give over flat profiles. It
+// returns how many need rows lay beyond the candidate's prune point.
+func checkWhatIf(t *testing.T, name string, c whatIfCase, tb *jobTable) (beyondPrune int) {
+	t.Helper()
+	tb.fill(c.jobs, c.now, DefaultWeights(), nil)
+	n := tb.len()
+	sameMeasured := func(side string, got, want []Planned) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s %s: measured %d rows, delaySet %d", name, side, len(got), len(want))
+		}
+		for k := range want {
+			g, w := got[k], want[k]
+			if g.Job != w.Job || g.Start != w.Start || g.StartNow != w.StartNow || tb.jobs[g.idx] != g.Job {
+				t.Fatalf("%s %s: measured[%d] = (%v at %v, now %v, row %d), delaySet (%v at %v, now %v)",
+					name, side, k, g.Job.ID, g.Start, g.StartNow, g.idx, w.Job.ID, w.Start, w.StartNow)
+			}
+		}
+	}
+
+	basePlans := planJobs(c.builder().Build(), tb.jobs, c.now, c.maxHeld)
+	wantBase, _ := delaySet(basePlans, c.delayDepth)
+	base := planTable(c.builder().BuildSegInto(&profile.SegProfile{}), tb, n, c.now, c.maxHeld, c.delayDepth, nil, nil, nil)
+	sameMeasured("base", base, wantBase)
+
+	cand := func() (*profile.Profile, *profile.SegProfile) {
+		flat, seg := c.builder().Build(), c.builder().BuildSegInto(&profile.SegProfile{})
+		flat.AddHold(c.now, c.end, c.need)
+		seg.AddHold(c.now, c.end, c.need)
+		return flat, seg
+	}
+	flat, seg := cand()
+	candPlans := planJobs(flat, tb.jobs, c.now, c.maxHeld)
+	want := startsByID(candPlans)
+	wantCand, _ := delaySet(candPlans, c.delayDepth)
+	prune := whatIfPrune(candPlans, c.maxHeld, c.delayDepth)
+	upTo := 0
+	if k := len(base); k > 0 {
+		upTo = base[k-1].idx + 1
+	}
+	for _, full := range []bool{true, false} {
+		starts := make([]sim.Time, n)
+		for i := range starts {
+			starts[i] = -1
+		}
+		if full {
+			sameMeasured("candidate", planTable(seg, tb, n, c.now, c.maxHeld, c.delayDepth, base, starts, nil), wantCand)
+		} else {
+			_, seg := cand()
+			planTable(seg, tb, upTo, c.now, c.maxHeld, c.delayDepth, base, starts, nil)
+		}
+		for _, p := range base {
+			if starts[p.idx] != want[p.Job.ID] {
+				t.Fatalf("%s candidate (full %v): need row %d (%v) starts at %v, planJobs %v",
+					name, full, p.idx, p.Job.ID, starts[p.idx], want[p.Job.ID])
+			}
+		}
+	}
+	for _, p := range base {
+		if p.idx >= prune {
+			beyondPrune++
+		}
+	}
+	return beyondPrune
+}
+
+// TestPlanTableMatchesPlanJobs differences the pruned what-if walks
+// against planJobs + delaySet, which search a slot for every row: on
+// random clusters and queues (rows of no cores and of endless walltime
+// among them) at every combination of hold and delay depth, the base
+// side's measured set, the candidate side's starts for every row the base
+// side measured, and the candidate side's own measured set must be
+// identical. Two constructed queues put a need row where the candidate
+// walk no longer searches — among rows it passes over, and behind the
+// point where it ends.
+func TestPlanTableMatchesPlanJobs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var tb jobTable
+	beyondPrune := 0
+	for round := 0; round < 600; round++ {
+		c := whatIfCase{
+			now:        sim.Hour,
+			idle:       rng.Intn(40),
+			maxHeld:    rng.Intn(6),
+			delayDepth: rng.Intn(6),
+		}
+		if c.delayDepth > c.maxHeld && rng.Intn(2) == 0 {
+			c.maxHeld = c.delayDepth // the scheduler's max(ReservationDepth, ReservationDelayDepth)
+		}
+		for k := rng.Intn(30); k > 0; k-- {
+			c.releases = append(c.releases, [2]int64{int64(c.now) + int64(1+rng.Intn(36000))*int64(sim.Second), int64(1 + rng.Intn(16))})
+		}
+		for i := rng.Intn(300); i > 0; i-- {
+			j := planJob(len(c.jobs)+1, 1+rng.Intn(48), sim.Duration(1+rng.Intn(600))*sim.Minute)
+			j.SubmitTime = sim.Time(rng.Intn(3600)) * sim.Second
+			switch rng.Intn(40) {
+			case 0:
+				j.Cores = 0
+			case 1:
+				j.Walltime = sim.Forever
+			}
+			c.jobs = append(c.jobs, j)
+		}
+		c.need = 1 + rng.Intn(max(1, c.idle))
+		c.end = c.now + sim.Duration(1+rng.Intn(600))*sim.Minute
+		beyondPrune += checkWhatIf(t, fmt.Sprintf("round %d", round), c, &tb)
+	}
+	if beyondPrune == 0 || tb.whatIfSkips == 0 {
+		t.Errorf("no need row beyond the prune point (%d) or no row passed over (%d): pruning not exercised", beyondPrune, tb.whatIfSkips)
+	}
+
+	// 8 cores free; one held reservation; then rows too wide to start
+	// now, and a 4-core row deep in the queue that starts now on the base
+	// side. A 6-core grant leaves 2 free: the candidate walk passes over
+	// the wide rows but searches the need row among them.
+	wide := func(id int) *job.Job { return planJob(id, 16, sim.Hour) }
+	jobs := []*job.Job{wide(1)}
+	for id := 2; id < 50; id++ {
+		jobs = append(jobs, wide(id))
+	}
+	jobs = append(jobs, planJob(50, 4, sim.Hour))
+	for id := 51; id < 80; id++ {
+		jobs = append(jobs, wide(id))
+	}
+	for i, j := range jobs {
+		j.SubmitTime = sim.Time(i)
+	}
+	c := whatIfCase{now: sim.Hour, idle: 8, releases: [][2]int64{{int64(2 * sim.Hour), 32}},
+		jobs: jobs, maxHeld: 1, delayDepth: 1, need: 6, end: 3 * sim.Hour}
+	skips := tb.whatIfSkips
+	if checkWhatIf(t, "passed over", c, &tb) != 1 || tb.whatIfSkips == skips {
+		t.Errorf("passed over: the need row should lie beyond the candidate's prune point among rows passed over")
+	}
+	// An 8-core grant leaves none free: the candidate walk ends at its
+	// prune point, and the need row behind it is searched afterwards.
+	// The base side passes the 77 wide rows behind its reservation over
+	// once; a candidate walk that went on would pass them over again.
+	c.need = 8
+	skips = tb.whatIfSkips
+	if checkWhatIf(t, "behind the end", c, &tb) != 1 || tb.whatIfSkips-skips != 77 {
+		t.Errorf("behind the end: %d rows passed over, want the base side's 77 alone", tb.whatIfSkips-skips)
 	}
 }

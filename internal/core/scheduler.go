@@ -175,7 +175,6 @@ type Scheduler struct {
 	baseBuf     profile.SegProfile
 	candBuf     profile.SegProfile
 	finalBuf    profile.SegProfile
-	planDone    chan planOut
 
 	// table is the sorted struct-of-arrays snapshot of the eligible
 	// queue, cached across iterations when the RM reports queue epochs.
@@ -183,14 +182,12 @@ type Scheduler struct {
 	pc    planContext
 
 	// What-if planning scratch: dense candidate starts indexed by
-	// priority order, and the measured-set buffers (base side is
-	// written by the concurrent base replan goroutine, cand side by
-	// the iteration goroutine, measuredBuf holds the copy planContext
-	// points at).
+	// priority order, and the two measured-set buffers — the base side's,
+	// which planContext points at, and the candidate side's, which a
+	// grant makes the base's.
 	candStarts      []sim.Time
-	baseMeasuredBuf []Planned
-	candMeasuredBuf []Planned
 	measuredBuf     []Planned
+	candMeasuredBuf []Planned
 
 	// Result pool (Recycle/takeResult).
 	resPool []*IterationResult
@@ -207,12 +204,6 @@ type Scheduler struct {
 	lastValid    bool
 }
 
-// planOut is the result of one full-queue planning pass.
-type planOut struct {
-	measured []Planned
-	lastIdx  int
-}
-
 // planContext carries the incremental planning state of one iteration:
 // the pristine availability profile (cluster releases only, no planning
 // holds) and the delay-measured subset of the static queue planned
@@ -227,11 +218,9 @@ type planContext struct {
 	// idleAtBuild detects cluster mutations (starts, shrinks,
 	// preemptions) that happened since pristine was built.
 	idleAtBuild int
-	// measured/lastIdx cache the delay-measured subset of the static
-	// queue planned against pristine and the index of the last
-	// measured job (what-if planning stops there).
+	// measured caches the delay-measured subset of the static queue
+	// planned against pristine, ascending by row.
 	measured  []Planned
-	lastIdx   int
 	baseValid bool
 }
 
@@ -266,10 +255,9 @@ func New(opts Options, startTime sim.Time) *Scheduler {
 		opts.Weights = DefaultWeights()
 	}
 	s := &Scheduler{
-		opts:     opts,
-		fair:     fairness.NewTracker(opts.Config.Fairness, startTime),
-		fs:       NewFairshareFromConfig(opts.Config),
-		planDone: make(chan planOut, 1),
+		opts: opts,
+		fair: fairness.NewTracker(opts.Config.Fairness, startTime),
+		fs:   NewFairshareFromConfig(opts.Config),
 	}
 	// Hierarchical DFS rollup: a child's delay charge counts against
 	// its ancestors' budgets too. With the degenerate flat tree this
@@ -591,7 +579,7 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 	// reused across requests; a grant applies its hold to the base
 	// incrementally instead of rebuilding from scratch.
 	pc := &s.pc
-	*pc = planContext{now: now, lastIdx: -1}
+	*pc = planContext{now: now}
 	deferred := false
 	processDyn := func() {
 		for _, req := range dynReqs {
@@ -790,9 +778,10 @@ func (s *Scheduler) processDynRequest(pc *planContext, rm ResourceManager, req *
 	// evolving job's walltime end (dynamic reservations run to the
 	// rest of the walltime, §III-D). The base side comes from the
 	// per-iteration cache; the candidate side is a what-if overlay on
-	// a reused scratch clone, planned only up to the last measured job
-	// — the cost is proportional to the perturbation's reach, not the
-	// queue.
+	// a reused scratch clone. Both walks prune once their holds are
+	// placed, and the candidate walk searches a slot for every row the
+	// base side measured (its need list) wherever it prunes or ends —
+	// the cost follows the perturbation's reach, not the queue.
 	evolveEnd := req.Job.StartTime + req.Job.Walltime
 	if evolveEnd <= now {
 		evolveEnd = now + sim.Second
@@ -806,36 +795,25 @@ func (s *Scheduler) processDynRequest(pc *planContext, rm ResourceManager, req *
 	if cap(s.candStarts) < n {
 		s.candStarts = make([]sim.Time, n)
 	}
-	delayDepth := s.opts.Config.ReservationDelayDepth
-	var candMeasured []Planned
-	candLast := -1
-	candFull := false
-	if !pc.baseValid {
-		// Base plans are stale: replan the full queue on both sides.
-		// The two passes are independent reads over separate profile
-		// clones and the shared (read-only) job table, so they run
-		// concurrently.
-		candFull = true
-		baseP := base.CloneInto(&s.baseBuf)
-		//lint:goroutine joined two statements down by the blocking receive from s.planDone
-		go func() {
-			m, last := planTable(baseP, t, n, now, s.maxHeld(), delayDepth, nil, s.baseMeasuredBuf[:0], true)
-			s.planDone <- planOut{measured: m, lastIdx: last}
-		}()
-		candMeasured, candLast = planTable(candP, t, n, now, s.maxHeld(), delayDepth, s.candStarts[:n], s.candMeasuredBuf[:0], true)
-		s.candMeasuredBuf = candMeasured[:0]
-		out := <-s.planDone
-		s.baseMeasuredBuf = out.measured[:0]
-		s.measuredBuf = append(s.measuredBuf[:0], out.measured...)
-		pc.measured, pc.lastIdx = s.measuredBuf, out.lastIdx
-		pc.baseValid = true
+	maxHeld, delayDepth := s.maxHeld(), s.opts.Config.ReservationDelayDepth
+	// A base plan made this request covers the whole queue on both sides,
+	// so the candidate's measured set is the base's for the next request
+	// once the grant is folded in; a cached base needs the candidate plan
+	// only up to its last measured row — a planned start depends solely on
+	// the holds of higher-priority rows.
+	candFull := !pc.baseValid
+	upTo := n
+	if candFull {
+		s.measuredBuf = planTable(base.CloneInto(&s.baseBuf), t, n, now, maxHeld, delayDepth, nil, nil, s.measuredBuf[:0])
+		pc.measured, pc.baseValid = s.measuredBuf, true
 	} else {
-		// Cached base: the what-if only needs plans up to the last
-		// delay-measured job — a planned start depends solely on the
-		// holds of higher-priority jobs.
-		upTo := pc.lastIdx + 1
-		planTable(candP, t, upTo, now, s.maxHeld(), 0, s.candStarts[:upTo], nil, false)
+		upTo = 0
+		if k := len(pc.measured); k > 0 {
+			upTo = pc.measured[k-1].idx + 1
+		}
 	}
+	candMeasured := planTable(candP, t, upTo, now, maxHeld, delayDepth, pc.measured, s.candStarts[:n], s.candMeasuredBuf[:0])
+	s.candMeasuredBuf = candMeasured
 
 	measured := pc.measured
 	delayStart := len(res.delayBuf)
@@ -891,8 +869,8 @@ func (s *Scheduler) processDynRequest(pc *planContext, rm ResourceManager, req *
 		// The full-queue candidate plan was computed against exactly
 		// this profile — its measured set becomes the new base cache
 		// for free.
-		s.measuredBuf = append(s.measuredBuf[:0], candMeasured...)
-		pc.measured, pc.lastIdx = s.measuredBuf, candLast
+		s.measuredBuf, s.candMeasuredBuf = candMeasured, s.measuredBuf[:0]
+		pc.measured = s.measuredBuf
 	} else {
 		pc.baseValid = false
 	}

@@ -71,8 +71,10 @@ type jobTable struct {
 
 	// repairs and fills count the two ways the table is brought up to
 	// date, so tests can assert the fast path actually engaged rather
-	// than silently falling back to a full fill.
-	repairs, fills uint64
+	// than silently falling back to a full fill; whatIfSkips counts the
+	// rows a what-if walk passed over without a slot search (planTable),
+	// for the same purpose.
+	repairs, fills, whatIfSkips uint64
 }
 
 // tableRow is one row outside the table: pulled out by repair, or about
