@@ -28,10 +28,14 @@
 // no same-package synchronous callers, including spawned goroutines —
 // once those return, nothing can bump on their behalf.
 //
+// A call of a pointer-receiver method on a guarded field
+// (s.queue.Push(j)) counts as a write to the field.
+//
 // What it does not prove: writes through aliases of the guarded
-// struct (q := s.queued; q[0] = ...), mutations behind cross-package
-// calls, and writes to fields of objects created inside the function
-// itself (fresh, unpublished state has no observers and is exempt).
+// struct (q := s.queued; q[0] = ...), mutations behind other
+// cross-package calls, and writes to fields of objects created inside
+// the function itself (fresh, unpublished state has no observers and
+// is exempt).
 // Findings can be suppressed with `//lint:epochguard <reason>`.
 package epochguard
 
@@ -319,10 +323,12 @@ func (a *analyzer) transfer(st *egState, node ast.Node) {
 		}
 		return true
 	})
-	for _, w := range dataflow.FieldWritesIn(a.pass.TypesInfo, node, func(v *types.Var) bool {
+	tracked := func(v *types.Var) bool {
 		_, ok := a.fieldGroup[v]
 		return ok
-	}) {
+	}
+	writes := dataflow.FieldWritesIn(a.pass.TypesInfo, node, tracked)
+	for _, w := range append(writes, a.methodWrites(node, tracked)...) {
 		if a.freshRoot(w.Root) {
 			continue
 		}
@@ -330,6 +336,46 @@ func (a *analyzer) transfer(st *egState, node ast.Node) {
 		st.dirty[gi] = true
 		st.wit[gi] = witness{pos: w.Pos, what: "write to epoch-guarded field " + w.Field.Name()}
 	}
+}
+
+// methodWrites returns the calls in node of a pointer-receiver method on
+// a tracked field (s.queue.Push(j)). What the method does is out of the
+// walker's sight when its type lives in another package, so taking the
+// field's address for it counts as the write; a type meant for guarded
+// fields reads through value receivers.
+func (a *analyzer) methodWrites(node ast.Node, tracked func(*types.Var) bool) []dataflow.FieldWrite {
+	var out []dataflow.FieldWrite
+	ast.Inspect(node, func(x ast.Node) bool {
+		if _, ok := x.(*ast.FuncLit); ok {
+			return false
+		}
+		call, ok := x.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if s := a.pass.TypesInfo.Selections[sel]; s == nil || s.Kind() != types.MethodVal || !pointerRecv(s.Obj()) {
+			return true
+		}
+		if path := dataflow.SelectorPath(a.pass.TypesInfo, sel.X); len(path) >= 2 && tracked(path[len(path)-1]) {
+			out = append(out, dataflow.FieldWrite{Field: path[len(path)-1], Root: path[0], Path: path, Pos: call.Pos()})
+		}
+		return true
+	})
+	return out
+}
+
+// pointerRecv reports whether method m has a pointer receiver.
+func pointerRecv(m types.Object) bool {
+	sig, ok := m.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	_, ok = sig.Recv().Type().(*types.Pointer)
+	return ok
 }
 
 // freshRoot reports whether the written object is one the function

@@ -4,10 +4,16 @@
 // exported caller, one branch arm missing its bump) next to the fixed
 // variants that must stay silent (bump after write, bumpQueue
 // subsuming bump, helper cleaned by its callers, deferred bump, fresh
-// unpublished locals, a reasoned suppression).
+// unpublished locals, a reasoned suppression), and a guarded field of a
+// type from another package, changed through its pointer-receiver
+// methods.
 package rms
 
-import "errors"
+import (
+	"errors"
+
+	"jobq"
+)
 
 // Server mirrors the daemon: epoch-guarded queue/active state.
 type Server struct {
@@ -16,6 +22,7 @@ type Server struct {
 
 	queued []int        //schedlint:epoch-guarded by bumpQueue
 	active map[int]bool //schedlint:epoch-guarded by bump
+	held   jobq.Queue   //schedlint:epoch-guarded by bumpQueue
 }
 
 func (s *Server) bump() { s.epoch++ }
@@ -65,7 +72,21 @@ func (s *Server) Toggle(id int, on bool) {
 	}
 }
 
+// Hold changes the guarded queue through a method and forgets to bump.
+func (s *Server) Hold(id int) {
+	s.held.Push(id) // want `write to epoch-guarded field held may reach return`
+}
+
 // --- fixed variants: silent ---
+
+// HoldBumped bumps after the method call.
+func (s *Server) HoldBumped(id int) {
+	s.held.Push(id)
+	s.bumpQueue()
+}
+
+// Held only reads the guarded queue.
+func (s *Server) Held() int { return s.held.Len() }
 
 // Submit bumps after the write.
 func (s *Server) Submit(id int) {

@@ -129,6 +129,9 @@ type Job struct {
 	// idle resources. Zero values default to Cores (no resizing).
 	MinCores int
 	MaxCores int
+
+	// qslot is the job's slot in the Queue holding it.
+	qslot int
 }
 
 // ShrinkableBy returns how many cores a malleable job can give up.

@@ -368,6 +368,9 @@ func (m *mirror) apply(d *proto.SchedDelta) error {
 func (m *mirror) seatNodes(nodes []proto.NodeStatus) error {
 	for i, n := range nodes {
 		if i == m.cl.NumNodes() {
+			if !cluster.ValidNodeCores(n.Cores) {
+				return fmt.Errorf("mauid: node %s has %d cores, outside [1, %d]", n.Name, n.Cores, cluster.MaxNodeCores)
+			}
 			m.cl.AddNode(n.Name, n.Cores)
 		}
 		state, used := cluster.Down, 0

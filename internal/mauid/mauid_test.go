@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/mom"
@@ -176,6 +177,28 @@ func TestMirrorOverfullSnapshot(t *testing.T) {
 	}
 	if _, err := newMirror(st); err == nil {
 		t.Error("impossible usage must fail")
+	}
+}
+
+// TestMirrorRejectsImpossibleNode: a node of no cores, or of more than
+// a node may have, fails the cycle instead of reaching the mirror's
+// cluster, in a snapshot and in a delta alike.
+func TestMirrorRejectsImpossibleNode(t *testing.T) {
+	leak.Check(t)
+	for _, cores := range []int{cluster.MaxNodeCores + 1, 1 << 30, 0, -1} {
+		st := &proto.SchedState{Nodes: []proto.NodeStatus{{Name: "n0", Cores: cores, State: "up"}}}
+		if _, err := newMirror(st); err == nil {
+			t.Errorf("a snapshot node of %d cores must fail", cores)
+		}
+	}
+	m, err := newMirror(&proto.SchedState{Nodes: []proto.NodeStatus{{Name: "n0", Cores: 8, State: "up"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &proto.SchedDelta{Serial: 1, Nodes: []proto.NodeStatus{
+		{Name: "n0", Cores: 8, State: "up"}, {Name: "n1", Cores: 1 << 30, State: "up"}}}
+	if err := m.apply(bad); err == nil || m.cl.NumNodes() != 1 {
+		t.Fatalf("a delta adding a node of 1<<30 cores = %v with %d nodes; want an error and one node", err, m.cl.NumNodes())
 	}
 }
 

@@ -49,9 +49,9 @@ func TestDispatchRollbackAdvancesEpochs(t *testing.T) {
 	if _, err := rm.StartJob(j); err == nil {
 		t.Fatal("dispatch over a dead mom link must fail")
 	}
-	if q := srv.queuedLocked(); j.State != job.Queued || len(q) != 1 || q[0] != j || len(srv.active) != 0 {
+	if q := srv.queue.Jobs(); j.State != job.Queued || len(q) != 1 || q[0] != j || srv.active.Len() != 0 {
 		t.Fatalf("rollback incomplete: state=%v queued=%d active=%d",
-			j.State, len(q), len(srv.active))
+			j.State, len(q), srv.active.Len())
 	}
 	if srv.cl.UsedCores() != 0 {
 		t.Fatalf("rollback leaked %d cores", srv.cl.UsedCores())

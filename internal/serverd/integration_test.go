@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mom"
 	"repro/internal/proto"
@@ -91,6 +92,40 @@ func TestLiveQSubValidation(t *testing.T) {
 	if _, err := srv.QSub(proto.JobSpec{User: "u", Cores: 4, Script: "sleep:1ms"}); err == nil {
 		t.Error("missing walltime must be rejected")
 	}
+}
+
+// TestRegisterRefusesImpossibleCoreCounts: a mom claiming no cores, or
+// more than a node may have, is hung up on without becoming a node, and
+// the server goes on scheduling on the nodes it has.
+func TestRegisterRefusesImpossibleCoreCounts(t *testing.T) {
+	leak.Check(t)
+	srv := liveCluster(t, 1, 8)
+	for i, cores := range []int{cluster.MaxNodeCores + 1, 1 << 30, 0, -8} {
+		c, err := proto.Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(proto.TRegister, proto.RegisterReq{Node: fmt.Sprintf("huge%d", i), Addr: "nowhere", Cores: cores}); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadTimeout(5 * time.Second)
+		_, err = c.Recv()
+		c.Close()
+		if err == nil {
+			t.Fatalf("a mom with %d cores got an answer instead of a hang-up", cores)
+		}
+	}
+	srv.mu.Lock()
+	nodes, clNodes := len(srv.nodes), srv.cl.NumNodes()
+	srv.mu.Unlock()
+	if nodes != 1 || clNodes != 1 {
+		t.Fatalf("%d nodes registered, %d in the cluster; want only the real mom", nodes, clNodes)
+	}
+	id, err := srv.QSub(proto.JobSpec{Name: "after", User: "u", Cores: 8, WallSecs: 60, Script: "sleep:10ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 3*time.Second, func() bool { return jobState(srv, id) == "completed" }, "a job to run after the refusals")
 }
 
 func TestLiveClientProtocol(t *testing.T) {

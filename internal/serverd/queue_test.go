@@ -12,8 +12,7 @@ import (
 
 // TestQueueIndexKeepsOrder: jobs leave the queue from anywhere in it
 // without disturbing the submission order of the rest, through any
-// number of compactions, and every queued job's record points at its
-// slot.
+// number of compactions, and the snapshot lists the same queue.
 func TestQueueIndexKeepsOrder(t *testing.T) {
 	srv := New(Options{})
 	srv.start = time.Now() // the daemon is never Started: no moms, nothing runs
@@ -23,20 +22,14 @@ func TestQueueIndexKeepsOrder(t *testing.T) {
 		t.Helper()
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		got := srv.queuedLocked()
-		if len(got) != len(want) || srv.qlive != len(want) {
-			t.Fatalf("%s: %d queued (qlive %d), want %d", when, len(got), srv.qlive, len(want))
+		got := srv.queue.Jobs()
+		if len(got) != len(want) || srv.queue.Len() != len(want) {
+			t.Fatalf("%s: %d queued (Len %d), want %d", when, len(got), srv.queue.Len(), len(want))
 		}
 		for i, j := range got {
 			if int(j.ID) != want[i] {
 				t.Fatalf("%s: queue[%d] = %v, want job %d", when, i, j.ID, want[i])
 			}
-			if ji := srv.jobs[want[i]]; srv.queued[ji.qpos] != j {
-				t.Fatalf("%s: job %d's record points at slot %d, which holds %v", when, want[i], ji.qpos, srv.queued[ji.qpos])
-			}
-		}
-		if len(srv.queued) > 2*srv.qlive+64 {
-			t.Fatalf("%s: %d slots for %d jobs: the queue is not being closed up", when, len(srv.queued), srv.qlive)
 		}
 		if st := srv.snapshotLocked(); len(st.Queued) != len(want) || (len(want) > 0 && st.Queued[0].ID != want[0]) {
 			t.Fatalf("%s: snapshot lists %d queued jobs", when, len(st.Queued))

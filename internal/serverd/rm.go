@@ -43,12 +43,12 @@ func (r *serverRM) Cluster() *cluster.Cluster { return r.cl }
 // QueuedJobs returns the queued jobs in submission order.
 //
 //lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
-func (r *serverRM) QueuedJobs() []*job.Job { return r.s().queuedLocked() }
+func (r *serverRM) QueuedJobs() []*job.Job { return r.queue.Jobs() }
 
 // ActiveJobs returns running/dynqueued jobs in ID order.
 //
 //lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
-func (r *serverRM) ActiveJobs() []*job.Job { return append([]*job.Job(nil), r.active...) }
+func (r *serverRM) ActiveJobs() []*job.Job { return r.active.Jobs() }
 
 // DynRequests returns the pending dynamic requests in FIFO order.
 //
@@ -101,10 +101,10 @@ func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 		s.cl.Release(j.ID)
 		return nil, fmt.Errorf("serverd: mother superior %s unreachable", hosts[0].Node)
 	}
-	s.dequeueLocked(ji)
+	s.queue.Remove(j)
 	j.State = job.Running
 	j.StartTime = s.now()
-	s.activateLocked(j)
+	s.active.Add(j)
 	ji.hosts = hosts
 	ji.msNode = hosts[0].Node
 	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
@@ -129,9 +129,9 @@ func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 		// started when it is in fact back in the queue.
 		ji.stopKillTimerLocked()
 		s.cl.Release(j.ID)
-		s.deactivateLocked(id)
+		s.active.Remove(j.ID)
 		j.State = job.Queued
-		s.enqueueLocked(ji)
+		s.queue.Push(j)
 		s.bumpQueueLocked(j)
 		return nil, fmt.Errorf("serverd: dispatch to %s: %w", hosts[0].Node, err)
 	}
@@ -203,7 +203,7 @@ func (r *serverRM) Preempt(j *job.Job) error {
 	}
 	s.dropDynLocked(int(j.ID))
 	s.cl.Release(j.ID)
-	s.deactivateLocked(int(j.ID))
+	s.active.Remove(j.ID)
 	ji.stopKillTimerLocked()
 	s.sendMomLocked(s.nodes[ji.msNode], proto.TKillJob, proto.KillJobReq{JobID: int(j.ID)})
 	j.State = job.Queued
@@ -212,7 +212,7 @@ func (r *serverRM) Preempt(j *job.Job) error {
 	j.Backfilled = false
 	ji.hosts = nil
 	ji.msNode = ""
-	s.enqueueLocked(ji)
+	s.queue.Push(j)
 	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
 	s.bumpQueueLocked(j)
 	s.logf("job %d preempted and requeued", j.ID)
@@ -290,14 +290,12 @@ func (s *Server) pullLocked(cursor *uint64, synced bool) (proto.MsgType, any) {
 // reallocations too. Caller holds s.mu.
 func (s *Server) snapshotLocked() proto.SchedState {
 	st := proto.SchedState{NowMS: int64(s.now()), Serial: s.serial, Nodes: s.nodeStatusLocked(), Dyn: s.schedDynLocked()}
-	st.Queued = sized[proto.SchedJob](s.qlive)
-	for _, j := range s.queued[s.qhead:] {
-		if j != nil {
-			st.Queued = append(st.Queued, schedJob(j))
-		}
+	st.Queued = sized[proto.SchedJob](s.queue.Len())
+	for _, j := range s.queue.Jobs() {
+		st.Queued = append(st.Queued, schedJob(j))
 	}
-	st.Active = sized[proto.SchedJob](len(s.active))
-	for _, j := range s.active {
+	st.Active = sized[proto.SchedJob](s.active.Len())
+	for _, j := range s.active.Jobs() {
 		st.Active = append(st.Active, schedJob(j))
 	}
 	return st
@@ -306,7 +304,7 @@ func (s *Server) snapshotLocked() proto.SchedState {
 // deltaLocked renders what the log entries in window changed: one
 // record per job, in the order of its last queue-membership change (of
 // its first mention when it had none), so that the jobs now queued
-// whose membership changed — each was appended to s.queued by that
+// whose membership changed — each was appended to s.queue by that
 // change — come out in queue order. Caller holds s.mu.
 func (s *Server) deltaLocked(window []int) proto.SchedDelta {
 	d := proto.SchedDelta{NowMS: int64(s.now()), Serial: s.serial, Nodes: s.nodeStatusLocked(), Dyn: s.schedDynLocked()}

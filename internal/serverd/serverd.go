@@ -12,11 +12,9 @@
 package serverd
 
 import (
-	"cmp"
 	"fmt"
 	"net"
 	"os"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -102,7 +100,6 @@ type jobInfo struct {
 	negTimer  *time.Timer       // guarded by s.mu: negotiation deadline; stopped when the dyn request resolves
 	dynGrant  sim.Time          // guarded by s.mu
 	granted   bool              // guarded by s.mu
-	qpos      int               // guarded by s.mu: the job's slot in s.queued while it is queued
 	// fsID is the user's share-tree leaf, interned once at submit so
 	// completion-path usage accounting is an O(1) sharded append
 	// instead of a string-map lookup under the server mutex.
@@ -157,21 +154,14 @@ type Server struct {
 	nodeByID map[int]*nodeInfo        // guarded by mu
 	pending  map[*proto.Conn]struct{} // pre-classification conns; guarded by mu
 	jobs     map[int]*jobInfo         // guarded by mu
-	// queued is the queue in submission order, indexed through
-	// jobInfo.qpos: a job that leaves it leaves its slot nil, so that
-	// taking one out is not a search and a shift of everything behind it
-	// (see dequeueLocked). qhead is the first slot that may be in use,
-	// qlive the number that are.
-	queued []*job.Job        // guarded by mu //schedlint:epoch-guarded by bumpQueueLocked
-	qhead  int               // guarded by mu
-	qlive  int               // guarded by mu
-	active []*job.Job        // by id; guarded by mu //schedlint:epoch-guarded by bumpLocked
-	dyn    []*job.DynRequest // guarded by mu //schedlint:epoch-guarded by bumpLocked
-	dynSeq int               // guarded by mu
-	nextID int               // guarded by mu
-	serial uint64            // guarded by mu
-	qlog   core.QueueLog     // guarded by mu: the queue epoch and the jobs behind it, for the embedded scheduler's table
-	rec    *metrics.Recorder // guarded by mu
+	queue    job.Queue                // submission order; guarded by mu //schedlint:epoch-guarded by bumpQueueLocked
+	active   job.RunSet               // by id; guarded by mu //schedlint:epoch-guarded by bumpLocked
+	dyn      []*job.DynRequest        // guarded by mu //schedlint:epoch-guarded by bumpLocked
+	dynSeq   int                      // guarded by mu
+	nextID   int                      // guarded by mu
+	serial   uint64                   // guarded by mu
+	qlog     core.QueueLog            // guarded by mu: the queue epoch and the jobs behind it, for the embedded scheduler's table
+	rec      *metrics.Recorder        // guarded by mu
 
 	// touched is the sched sessions' change log, kept while one is open:
 	// per bump (and per job a commit names) the job's id shifted left one
@@ -326,82 +316,6 @@ func (s *Server) bumpQueueLocked(j *job.Job) {
 	s.serial++
 	s.qlog.Bump(j)
 	s.touchLocked(j, 1)
-}
-
-// enqueueLocked appends ji's job to the queue. Caller holds s.mu and
-// bumps.
-func (s *Server) enqueueLocked(ji *jobInfo) {
-	ji.qpos = len(s.queued)
-	s.queued = append(s.queued, ji.j)
-	s.qlive++
-}
-
-// dequeueLocked takes ji's job out of the queue where it stands. The
-// slot stays behind empty; once the empty ones outnumber the rest the
-// queue is closed up and the survivors re-indexed, so a removal costs
-// O(1) amortised wherever in the queue it happens. Caller holds s.mu
-// and bumps.
-func (s *Server) dequeueLocked(ji *jobInfo) {
-	s.queued[ji.qpos] = nil
-	s.qlive--
-	for s.qhead < len(s.queued) && s.queued[s.qhead] == nil {
-		s.qhead++
-	}
-	if len(s.queued) <= 2*s.qlive+64 {
-		return
-	}
-	w := 0
-	for _, j := range s.queued[s.qhead:] {
-		if j != nil {
-			s.queued[w] = j
-			s.jobs[int(j.ID)].qpos = w
-			w++
-		}
-	}
-	clear(s.queued[w:])
-	s.queued, s.qhead = s.queued[:w], 0
-}
-
-// activeIndexLocked returns where job id is, or would go, in s.active.
-// Caller holds s.mu.
-func (s *Server) activeIndexLocked(id int) (int, bool) {
-	return slices.BinarySearchFunc(s.active, job.ID(id), func(j *job.Job, id job.ID) int { return cmp.Compare(j.ID, id) })
-}
-
-// activeLocked returns job id if it is running. Caller holds s.mu.
-func (s *Server) activeLocked(id int) (*job.Job, bool) {
-	if i, ok := s.activeIndexLocked(id); ok {
-		return s.active[i], true
-	}
-	return nil, false
-}
-
-// activateLocked files j under the running jobs, which are kept in id
-// order so that the scheduler's view of them (ActiveJobs, twice per
-// iteration) is a copy and not a sort. Caller holds s.mu and bumps.
-func (s *Server) activateLocked(j *job.Job) {
-	i, _ := s.activeIndexLocked(int(j.ID))
-	s.active = slices.Insert(s.active, i, j)
-}
-
-// deactivateLocked takes job id off the running jobs. Caller holds s.mu
-// and bumps.
-func (s *Server) deactivateLocked(id int) {
-	if i, ok := s.activeIndexLocked(id); ok {
-		s.active = slices.Delete(s.active, i, i+1)
-	}
-}
-
-// queuedLocked returns the queued jobs in submission order. Caller
-// holds s.mu.
-func (s *Server) queuedLocked() []*job.Job {
-	out := make([]*job.Job, 0, s.qlive)
-	for _, j := range s.queued[s.qhead:] {
-		if j != nil {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // touchLogKeep is how many entries of the change log survive a trim;
@@ -564,8 +478,14 @@ func (s *Server) untrackConn(c *proto.Conn) {
 	s.mu.Unlock()
 }
 
-// registerMom adds the node and serves the mom's persistent link.
+// registerMom adds the node and serves the mom's persistent link. A
+// mom claiming no cores, or more than a node may have, is hung up on.
 func (s *Server) registerMom(c *proto.Conn, req proto.RegisterReq) {
+	if !cluster.ValidNodeCores(req.Cores) {
+		s.logf("mom %s refused: %d cores, outside [1, %d]", req.Node, req.Cores, cluster.MaxNodeCores)
+		_ = c.Close()
+		return
+	}
 	s.mu.Lock()
 	ni, dup := s.nodes[req.Node]
 	if dup {
@@ -719,7 +639,7 @@ func (s *Server) reconcileMomLocked(ni *nodeInfo, reported []int) {
 		if known[int(id)] {
 			continue
 		}
-		if _, active := s.activeLocked(int(id)); !active {
+		if _, active := s.active.Get(id); !active {
 			continue
 		}
 		s.logf("job %d lost on restarted mom %s", id, ni.node.Name)
@@ -728,7 +648,7 @@ func (s *Server) reconcileMomLocked(ni *nodeInfo, reported []int) {
 	ids := append([]int(nil), reported...)
 	sort.Ints(ids)
 	for _, id := range ids {
-		if j, active := s.activeLocked(id); active {
+		if j, active := s.active.Get(job.ID(id)); active {
 			ji := s.jobs[id]
 			if ni.node.HeldBy(j.ID) > 0 || (ji != nil && ji.msNode == ni.node.Name) {
 				continue // consistent on both sides
@@ -796,7 +716,7 @@ func (s *Server) QSub(spec proto.JobSpec) (int, error) {
 	}
 	ji := &jobInfo{j: j, spec: spec, fsID: fsID}
 	s.jobs[id] = ji
-	s.enqueueLocked(ji)
+	s.queue.Push(ji.j)
 	s.rec.ObserveSubmit(j.SubmitTime)
 	s.bumpQueueLocked(j)
 	s.mu.Unlock()
@@ -862,12 +782,12 @@ func (s *Server) killLocked(ji *jobInfo, why string) {
 	j := ji.j
 	switch {
 	case j.State == job.Queued:
-		s.dequeueLocked(ji)
+		s.queue.Remove(ji.j)
 		s.bumpQueueLocked(j)
 	case j.Active():
 		s.dropDynLocked(int(j.ID))
 		s.cl.Release(j.ID)
-		s.deactivateLocked(int(j.ID))
+		s.active.Remove(j.ID)
 		s.sendMomLocked(s.nodes[ji.msNode], proto.TKillJob, proto.KillJobReq{JobID: int(j.ID)})
 		s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
 	default:
@@ -995,7 +915,7 @@ func (s *Server) failNodeLocked(ni *nodeInfo, why string) {
 	}
 	ni.verdicts = nil
 	for _, id := range affected { // SetNodeState returns sorted ids
-		if _, ok := s.activeLocked(int(id)); !ok {
+		if _, ok := s.active.Get(id); !ok {
 			continue
 		}
 		s.failJobSliceLocked(ni.node, id, why)
@@ -1009,7 +929,7 @@ func (s *Server) failNodeLocked(ni *nodeInfo, why string) {
 // original request size is restored first so a requeued job asks for
 // what it was submitted with. Caller holds s.mu.
 func (s *Server) failJobSliceLocked(node *cluster.Node, id job.ID, why string) {
-	j, ok := s.activeLocked(int(id))
+	j, ok := s.active.Get(id)
 	ji := s.jobs[int(id)]
 	if !ok || ji == nil {
 		return
@@ -1074,7 +994,7 @@ func (s *Server) jobDone(from *nodeInfo, done proto.JobDoneReq) {
 	j := ji.j
 	s.dropDynLocked(done.JobID)
 	s.cl.Release(j.ID)
-	s.deactivateLocked(done.JobID)
+	s.active.Remove(j.ID)
 	ji.stopKillTimerLocked()
 	j.State = job.Completed
 	j.EndTime = s.now()
