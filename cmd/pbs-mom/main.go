@@ -13,6 +13,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"repro/internal/cluster"
 	"repro/internal/mom"
 	"repro/internal/proto"
 )
@@ -35,6 +36,10 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pbs-mom: %v\n", err)
 		os.Exit(1)
+	}
+	if !cluster.ValidNodeCores(*cores) {
+		fmt.Fprintf(os.Stderr, "pbs-mom: -cores %d outside [1, %d]; the server would refuse the node\n", *cores, cluster.MaxNodeCores)
+		os.Exit(2)
 	}
 	m := mom.New(*name, *cores)
 	m.Verbose = *verbose
