@@ -41,8 +41,7 @@ type Node struct {
 	Cores int
 	State NodeState
 
-	used  int
-	owner map[job.ID]int // cores held per job on this node
+	used int
 }
 
 // Used returns the number of cores currently allocated on the node.
@@ -54,19 +53,6 @@ func (n *Node) Free() int {
 		return 0
 	}
 	return n.Cores - n.used
-}
-
-// HeldBy returns the cores job id holds on this node.
-func (n *Node) HeldBy(id job.ID) int { return n.owner[id] }
-
-// Jobs returns the IDs of jobs holding cores on this node, sorted.
-func (n *Node) Jobs() []job.ID {
-	ids := make([]job.ID, 0, len(n.owner))
-	for id := range n.owner {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // Slice is one element of an Alloc: cores on a specific node.
@@ -154,7 +140,6 @@ func (c *Cluster) AddNode(name string, cores int) *Node {
 		ID:    len(c.nodes),
 		Name:  name,
 		Cores: cores,
-		owner: make(map[job.ID]int),
 	}
 	c.nodes = append(c.nodes, n)
 	c.idle += cores
@@ -293,18 +278,15 @@ func (c *Cluster) AllocateOn(id job.ID, nodeID, cores int) Alloc {
 
 func (c *Cluster) apply(id job.ID, alloc Alloc) {
 	for _, s := range alloc {
-		c.hold(c.nodes[s.NodeID], id, s.Cores)
+		c.hold(c.nodes[s.NodeID], s.Cores)
 	}
 	c.allocs[id] = append(c.allocs[id], alloc...)
 }
 
-// hold changes the cores job id holds on node n by delta, keeping the
+// hold changes the cores in use on node n by delta, keeping the
 // cluster's idle and used counts current.
-func (c *Cluster) hold(n *Node, id job.ID, delta int) {
+func (c *Cluster) hold(n *Node, delta int) {
 	n.used += delta
-	if n.owner[id] += delta; n.owner[id] <= 0 {
-		delete(n.owner, id)
-	}
 	if n.State == Up {
 		c.idle -= delta
 		c.used += delta
@@ -314,7 +296,7 @@ func (c *Cluster) hold(n *Node, id job.ID, delta int) {
 // Release frees every core held by the job.
 func (c *Cluster) Release(id job.ID) {
 	for _, s := range c.allocs[id] {
-		c.hold(c.nodes[s.NodeID], id, -s.Cores)
+		c.hold(c.nodes[s.NodeID], -s.Cores)
 	}
 	delete(c.allocs, id)
 }
@@ -337,7 +319,7 @@ func (c *Cluster) ReleasePartial(id job.ID, part Alloc) error {
 	}
 	// Apply.
 	for _, s := range part {
-		c.hold(c.nodes[s.NodeID], id, -s.Cores)
+		c.hold(c.nodes[s.NodeID], -s.Cores)
 	}
 	var remaining Alloc
 	for nodeID, cores := range heldPer {
@@ -355,12 +337,12 @@ func (c *Cluster) ReleasePartial(id job.ID, part Alloc) error {
 }
 
 // SetNodeState changes a node's availability. Marking a node Down or
-// Offline does not release allocations automatically; the RMS decides
-// what to do with affected jobs (it returns their IDs).
-func (c *Cluster) SetNodeState(nodeID int, s NodeState) []job.ID {
+// Offline does not release allocations; the resource manager decides
+// what to do with the jobs holding cores there (AllocOf names them).
+func (c *Cluster) SetNodeState(nodeID int, s NodeState) {
 	n := c.Node(nodeID)
 	if n == nil {
-		return nil
+		return
 	}
 	if was := n.State == Up; was != (s == Up) {
 		sign := 1
@@ -371,10 +353,6 @@ func (c *Cluster) SetNodeState(nodeID int, s NodeState) []job.ID {
 		c.used += sign * n.used
 	}
 	n.State = s
-	if s == Up {
-		return nil
-	}
-	return n.Jobs()
 }
 
 // Snapshot returns free cores per node (index = node ID); used by the
@@ -387,25 +365,18 @@ func (c *Cluster) Snapshot() []int {
 	return free
 }
 
-// CheckInvariants validates internal accounting; tests call it after
-// mutation sequences.
+// CheckInvariants recounts every node's usage from the allocations and
+// compares it, and the idle/used totals, with the kept counts; tests
+// call it after mutation sequences.
 func (c *Cluster) CheckInvariants() error {
 	perNode := make(map[int]int)
 	idle, used := 0, 0
 	for id, alloc := range c.allocs {
-		seen := make(map[int]int)
 		for _, s := range alloc {
 			if s.Cores <= 0 {
 				return fmt.Errorf("job %s holds non-positive slice on node%d", id, s.NodeID)
 			}
 			perNode[s.NodeID] += s.Cores
-			seen[s.NodeID] += s.Cores
-		}
-		for nodeID, cores := range seen {
-			if c.nodes[nodeID].owner[id] != cores {
-				return fmt.Errorf("job %s: alloc says %d cores on node%d, node says %d",
-					id, cores, nodeID, c.nodes[nodeID].owner[id])
-			}
 		}
 	}
 	for _, n := range c.nodes {

@@ -172,9 +172,9 @@ func TestNodeStates(t *testing.T) {
 	c.Allocate(1, 8)
 	// Find the node job 1 landed on.
 	nodeID := c.AllocOf(1)[0].NodeID
-	affected := c.SetNodeState(nodeID, Down)
-	if len(affected) != 1 || affected[0] != 1 {
-		t.Errorf("affected = %v", affected)
+	c.SetNodeState(nodeID, Down)
+	if a := c.AllocOf(1); len(a) != 1 || a[0].NodeID != nodeID || a[0].Cores != 8 {
+		t.Errorf("a down node keeps its allocations; job 1 holds %v", a)
 	}
 	if c.TotalCores() != 16 {
 		t.Errorf("total cores with one down node = %d", c.TotalCores())
@@ -186,7 +186,8 @@ func TestNodeStates(t *testing.T) {
 	if c.TotalCores() != 24 {
 		t.Error("node back up")
 	}
-	if c.SetNodeState(99, Down) != nil {
+	c.SetNodeState(99, Down) // a bogus node id is a no-op
+	if c.TotalCores() != 24 || c.CheckInvariants() != nil {
 		t.Error("bogus node id should be a no-op")
 	}
 	if Up.String() != "up" || Down.String() != "down" || Offline.String() != "offline" {

@@ -38,33 +38,19 @@ type FaultAwareApp interface {
 // per the server's FailurePolicy. Returns the affected job IDs.
 func (s *Server) FailNode(nodeID int) []job.ID {
 	now := s.eng.Now()
-	affected := s.cl.SetNodeState(nodeID, cluster.Down)
+	s.Cluster().SetNodeState(nodeID, cluster.Down)
 	if s.Trace != nil {
 		s.Trace.Addf(now, trace.NodeDown, "", 0, "node%d failed", nodeID)
 	}
-	node := s.cl.Node(nodeID)
-	for _, id := range affected {
-		j, ok := s.active.Get(id)
-		if !ok {
-			continue
-		}
-		lost := node.HeldBy(id)
-		if lost <= 0 {
-			continue
-		}
-		// Strip the dead cores from the allocation.
+	var affected []job.ID
+	for _, j := range s.JobsOn(nodeID) {
+		affected = append(affected, j.ID)
 		origCores := j.Cores
-		if err := s.cl.ReleasePartial(id, cluster.Alloc{{NodeID: nodeID, Cores: lost}}); err != nil {
+		lost := s.StripNode(j, nodeID, now)
+		if lost == 0 {
 			continue
 		}
-		if lost > j.DynCores {
-			j.Cores -= lost - j.DynCores
-			j.DynCores = 0
-		} else {
-			j.DynCores -= lost
-		}
-		s.observeUsage()
-		if app, ok := s.apps[id].(FaultAwareApp); ok && app.OnNodeFailure(s, j, lost, now) {
+		if app, ok := s.apps[j.ID].(FaultAwareApp); ok && app.OnNodeFailure(s, j, lost, now) {
 			continue // the application absorbs the failure
 		}
 		// Fallback: the job cannot continue degraded. Restore the
@@ -78,25 +64,25 @@ func (s *Server) FailNode(nodeID int) []job.ID {
 			s.CancelJob(j)
 		}
 	}
-	s.bump()
+	s.Bump(nil)
 	s.requestIteration()
 	return affected
 }
 
 // RepairNode returns a Down/Offline node to service.
 func (s *Server) RepairNode(nodeID int) {
-	s.cl.SetNodeState(nodeID, cluster.Up)
+	s.Cluster().SetNodeState(nodeID, cluster.Up)
 	if s.Trace != nil {
 		s.Trace.Addf(s.eng.Now(), trace.NodeUp, "", 0, "node%d repaired", nodeID)
 	}
-	s.bump()
+	s.Bump(nil)
 	s.requestIteration()
 }
 
 // DrainNode marks a node Offline (administrative): running jobs keep
 // their cores, but nothing new is placed there.
 func (s *Server) DrainNode(nodeID int) {
-	s.cl.SetNodeState(nodeID, cluster.Offline)
-	s.bump()
+	s.Cluster().SetNodeState(nodeID, cluster.Offline)
+	s.Bump(nil)
 	s.requestIteration()
 }

@@ -29,29 +29,18 @@ func (s *Server) ShrinkJob(j *job.Job, cores int) error {
 		return fmt.Errorf("rms: %s cannot release %d cores (shrinkable by %d)", j.ID, cores, j.ShrinkableBy())
 	}
 	// Pick slices to release from the tail of the allocation.
-	held := s.cl.AllocOf(j.ID)
+	held := s.Cluster().AllocOf(j.ID)
 	var part cluster.Alloc
 	remaining := cores
 	for i := len(held) - 1; i >= 0 && remaining > 0; i-- {
-		take := held[i].Cores
-		if take > remaining {
-			take = remaining
-		}
+		take := min(held[i].Cores, remaining)
 		part = append(part, cluster.Slice{NodeID: held[i].NodeID, Cores: take})
 		remaining -= take
 	}
-	if err := s.cl.ReleasePartial(j.ID, part); err != nil {
+	if err := s.Release(j, part, s.eng.Now()); err != nil {
 		return err
 	}
-	if cores > j.DynCores {
-		j.Cores -= cores - j.DynCores
-		j.DynCores = 0
-	} else {
-		j.DynCores -= cores
-	}
-	s.observeUsage()
 	s.traceEvent(trace.Shrink, j, cores, "")
-	s.bump()
 	s.notifyResize(j)
 	return nil
 }
@@ -68,14 +57,11 @@ func (s *Server) GrowJob(j *job.Job, cores int) (cluster.Alloc, error) {
 	if cores <= 0 || cores > j.GrowableBy() {
 		return nil, fmt.Errorf("rms: %s cannot accept %d cores (growable by %d)", j.ID, cores, j.GrowableBy())
 	}
-	alloc := s.cl.Allocate(j.ID, cores)
-	if alloc == nil {
-		return nil, fmt.Errorf("rms: cannot place %d cores for %s", cores, j.ID)
+	alloc, err := s.Grow(j, cores, s.eng.Now())
+	if err != nil {
+		return nil, err
 	}
-	j.DynCores += cores
-	s.observeUsage()
 	s.traceEvent(trace.Grow, j, cores, "")
-	s.bump()
 	s.notifyResize(j)
 	return alloc, nil
 }

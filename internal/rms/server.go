@@ -1,9 +1,8 @@
 // Package rms implements the resource manager (the Torque pbs_server
-// analog) for the discrete-event simulator: it owns the job queue, the
-// running set, the FIFO dynamic-request queue and the job lifecycle,
-// implements core.ResourceManager for the scheduler, and drives
-// application behaviour models (rigid and evolving) over the
-// simulation engine.
+// analog) for the discrete-event simulator: it runs the shared job
+// lifecycle (core.Lifecycle) as core.ResourceManager for the scheduler,
+// and drives application behaviour models (rigid, evolving, malleable)
+// over the simulation engine.
 //
 // The live TCP daemons in internal/serverd and internal/mom implement
 // the same protocol against real sockets; this package is the
@@ -11,9 +10,6 @@
 package rms
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/job"
@@ -39,32 +35,21 @@ type App interface {
 	OnPreempt(s *Server, j *job.Job, now sim.Time)
 }
 
-// Server is the simulated resource manager.
+// Server is the simulated resource manager: the shared job lifecycle
+// (core.Lifecycle) with the simulator's side effects — engine events,
+// application callbacks, trace events and scheduling cycles — around
+// each transition.
 type Server struct {
-	eng   *sim.Engine
-	cl    *cluster.Cluster
-	sched *core.Scheduler
-	rec   *metrics.Recorder
+	core.Lifecycle
 
-	// queue holds the queued jobs in submission order, active the
-	// running ones in id order.
-	queue  job.Queue         //schedlint:epoch-guarded by bumpQueue
-	active job.RunSet        //schedlint:epoch-guarded by bump
-	dyn    []*job.DynRequest //schedlint:epoch-guarded by bump
-	dynSeq int
+	eng   *sim.Engine
+	sched *core.Scheduler
 
 	apps      map[job.ID]App
 	endEvents map[job.ID]*sim.Event
 	appEvents map[job.ID][]*sim.Event
 
-	// dynGrants tracks first-grant times for metrics.
-	dynGrants map[job.ID]sim.Time
-
-	nextID job.ID
-
 	iterPending bool
-	completed   int
-	submitted   int
 
 	// OnIteration, when set, observes every scheduler iteration result
 	// (used by experiment harnesses and tests).
@@ -83,49 +68,18 @@ type Server struct {
 	// FailurePolicy selects the fallback for jobs hit by node
 	// failures whose application is not fault-aware (see failure.go).
 	FailurePolicy FailurePolicy
-
-	cancelled int
-
-	// epoch/qlog implement core.ChangeTracker and core.QueueLogger:
-	// epoch advances on every externally visible state mutation, qlog
-	// on the subset that changes queue membership, remembering the job.
-	// The scheduler's event-driven requeue and its sorted job table key
-	// off them.
-	epoch uint64
-	qlog  core.QueueLog
 }
-
-// bump advances the state epoch after a cluster/job mutation.
-func (s *Server) bump() { s.epoch++ }
-
-// bumpQueue advances both epochs after a change of j's queue
-// membership.
-//
-//schedlint:epoch-bump subsumes bump
-func (s *Server) bumpQueue(j *job.Job) { s.epoch++; s.qlog.Bump(j) }
-
-// StateEpoch implements core.ChangeTracker.
-func (s *Server) StateEpoch() uint64 { return s.epoch }
-
-// QueueEpoch implements core.ChangeTracker.
-func (s *Server) QueueEpoch() uint64 { return s.qlog.Epoch() }
-
-// QueueChanges implements core.QueueLogger.
-func (s *Server) QueueChanges(since uint64) ([]*job.Job, bool) { return s.qlog.Since(since) }
 
 // NewServer wires a server to an engine, cluster, scheduler and
 // metrics recorder.
 func NewServer(eng *sim.Engine, cl *cluster.Cluster, sched *core.Scheduler, rec *metrics.Recorder) *Server {
 	return &Server{
+		Lifecycle: core.NewLifecycle(cl, sched.Fairshare(), rec),
 		eng:       eng,
-		cl:        cl,
 		sched:     sched,
-		rec:       rec,
 		apps:      make(map[job.ID]App),
 		endEvents: make(map[job.ID]*sim.Event),
 		appEvents: make(map[job.ID][]*sim.Event),
-		dynGrants: make(map[job.ID]sim.Time),
-		nextID:    1,
 
 		EnforceWalltime: true,
 	}
@@ -137,43 +91,13 @@ func (s *Server) Engine() *sim.Engine { return s.eng }
 // Scheduler returns the attached scheduler.
 func (s *Server) Scheduler() *core.Scheduler { return s.sched }
 
-// Recorder returns the metrics recorder.
-func (s *Server) Recorder() *metrics.Recorder { return s.rec }
-
-// Completed returns the number of jobs that finished.
-func (s *Server) Completed() int { return s.completed }
-
-// Cancelled returns the number of jobs killed (walltime or qdel).
-func (s *Server) Cancelled() int { return s.cancelled }
-
-// Submitted returns the number of jobs submitted so far.
-func (s *Server) Submitted() int { return s.submitted }
-
-// NewJobID hands out server-unique job IDs.
-func (s *Server) NewJobID() job.ID {
-	id := s.nextID
-	s.nextID++
-	return id
-}
-
 // Submit enqueues a job with its application model at the current
 // virtual time and triggers a scheduling cycle. Jobs without an ID get
 // one assigned.
 func (s *Server) Submit(j *job.Job, app App) {
-	if j.ID == 0 {
-		j.ID = s.NewJobID()
-	}
-	now := s.eng.Now()
-	j.SubmitTime = now
-	j.State = job.Queued
-	s.queue.Push(j)
+	s.Lifecycle.Submit(j, s.eng.Now())
 	s.apps[j.ID] = app
-	s.submitted++
-	if s.rec != nil {
-		s.rec.ObserveSubmit(now)
-	}
 	s.traceEvent(trace.Submit, j, j.Cores, "")
-	s.bumpQueue(j)
 	s.requestIteration()
 }
 
@@ -215,9 +139,8 @@ type SubmitItem struct {
 
 // RequestDyn files a dynamic allocation request on behalf of a running
 // job (the tm_dynget path: application → mom → mother superior →
-// server). Only one pending request per job is admitted, mirroring the
-// mother-superior serialization in §III-B. The job enters the
-// DynQueued state and a scheduling cycle is triggered.
+// server). The job enters the DynQueued state and a scheduling cycle
+// is triggered.
 func (s *Server) RequestDyn(j *job.Job, cores int) error {
 	return s.requestDyn(&job.DynRequest{Job: j, Cores: cores, IssuedAt: s.eng.Now()})
 }
@@ -243,35 +166,18 @@ func (s *Server) RequestDynTimeout(j *job.Job, cores int, timeout sim.Duration) 
 	}
 	s.eng.ScheduleAt(r.Deadline, "dyn deadline", func(sim.Time) {
 		// Still pending at the deadline: deliver the final rejection.
-		for _, p := range s.dyn {
-			if p == r {
-				s.RejectDyn(r, "negotiation deadline expired")
-				return
-			}
+		if s.PendingDyn(j.ID) == r {
+			s.RejectDyn(r, "negotiation deadline expired")
 		}
 	})
 	return nil
 }
 
 func (s *Server) requestDyn(r *job.DynRequest) error {
-	j := r.Job
-	if j.State != job.Running {
-		return fmt.Errorf("rms: %s is %s; dynamic requests require a running job", j.ID, j.State)
-	}
-	for _, p := range s.dyn {
-		if p.Job.ID == j.ID {
-			return fmt.Errorf("rms: %s already has a pending dynamic request", j.ID)
-		}
-	}
-	if err := r.Validate(); err != nil {
+	if err := s.QueueDyn(r); err != nil {
 		return err
 	}
-	r.Seq = s.dynSeq
-	s.dynSeq++
-	j.State = job.DynQueued
-	s.dyn = append(s.dyn, r)
-	s.traceEvent(trace.DynRequest, j, r.TotalCores(), "")
-	s.bump()
+	s.traceEvent(trace.DynRequest, r.Job, r.TotalCores(), "")
 	s.requestIteration()
 	return nil
 }
@@ -280,23 +186,10 @@ func (s *Server) requestDyn(r *job.DynRequest) error {
 // dyn_disjoin): any subset may be released, and freed resources become
 // schedulable immediately.
 func (s *Server) DynFree(j *job.Job, part cluster.Alloc) error {
-	if !j.Active() {
-		return fmt.Errorf("rms: %s is not active", j.ID)
-	}
-	if err := s.cl.ReleasePartial(j.ID, part); err != nil {
+	if err := s.Release(j, part, s.eng.Now()); err != nil {
 		return err
 	}
-	released := part.TotalCores()
-	if released > j.DynCores {
-		// Releasing below the original request shrinks the base.
-		j.Cores -= released - j.DynCores
-		j.DynCores = 0
-	} else {
-		j.DynCores -= released
-	}
-	s.observeUsage()
-	s.traceEvent(trace.DynFree, j, released, "")
-	s.bump()
+	s.traceEvent(trace.DynFree, j, part.TotalCores(), "")
 	s.requestIteration()
 	return nil
 }
@@ -322,7 +215,12 @@ func (s *Server) ScheduleAppEvent(j *job.Job, at sim.Time, label string, fn func
 	s.appEvents[j.ID] = append(s.appEvents[j.ID], ev)
 }
 
-func (s *Server) cancelAppEvents(id job.ID) {
+// dropEvents voids the job's completion and application events.
+func (s *Server) dropEvents(id job.ID) {
+	if ev, ok := s.endEvents[id]; ok {
+		ev.Cancel()
+		delete(s.endEvents, id)
+	}
 	for _, ev := range s.appEvents[id] {
 		ev.Cancel()
 	}
@@ -332,51 +230,12 @@ func (s *Server) cancelAppEvents(id job.ID) {
 // CompleteJob finishes a running job: resources are released, metrics
 // recorded, fairshare charged, and a scheduling cycle triggered.
 func (s *Server) CompleteJob(j *job.Job) {
-	if !j.Active() {
+	if !s.Complete(j, s.eng.Now()) {
 		return
 	}
-	now := s.eng.Now()
-	// A job that finishes while its dynamic request is still pending
-	// abandons the request.
-	s.dropDynRequest(j.ID)
-	s.cl.Release(j.ID)
-	s.active.Remove(j.ID)
-	if ev, ok := s.endEvents[j.ID]; ok {
-		ev.Cancel()
-		delete(s.endEvents, j.ID)
-	}
-	s.cancelAppEvents(j.ID)
-	j.State = job.Completed
-	j.EndTime = now
-	s.completed++
-	if s.rec != nil {
-		grantAt, granted := s.dynGrants[j.ID]
-		s.rec.AddJob(metrics.JobRecord{
-			ID: j.ID, Type: jobType(j), User: j.Cred.User, Cores: j.TotalCores(),
-			Submit: j.SubmitTime, Start: j.StartTime, End: now,
-			Backfilled: j.Backfilled, Evolving: j.Class == job.Evolving,
-			DynGranted: granted, GrantTime: grantAt,
-		})
-		s.observeUsage()
-	}
-	s.sched.Fairshare().Record(j.Cred.User, float64(j.TotalCores())*sim.SecondsOf(now-j.StartTime))
+	s.dropEvents(j.ID)
 	s.traceEvent(trace.Complete, j, j.TotalCores(), "")
-	s.bump()
 	s.requestIteration()
-}
-
-// jobType derives the workload type tag from the job name ("L.12" → "L").
-func jobType(j *job.Job) string {
-	if i := strings.IndexByte(j.Name, '.'); i > 0 {
-		return j.Name[:i]
-	}
-	return j.Name
-}
-
-func (s *Server) observeUsage() {
-	if s.rec != nil {
-		s.rec.ObserveUsage(s.eng.Now(), s.cl.UsedCores())
-	}
 }
 
 // traceEvent records a lifecycle event when tracing is enabled.
@@ -392,15 +251,6 @@ func (s *Server) traceEvent(k trace.Kind, j *job.Job, cores int, note string) {
 		}
 	}
 	s.Trace.Add(trace.Event{At: s.eng.Now(), Kind: k, Job: name, Cores: cores, Note: note})
-}
-
-func (s *Server) dropDynRequest(id job.ID) {
-	for i, r := range s.dyn {
-		if r.Job.ID == id {
-			s.dyn = append(s.dyn[:i], s.dyn[i+1:]...)
-			return
-		}
-	}
 }
 
 // requestIteration schedules a scheduling cycle at the current virtual
@@ -423,39 +273,15 @@ func (s *Server) requestIteration() {
 	})
 }
 
-// --- core.ResourceManager implementation ---
+// --- core.ResourceManager: the scheduler's callbacks ---
 
-// Cluster returns the managed cluster.
-func (s *Server) Cluster() *cluster.Cluster { return s.cl }
-
-// QueuedJobs returns the queued static jobs (submission order).
-func (s *Server) QueuedJobs() []*job.Job {
-	return s.queue.Jobs()
-}
-
-// ActiveJobs returns running and dynqueued jobs in ID order.
-func (s *Server) ActiveJobs() []*job.Job {
-	return s.active.Jobs()
-}
-
-// DynRequests returns pending dynamic requests in FIFO order.
-func (s *Server) DynRequests() []*job.DynRequest {
-	return append([]*job.DynRequest(nil), s.dyn...)
-}
-
-// StartJob allocates and starts a queued job (scheduler callback).
+// StartJob allocates and starts a queued job.
 func (s *Server) StartJob(j *job.Job) (cluster.Alloc, error) {
-	alloc := s.cl.Allocate(j.ID, j.Cores)
-	if alloc == nil {
-		return nil, fmt.Errorf("rms: cannot place %d cores for %s", j.Cores, j.ID)
-	}
 	now := s.eng.Now()
-	s.queue.Remove(j)
-	j.State = job.Running
-	j.StartTime = now
-	s.active.Add(j)
-	s.bumpQueue(j)
-	s.observeUsage()
+	alloc, err := s.Start(j, 0, 0, now, nil)
+	if err != nil {
+		return nil, err
+	}
 	if j.Backfilled {
 		s.traceEvent(trace.Backfill, j, j.Cores, "")
 	} else {
@@ -478,61 +304,26 @@ func (s *Server) StartJob(j *job.Job) (cluster.Alloc, error) {
 }
 
 // CancelJob terminates a job (walltime expiry or qdel). Queued jobs
-// are dropped from the queue; active jobs release their resources. The
-// job is recorded in metrics with its cancellation time.
+// are dropped from the queue; active jobs release their resources and
+// are charged for what they used.
 func (s *Server) CancelJob(j *job.Job) {
-	now := s.eng.Now()
-	switch {
-	case j.State == job.Queued:
-		s.queue.Remove(j)
-		s.bumpQueue(j)
-	case j.Active():
-		s.dropDynRequest(j.ID)
-		s.cl.Release(j.ID)
-		s.active.Remove(j.ID)
-		if ev, ok := s.endEvents[j.ID]; ok {
-			ev.Cancel()
-			delete(s.endEvents, j.ID)
-		}
-		s.cancelAppEvents(j.ID)
-		s.sched.Fairshare().Record(j.Cred.User, float64(j.TotalCores())*sim.SecondsOf(now-j.StartTime))
-		s.observeUsage()
-		// The bump must follow the mutations: bumping first would let a
-		// scheduler cache validated against the new epoch serve the
-		// pre-cancellation active set.
-		s.bump()
-	default:
+	if !s.Cancel(j, s.eng.Now()) {
 		return
 	}
-	j.State = job.Cancelled
-	j.EndTime = now
-	s.cancelled++
+	s.dropEvents(j.ID)
 	s.traceEvent(trace.Cancel, j, j.TotalCores(), "")
 	s.requestIteration()
 }
 
-// GrantDyn expands a job's allocation per the request (scheduler
-// callback) and notifies the application (the tm_dynget reply with the
-// new hostlist, Fig. 3 step 6-7).
+// GrantDyn expands a job's allocation per the request and notifies the
+// application (the tm_dynget reply with the new hostlist, Fig. 3 step
+// 6-7).
 func (s *Server) GrantDyn(r *job.DynRequest) (cluster.Alloc, error) {
-	var alloc cluster.Alloc
-	if r.Nodes > 0 {
-		alloc = s.cl.AllocateNodes(r.Job.ID, r.Nodes, r.PPN)
-	} else {
-		alloc = s.cl.Allocate(r.Job.ID, r.Cores)
-	}
-	if alloc == nil {
-		return nil, fmt.Errorf("rms: cannot place dynamic request for %s", r.Job.ID)
-	}
 	now := s.eng.Now()
-	r.Job.DynCores += r.TotalCores()
-	r.Job.State = job.Running
-	if _, ok := s.dynGrants[r.Job.ID]; !ok {
-		s.dynGrants[r.Job.ID] = now
+	alloc, err := s.Grant(r, now)
+	if err != nil {
+		return nil, err
 	}
-	s.dropDynRequest(r.Job.ID)
-	s.bump()
-	s.observeUsage()
 	s.traceEvent(trace.DynGrant, r.Job, r.TotalCores(), alloc.String())
 	if app := s.apps[r.Job.ID]; app != nil {
 		app.OnDynResult(s, r.Job, true, now)
@@ -540,40 +331,24 @@ func (s *Server) GrantDyn(r *job.DynRequest) (cluster.Alloc, error) {
 	return alloc, nil
 }
 
-// RejectDyn declines a request (scheduler callback); the application
-// continues on its current allocation and may retry later.
+// RejectDyn declines a request; the application continues on its
+// current allocation and may retry later.
 func (s *Server) RejectDyn(r *job.DynRequest, reason string) {
-	r.Job.State = job.Running
-	s.dropDynRequest(r.Job.ID)
-	s.bump()
+	s.Reject(r)
 	s.traceEvent(trace.DynReject, r.Job, r.TotalCores(), reason)
 	if app := s.apps[r.Job.ID]; app != nil {
 		app.OnDynResult(s, r.Job, false, s.eng.Now())
 	}
 }
 
-// Preempt stops a running job and requeues it (scheduler callback,
-// PREEMPTPOLICY REQUEUE). The restarted job runs from scratch.
+// Preempt stops a running job and requeues it (PREEMPTPOLICY
+// REQUEUE). The restarted job runs from scratch.
 func (s *Server) Preempt(j *job.Job) error {
-	if !j.Active() {
-		return fmt.Errorf("rms: %s is not active", j.ID)
-	}
 	now := s.eng.Now()
-	s.dropDynRequest(j.ID)
-	s.cl.Release(j.ID)
-	s.active.Remove(j.ID)
-	if ev, ok := s.endEvents[j.ID]; ok {
-		ev.Cancel()
-		delete(s.endEvents, j.ID)
+	if err := s.Requeue(j, now); err != nil {
+		return err
 	}
-	s.cancelAppEvents(j.ID)
-	j.State = job.Queued
-	j.StartTime = 0
-	j.DynCores = 0
-	j.Backfilled = false
-	s.queue.Push(j)
-	s.bumpQueue(j)
-	s.observeUsage()
+	s.dropEvents(j.ID)
 	s.traceEvent(trace.Preempt, j, j.Cores, "")
 	if app := s.apps[j.ID]; app != nil {
 		app.OnPreempt(s, j, now)

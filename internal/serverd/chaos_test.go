@@ -173,14 +173,14 @@ func TestChaosMomKilledWithPendingDyn(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return len(srv.dyn) == 1
+		return len(srv.rm.DynRequests()) == 1
 	}, "dyn request parked")
 	ms := msNodeOf(t, srv, id)
 	momByName(t, moms, ms).Close()
 
 	waitFor(t, 5*time.Second, func() bool { return jobState(srv, id) == "cancelled" }, "job cancelled")
 	srv.mu.Lock()
-	pending := len(srv.dyn)
+	pending := len(srv.rm.DynRequests())
 	leaked := srv.jobs[id].negTimer != nil
 	srv.mu.Unlock()
 	if pending != 0 {
@@ -280,7 +280,7 @@ func TestChaosVerdictBufferedAndReplayed(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return len(srv.dyn) == 1
+		return len(srv.rm.DynRequests()) == 1
 	}, "dyn request parked")
 
 	// Cut the mother superior's link server-side (the mom will notice

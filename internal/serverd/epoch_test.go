@@ -31,7 +31,7 @@ func TestDispatchRollbackAdvancesEpochs(t *testing.T) {
 	local, remote := net.Pipe()
 	remote.Close()
 	defer local.Close()
-	n := srv.cl.AddNode("deadmom", 8)
+	n := srv.rm.Cluster().AddNode("deadmom", 8)
 	ni := &nodeInfo{node: n, addr: "dead:0", conn: proto.NewConn(local)}
 	srv.nodes["deadmom"] = ni
 	srv.nodeByID[n.ID] = ni
@@ -43,18 +43,18 @@ func TestDispatchRollbackAdvancesEpochs(t *testing.T) {
 
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	rm := (*serverRM)(srv)
+	rm := &srv.rm
 	j := srv.jobs[id].j
 	e0, q0 := rm.StateEpoch(), rm.QueueEpoch()
 	if _, err := rm.StartJob(j); err == nil {
 		t.Fatal("dispatch over a dead mom link must fail")
 	}
-	if q := srv.queue.Jobs(); j.State != job.Queued || len(q) != 1 || q[0] != j || srv.active.Len() != 0 {
+	if q := rm.QueuedJobs(); j.State != job.Queued || len(q) != 1 || q[0] != j || len(rm.ActiveJobs()) != 0 {
 		t.Fatalf("rollback incomplete: state=%v queued=%d active=%d",
-			j.State, len(q), srv.active.Len())
+			j.State, len(q), len(rm.ActiveJobs()))
 	}
-	if srv.cl.UsedCores() != 0 {
-		t.Fatalf("rollback leaked %d cores", srv.cl.UsedCores())
+	if rm.Cluster().UsedCores() != 0 {
+		t.Fatalf("rollback leaked %d cores", rm.Cluster().UsedCores())
 	}
 	// Two mutation rounds (dispatch, rollback) → at least two bumps of
 	// each epoch. One bump would mean the rollback mutated the queue

@@ -116,7 +116,7 @@ func TestRegisterRefusesImpossibleCoreCounts(t *testing.T) {
 		}
 	}
 	srv.mu.Lock()
-	nodes, clNodes := len(srv.nodes), srv.cl.NumNodes()
+	nodes, clNodes := len(srv.nodes), srv.rm.Cluster().NumNodes()
 	srv.mu.Unlock()
 	if nodes != 1 || clNodes != 1 {
 		t.Fatalf("%d nodes registered, %d in the cluster; want only the real mom", nodes, clNodes)
@@ -310,6 +310,43 @@ func TestLiveWalltimeEnforcement(t *testing.T) {
 		if n.Used != 0 {
 			t.Errorf("killed job left cores on %s", n.Name)
 		}
+	}
+}
+
+// TestLiveWalltimeKillChargesFairshare: a running job killed at its
+// walltime has used its cores all the same, so its user is charged for
+// them, as on completion.
+func TestLiveWalltimeKillChargesFairshare(t *testing.T) {
+	leak.Check(t)
+	srv := liveCluster(t, 1, 8)
+	id, err := srv.QSub(proto.JobSpec{
+		Name: "overrun", User: "hog", Cores: 8, WallSecs: 1, Script: "sleep:1h",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return jobState(srv, id) == "cancelled" }, "walltime kill")
+	srv.mu.Lock()
+	usage := srv.opts.Sched.Fairshare().Usage("hog")
+	srv.mu.Unlock()
+	if usage < 7 { // 8 cores for ~1 s
+		t.Errorf("fairshare usage after a walltime kill = %.2f core-seconds, want about 8", usage)
+	}
+}
+
+// TestLiveJobRecordTypeIsNamePrefix: the live server records a job's
+// workload type as the simulator does, so a named ESP job is found by
+// its type.
+func TestLiveJobRecordTypeIsNamePrefix(t *testing.T) {
+	leak.Check(t)
+	srv := liveCluster(t, 1, 8)
+	id, err := srv.QSub(proto.JobSpec{Name: "L.3", User: "u", Cores: 2, WallSecs: 60, Script: "sleep:10ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 3*time.Second, func() bool { return jobState(srv, id) == "completed" }, "job completion")
+	if recs := srv.Recorder().JobsOfType("L"); len(recs) != 1 || int(recs[0].ID) != id {
+		t.Errorf("JobsOfType(\"L\") = %+v, want job %d", recs, id)
 	}
 }
 

@@ -22,9 +22,9 @@ func TestQueueIndexKeepsOrder(t *testing.T) {
 		t.Helper()
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		got := srv.queue.Jobs()
-		if len(got) != len(want) || srv.queue.Len() != len(want) {
-			t.Fatalf("%s: %d queued (Len %d), want %d", when, len(got), srv.queue.Len(), len(want))
+		got := srv.rm.QueuedJobs()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d queued, want %d", when, len(got), len(want))
 		}
 		for i, j := range got {
 			if int(j.ID) != want[i] {

@@ -5,56 +5,20 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/proto"
 	"repro/internal/sim"
 )
 
-// serverRM adapts the live server to core.ResourceManager. All methods
-// are invoked with s.mu held (from schedLoop or applyCommit).
-type serverRM Server
-
-func (r *serverRM) s() *Server { return (*Server)(r) }
-
-// StateEpoch implements core.ChangeTracker: it advances on every
-// scheduler-visible mutation, letting canSkip elide whole iterations
-// while the daemon is idle between kicks.
-//
-//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
-func (r *serverRM) StateEpoch() uint64 { return r.serial }
-
-// QueueEpoch implements the queue half of core.ChangeTracker: it
-// advances only on queue-membership changes, keying the scheduler's
-// sorted-order cache.
-//
-//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
-func (r *serverRM) QueueEpoch() uint64 { return r.qlog.Epoch() }
-
-// QueueChanges implements core.QueueLogger.
-//
-//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
-func (r *serverRM) QueueChanges(since uint64) ([]*job.Job, bool) { return r.qlog.Since(since) }
-
-// Cluster returns the live cluster mirror.
-//
-//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
-func (r *serverRM) Cluster() *cluster.Cluster { return r.cl }
-
-// QueuedJobs returns the queued jobs in submission order.
-//
-//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
-func (r *serverRM) QueuedJobs() []*job.Job { return r.queue.Jobs() }
-
-// ActiveJobs returns running/dynqueued jobs in ID order.
-//
-//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
-func (r *serverRM) ActiveJobs() []*job.Job { return r.active.Jobs() }
-
-// DynRequests returns the pending dynamic requests in FIFO order.
-//
-//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
-func (r *serverRM) DynRequests() []*job.DynRequest {
-	return append([]*job.DynRequest(nil), r.dyn...)
+// serverRM is the live server's job lifecycle: core.Lifecycle, with
+// the daemon's side effects — walltime and negotiation timers, RunJob
+// and KillJob messages to moms, dyn verdict delivery, host slices — around
+// each transition. It is the core.ResourceManager of the embedded
+// scheduler and of applyCommit. All methods are invoked with s.mu held.
+type serverRM struct {
+	core.Lifecycle
+	s *Server
 }
 
 // hostsOf renders an allocation as host slices with mom addresses.
@@ -63,7 +27,7 @@ func (r *serverRM) DynRequests() []*job.DynRequest {
 func (r *serverRM) hostsOf(alloc cluster.Alloc) []proto.HostSlice {
 	out := make([]proto.HostSlice, 0, len(alloc))
 	for _, sl := range alloc {
-		ni := r.nodeByID[sl.NodeID]
+		ni := r.s.nodeByID[sl.NodeID]
 		if ni == nil {
 			continue
 		}
@@ -77,38 +41,27 @@ func (r *serverRM) hostsOf(alloc cluster.Alloc) []proto.HostSlice {
 //
 //lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
 func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
-	s := r.s()
+	s := r.s
 	ji, ok := s.jobs[int(j.ID)]
-	if !ok || j.State != job.Queued {
-		return nil, fmt.Errorf("serverd: %s not queued", j.ID)
+	if !ok {
+		return nil, fmt.Errorf("serverd: unknown job %s", j.ID)
 	}
-	var alloc cluster.Alloc
-	if ji.spec.Nodes > 0 {
-		alloc = s.cl.AllocateNodes(j.ID, ji.spec.Nodes, ji.spec.PPN)
-	} else {
-		alloc = s.cl.Allocate(j.ID, j.Cores)
+	var hosts []proto.HostSlice
+	var ms *nodeInfo
+	alloc, err := r.Start(j, ji.spec.Nodes, ji.spec.PPN, s.now(), func(alloc cluster.Alloc) error {
+		if hosts = r.hostsOf(alloc); len(hosts) == 0 {
+			return fmt.Errorf("serverd: no registered mom for allocation")
+		}
+		if ms = s.nodes[hosts[0].Node]; ms == nil || ms.conn == nil {
+			return fmt.Errorf("serverd: mother superior %s unreachable", hosts[0].Node)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if alloc == nil {
-		return nil, fmt.Errorf("serverd: cannot place %s", j.ID)
-	}
-	hosts := r.hostsOf(alloc)
-	if len(hosts) == 0 {
-		s.cl.Release(j.ID)
-		return nil, fmt.Errorf("serverd: no registered mom for allocation")
-	}
-	ms := s.nodes[hosts[0].Node]
-	if ms == nil || ms.conn == nil {
-		s.cl.Release(j.ID)
-		return nil, fmt.Errorf("serverd: mother superior %s unreachable", hosts[0].Node)
-	}
-	s.queue.Remove(j)
-	j.State = job.Running
-	j.StartTime = s.now()
-	s.active.Add(j)
 	ji.hosts = hosts
 	ji.msNode = hosts[0].Node
-	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
-	s.bumpQueueLocked(j)
 	// Walltime enforcement.
 	wall := sim.ToReal(j.Walltime)
 	id := int(j.ID)
@@ -122,20 +75,12 @@ func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 		s.Kick()
 	})
 	if err := ms.conn.Send(proto.TRunJob, proto.RunJobReq{JobID: id, Spec: ji.spec, Hosts: hosts}); err != nil {
-		// Mom link failed mid-dispatch: roll back. The rollback is a
-		// second round of mutations after the dispatch bump, so it
-		// needs its own — without it a scheduler cache validated
-		// against the dispatch epoch would keep serving the job as
-		// started when it is in fact back in the queue.
-		ji.stopKillTimerLocked()
-		s.cl.Release(j.ID)
-		s.active.Remove(j.ID)
-		j.State = job.Queued
-		s.queue.Push(j)
-		s.bumpQueueLocked(j)
+		// Mom link failed mid-dispatch: roll back.
+		stopTimer(&ji.killTimer)
+		r.Unstart(j, s.now())
 		return nil, fmt.Errorf("serverd: dispatch to %s: %w", hosts[0].Node, err)
 	}
-	s.logf("job %d started on %s (ms=%s)", id, cluster.Alloc(alloc).String(), ji.msNode)
+	s.logf("job %d started on %s (ms=%s)", id, alloc.String(), ji.msNode)
 	return alloc, nil
 }
 
@@ -144,31 +89,18 @@ func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 //
 //lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
 func (r *serverRM) GrantDyn(req *job.DynRequest) (cluster.Alloc, error) {
-	s := r.s()
+	s := r.s
 	ji, ok := s.jobs[int(req.Job.ID)]
 	if !ok {
 		return nil, fmt.Errorf("serverd: unknown job %s", req.Job.ID)
 	}
-	var alloc cluster.Alloc
-	if req.Nodes > 0 {
-		alloc = s.cl.AllocateNodes(req.Job.ID, req.Nodes, req.PPN)
-	} else {
-		alloc = s.cl.Allocate(req.Job.ID, req.Cores)
+	alloc, err := r.Grant(req, s.now())
+	if err != nil {
+		return nil, err
 	}
-	if alloc == nil {
-		return nil, fmt.Errorf("serverd: cannot place dynamic request for %s", req.Job.ID)
-	}
+	stopTimer(&ji.negTimer)
 	hosts := r.hostsOf(alloc)
-	req.Job.DynCores += req.TotalCores()
-	req.Job.State = job.Running
-	if !ji.granted {
-		ji.granted = true
-		ji.dynGrant = s.now()
-	}
 	ji.hosts = append(ji.hosts, hosts...)
-	s.dropDynLocked(int(req.Job.ID))
-	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
-	s.bumpLocked(req.Job)
 	s.deliverVerdictLocked(ji, proto.DynGetResp{
 		JobID: int(req.Job.ID), Granted: true, Hosts: hosts,
 	})
@@ -180,11 +112,10 @@ func (r *serverRM) GrantDyn(req *job.DynRequest) (cluster.Alloc, error) {
 //
 //lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
 func (r *serverRM) RejectDyn(req *job.DynRequest, reason string) {
-	s := r.s()
-	req.Job.State = job.Running
-	s.dropDynLocked(int(req.Job.ID))
-	s.bumpLocked(req.Job)
+	s := r.s
+	r.Reject(req)
 	if ji := s.jobs[int(req.Job.ID)]; ji != nil {
+		stopTimer(&ji.negTimer)
 		s.deliverVerdictLocked(ji, proto.DynGetResp{
 			JobID: int(req.Job.ID), Granted: false, Reason: reason,
 		})
@@ -196,25 +127,18 @@ func (r *serverRM) RejectDyn(req *job.DynRequest, reason string) {
 //
 //lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
 func (r *serverRM) Preempt(j *job.Job) error {
-	s := r.s()
+	s := r.s
 	ji, ok := s.jobs[int(j.ID)]
-	if !ok || !j.Active() {
-		return fmt.Errorf("serverd: %s not active", j.ID)
+	if !ok {
+		return fmt.Errorf("serverd: unknown job %s", j.ID)
 	}
-	s.dropDynLocked(int(j.ID))
-	s.cl.Release(j.ID)
-	s.active.Remove(j.ID)
-	ji.stopKillTimerLocked()
+	if err := r.Requeue(j, s.now()); err != nil {
+		return err
+	}
+	ji.stopTimersLocked()
 	s.sendMomLocked(s.nodes[ji.msNode], proto.TKillJob, proto.KillJobReq{JobID: int(j.ID)})
-	j.State = job.Queued
-	j.StartTime = 0
-	j.DynCores = 0
-	j.Backfilled = false
 	ji.hosts = nil
 	ji.msNode = ""
-	s.queue.Push(j)
-	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
-	s.bumpQueueLocked(j)
 	s.logf("job %d preempted and requeued", j.ID)
 	return nil
 }
@@ -289,13 +213,14 @@ func (s *Server) pullLocked(cursor *uint64, synced bool) (proto.MsgType, any) {
 // list by doubling would hold every other handler off for the
 // reallocations too. Caller holds s.mu.
 func (s *Server) snapshotLocked() proto.SchedState {
-	st := proto.SchedState{NowMS: int64(s.now()), Serial: s.serial, Nodes: s.nodeStatusLocked(), Dyn: s.schedDynLocked()}
-	st.Queued = sized[proto.SchedJob](s.queue.Len())
-	for _, j := range s.queue.Jobs() {
+	st := proto.SchedState{NowMS: int64(s.now()), Serial: s.rm.StateEpoch(), Nodes: s.nodeStatusLocked(), Dyn: s.schedDynLocked()}
+	queued, active := s.rm.QueuedJobs(), s.rm.ActiveJobs()
+	st.Queued = sized[proto.SchedJob](len(queued))
+	for _, j := range queued {
 		st.Queued = append(st.Queued, schedJob(j))
 	}
-	st.Active = sized[proto.SchedJob](s.active.Len())
-	for _, j := range s.active.Jobs() {
+	st.Active = sized[proto.SchedJob](len(active))
+	for _, j := range active {
 		st.Active = append(st.Active, schedJob(j))
 	}
 	return st
@@ -304,10 +229,10 @@ func (s *Server) snapshotLocked() proto.SchedState {
 // deltaLocked renders what the log entries in window changed: one
 // record per job, in the order of its last queue-membership change (of
 // its first mention when it had none), so that the jobs now queued
-// whose membership changed — each was appended to s.queue by that
+// whose membership changed — each was appended to the queue by that
 // change — come out in queue order. Caller holds s.mu.
 func (s *Server) deltaLocked(window []int) proto.SchedDelta {
-	d := proto.SchedDelta{NowMS: int64(s.now()), Serial: s.serial, Nodes: s.nodeStatusLocked(), Dyn: s.schedDynLocked()}
+	d := proto.SchedDelta{NowMS: int64(s.now()), Serial: s.rm.StateEpoch(), Nodes: s.nodeStatusLocked(), Dyn: s.schedDynLocked()}
 	if len(window) == 0 {
 		return d
 	}
@@ -351,8 +276,9 @@ func schedJob(j *job.Job) proto.SchedJob {
 // schedDynLocked renders the pending dynamic requests in FIFO order.
 // Caller holds s.mu.
 func (s *Server) schedDynLocked() []proto.SchedDynReq {
-	out := sized[proto.SchedDynReq](len(s.dyn))
-	for _, r := range s.dyn {
+	dyn := s.rm.DynRequests()
+	out := sized[proto.SchedDynReq](len(dyn))
+	for _, r := range dyn {
 		out = append(out, proto.SchedDynReq{
 			JobID: int(r.Job.ID), Cores: r.Cores, Nodes: r.Nodes, PPN: r.PPN, Seq: r.Seq,
 			DeadlineMS: int64(r.Deadline),
@@ -377,7 +303,7 @@ func sized[T any](n int) []T {
 func (s *Server) applyCommit(c proto.SchedCommit) proto.SchedCommitResp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rm := (*serverRM)(s)
+	rm := &s.rm
 	var resp proto.SchedCommitResp
 	for _, a := range c.Actions {
 		ji, ok := s.jobs[a.JobID]
@@ -385,7 +311,7 @@ func (s *Server) applyCommit(c proto.SchedCommit) proto.SchedCommitResp {
 			resp.Skipped++
 			continue
 		}
-		s.touchLocked(ji.j, 0)
+		s.touchLocked(ji.j, false)
 		switch a.Kind {
 		case "start":
 			if ji.j.State != job.Queued {
@@ -398,7 +324,7 @@ func (s *Server) applyCommit(c proto.SchedCommit) proto.SchedCommitResp {
 			}
 			resp.Applied++
 		case "grant":
-			req := s.findDynLocked(a.JobID)
+			req := rm.PendingDyn(job.ID(a.JobID))
 			if req == nil {
 				resp.Skipped++
 				continue
@@ -412,7 +338,7 @@ func (s *Server) applyCommit(c proto.SchedCommit) proto.SchedCommitResp {
 			}
 			resp.Applied++
 		case "reject":
-			req := s.findDynLocked(a.JobID)
+			req := rm.PendingDyn(job.ID(a.JobID))
 			if req == nil {
 				resp.Skipped++
 				continue
@@ -424,13 +350,4 @@ func (s *Server) applyCommit(c proto.SchedCommit) proto.SchedCommitResp {
 		}
 	}
 	return resp
-}
-
-func (s *Server) findDynLocked(jobID int) *job.DynRequest {
-	for _, r := range s.dyn {
-		if int(r.Job.ID) == jobID {
-			return r
-		}
-	}
-	return nil
 }

@@ -5,8 +5,8 @@
 // embedded one (default) or an external Maui-analog daemon speaking
 // the sched.pull/sched.commit protocol (see internal/mauid).
 //
-// The scheduler code is exactly internal/core — the same code the
-// simulator runs; only this ResourceManager implementation differs:
+// The scheduler and the job lifecycle are internal/core's — the same
+// code the simulator runs; only the side effects differ (serverRM):
 // StartJob sends RunJob to the job's mother superior, GrantDyn answers
 // the forwarded tm_dynget with the new hostlist.
 package serverd
@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fairtree"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/proto"
@@ -98,21 +97,22 @@ type jobInfo struct {
 	msNode    string            // guarded by s.mu: mother superior node name
 	killTimer *time.Timer       // guarded by s.mu
 	negTimer  *time.Timer       // guarded by s.mu: negotiation deadline; stopped when the dyn request resolves
-	dynGrant  sim.Time          // guarded by s.mu
-	granted   bool              // guarded by s.mu
-	// fsID is the user's share-tree leaf, interned once at submit so
-	// completion-path usage accounting is an O(1) sharded append
-	// instead of a string-map lookup under the server mutex.
-	fsID fairtree.NodeID
 }
 
-// stopKillTimerLocked disarms the walltime timer and lets go of it:
-// s.jobs keeps every record for qstat, and a stopped timer kept with it
-// is ~80 bytes per finished job for nothing. Caller holds s.mu.
-func (ji *jobInfo) stopKillTimerLocked() {
-	if ji.killTimer != nil {
-		ji.killTimer.Stop()
-		ji.killTimer = nil
+// stopTimersLocked disarms the job's walltime and negotiation timers
+// and lets go of them: s.jobs keeps every record for qstat, and a
+// stopped timer kept with it is ~80 bytes per finished job for nothing.
+// Caller holds s.mu.
+func (ji *jobInfo) stopTimersLocked() {
+	stopTimer(&ji.killTimer)
+	stopTimer(&ji.negTimer)
+}
+
+// stopTimer disarms *t, if armed, and clears it.
+func stopTimer(t **time.Timer) {
+	if *t != nil {
+		(*t).Stop()
+		*t = nil
 	}
 }
 
@@ -149,23 +149,16 @@ type Server struct {
 	ingest []chan func()
 
 	mu       sync.Mutex
-	cl       *cluster.Cluster         // guarded by mu
+	rm       serverRM                 // guarded by mu: the cluster and the job lifecycle
 	nodes    map[string]*nodeInfo     // by node name; guarded by mu
 	nodeByID map[int]*nodeInfo        // guarded by mu
 	pending  map[*proto.Conn]struct{} // pre-classification conns; guarded by mu
 	jobs     map[int]*jobInfo         // guarded by mu
-	queue    job.Queue                // submission order; guarded by mu //schedlint:epoch-guarded by bumpQueueLocked
-	active   job.RunSet               // by id; guarded by mu //schedlint:epoch-guarded by bumpLocked
-	dyn      []*job.DynRequest        // guarded by mu //schedlint:epoch-guarded by bumpLocked
-	dynSeq   int                      // guarded by mu
-	nextID   int                      // guarded by mu
-	serial   uint64                   // guarded by mu
-	qlog     core.QueueLog            // guarded by mu: the queue epoch and the jobs behind it, for the embedded scheduler's table
-	rec      *metrics.Recorder        // guarded by mu
 
 	// touched is the sched sessions' change log, kept while one is open:
-	// per bump (and per job a commit names) the job's id shifted left one
-	// bit, the low bit set for a queue-membership bump; oldest first.
+	// per lifecycle bump (and per job a commit names) the job's id shifted
+	// left one bit, the low bit set for a queue-membership bump; oldest
+	// first.
 	// Sessions remember log positions; touched[0] is at touchBase.
 	touched    []int  // guarded by mu
 	touchBase  uint64 // guarded by mu
@@ -177,6 +170,8 @@ type Server struct {
 }
 
 // New creates a server daemon.
+//
+//lint:locked the server is not shared until New returns
 func New(opts Options) *Server {
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 2 * time.Second
@@ -193,19 +188,23 @@ func New(opts Options) *Server {
 	if opts.BeaconRingSize <= 0 {
 		opts.BeaconRingSize = 1 << 16
 	}
-	return &Server{
+	var fs *core.Fairshare
+	if opts.Sched != nil {
+		fs = opts.Sched.Fairshare()
+	}
+	s := &Server{
 		opts:       opts,
-		cl:         cluster.New(0, 0),
 		nodes:      make(map[string]*nodeInfo),
 		nodeByID:   make(map[int]*nodeInfo),
 		jobs:       make(map[int]*jobInfo),
 		pending:    make(map[*proto.Conn]struct{}),
 		handshakes: make(chan struct{}, opts.MaxHandshakes),
-		nextID:     1,
-		rec:        metrics.NewRecorder(0),
 		kick:       make(chan struct{}, 1),
 		closed:     make(chan struct{}),
 	}
+	s.rm = serverRM{Lifecycle: core.NewLifecycle(cluster.New(0, 0), fs, metrics.NewRecorder(0)), s: s}
+	s.rm.OnBump = s.touchLocked
+	return s
 }
 
 // Start listens on addr ("127.0.0.1:0" for an ephemeral port).
@@ -268,12 +267,7 @@ func (s *Server) Close() {
 		_ = c.Close()
 	}
 	for _, ji := range s.jobs {
-		if ji.killTimer != nil {
-			ji.killTimer.Stop()
-		}
-		if ji.negTimer != nil {
-			ji.negTimer.Stop()
-		}
+		ji.stopTimersLocked()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -299,32 +293,13 @@ func (s *Server) Kick() {
 	}
 }
 
-// bumpLocked advances the state epoch (the snapshot serial) and logs j,
-// the job the mutation was about (nil for a node-only change), for the
-// sched sessions' next delta. Caller holds s.mu.
-func (s *Server) bumpLocked(j *job.Job) {
-	s.serial++
-	s.touchLocked(j, 0)
-}
-
-// bumpQueueLocked advances both epochs: a queue-membership change also
-// invalidates state-level caches, never the other way round. Caller
-// holds s.mu.
-//
-//schedlint:epoch-bump subsumes bumpLocked
-func (s *Server) bumpQueueLocked(j *job.Job) {
-	s.serial++
-	s.qlog.Bump(j)
-	s.touchLocked(j, 1)
-}
-
 // touchLogKeep is how many entries of the change log survive a trim;
 // the log is trimmed when it holds twice as many.
 const touchLogKeep = 1 << 14
 
 // touchLocked appends j to the change log, if a sched session is open
-// to read it. Caller holds s.mu.
-func (s *Server) touchLocked(j *job.Job, queueMove int) {
+// to read it; it is also the lifecycle's bump hook. Caller holds s.mu.
+func (s *Server) touchLocked(j *job.Job, queueMove bool) {
 	if s.schedLinks == 0 || j == nil {
 		return
 	}
@@ -332,7 +307,11 @@ func (s *Server) touchLocked(j *job.Job, queueMove int) {
 		s.touched = s.touched[:copy(s.touched, s.touched[touchLogKeep:])]
 		s.touchBase += touchLogKeep
 	}
-	s.touched = append(s.touched, int(j.ID)<<1|queueMove)
+	t := int(j.ID) << 1
+	if queueMove {
+		t |= 1
+	}
+	s.touched = append(s.touched, t)
 }
 
 // reply delivers a best-effort response on a transient client
@@ -499,21 +478,21 @@ func (s *Server) registerMom(c *proto.Conn, req proto.RegisterReq) {
 		ni.conn = c
 		ni.lastSeen = s.now()
 		if ni.node.State != cluster.Up {
-			s.cl.SetNodeState(ni.node.ID, cluster.Up)
+			s.rm.Cluster().SetNodeState(ni.node.ID, cluster.Up)
 			s.logf("node %s repaired by re-registration", req.Node)
 		}
 		s.reconcileMomLocked(ni, req.Jobs)
 		s.replayVerdictsLocked(ni)
-		s.bumpLocked(nil)
+		s.rm.Bump(nil)
 		s.mu.Unlock()
 		s.logf("mom %s re-registered at %s (%d jobs reported)", req.Node, req.Addr, len(req.Jobs))
 	} else {
-		n := s.cl.AddNode(req.Node, req.Cores)
+		n := s.rm.Cluster().AddNode(req.Node, req.Cores)
 		ni = &nodeInfo{node: n, addr: req.Addr, conn: c, shard: n.ID % len(s.ingest), lastSeen: s.now()}
 		s.nodes[req.Node] = ni
 		s.nodeByID[n.ID] = ni
-		s.rec = metrics.NewRecorder(s.cl.TotalCores())
-		s.bumpLocked(nil)
+		s.rm.SetRecorder(metrics.NewRecorder(s.rm.Cluster().TotalCores()))
+		s.rm.Bump(nil)
 		s.mu.Unlock()
 		s.logf("mom %s registered: %d cores at %s", req.Node, req.Cores, req.Addr)
 	}
@@ -635,24 +614,19 @@ func (s *Server) reconcileMomLocked(ni *nodeInfo, reported []int) {
 	for _, id := range reported {
 		known[id] = true
 	}
-	for _, id := range ni.node.Jobs() { // sorted
-		if known[int(id)] {
+	for _, j := range s.rm.JobsOn(ni.node.ID) {
+		if known[int(j.ID)] {
 			continue
 		}
-		if _, active := s.active.Get(id); !active {
-			continue
-		}
-		s.logf("job %d lost on restarted mom %s", id, ni.node.Name)
-		s.failJobSliceLocked(ni.node, id, "mom restarted without the job")
+		s.logf("job %d lost on restarted mom %s", j.ID, ni.node.Name)
+		s.failJobSliceLocked(ni.node, j, "mom restarted without the job")
 	}
 	ids := append([]int(nil), reported...)
 	sort.Ints(ids)
 	for _, id := range ids {
-		if j, active := s.active.Get(job.ID(id)); active {
-			ji := s.jobs[id]
-			if ni.node.HeldBy(j.ID) > 0 || (ji != nil && ji.msNode == ni.node.Name) {
-				continue // consistent on both sides
-			}
+		if ji := s.jobs[id]; ji != nil && ji.j.Active() &&
+			(s.rm.CoresOn(ji.j.ID, ni.node.ID) > 0 || ji.msNode == ni.node.Name) {
+			continue // consistent on both sides
 		}
 		// Unknown to the server (or no longer placed here): kill the
 		// mom-side remnant. Harmless if the mom races a completion.
@@ -690,15 +664,11 @@ func (s *Server) QSub(spec proto.JobSpec) (int, error) {
 	if spec.WallSecs <= 0 {
 		return 0, fmt.Errorf("serverd: job needs a walltime")
 	}
-	s.mu.Lock()
-	id := s.nextID
-	s.nextID++
 	class := job.Rigid
 	if spec.Evolving {
 		class = job.Evolving
 	}
 	j := &job.Job{
-		ID:   job.ID(id),
 		Name: spec.Name,
 		Cred: job.Credentials{
 			User: spec.User, Group: spec.Group, Account: spec.Account,
@@ -706,19 +676,12 @@ func (s *Server) QSub(spec proto.JobSpec) (int, error) {
 		Class:          class,
 		Cores:          cores,
 		Walltime:       sim.Duration(spec.WallSecs) * sim.Second,
-		SubmitTime:     s.now(),
-		State:          job.Queued,
 		SystemPriority: spec.SystemPriority,
 	}
-	fsID := fairtree.None
-	if s.opts.Sched != nil {
-		fsID = s.opts.Sched.Fairshare().UserID(j.Cred.User)
-	}
-	ji := &jobInfo{j: j, spec: spec, fsID: fsID}
-	s.jobs[id] = ji
-	s.queue.Push(ji.j)
-	s.rec.ObserveSubmit(j.SubmitTime)
-	s.bumpQueueLocked(j)
+	s.mu.Lock()
+	s.rm.Submit(j, s.now())
+	id := int(j.ID)
+	s.jobs[id] = &jobInfo{j: j, spec: spec}
 	s.mu.Unlock()
 	s.logf("qsub job=%d user=%s cores=%d wall=%ds", id, spec.User, cores, spec.WallSecs)
 	s.Kick()
@@ -731,7 +694,7 @@ func (s *Server) QStat() proto.QStatResp {
 	defer s.mu.Unlock()
 	now := s.now()
 	var resp proto.QStatResp
-	for id := 1; id < s.nextID; id++ {
+	for id := 1; id <= s.rm.Submitted(); id++ {
 		ji, ok := s.jobs[id]
 		if !ok {
 			continue
@@ -755,8 +718,9 @@ func (s *Server) QStat() proto.QStatResp {
 // nodeStatusLocked renders the node table of qstat and of a sched.pull
 // answer. Caller holds s.mu.
 func (s *Server) nodeStatusLocked() []proto.NodeStatus {
-	out := sized[proto.NodeStatus](len(s.cl.Nodes()))
-	for _, n := range s.cl.Nodes() {
+	nodes := s.rm.Cluster().Nodes()
+	out := sized[proto.NodeStatus](len(nodes))
+	for _, n := range nodes {
 		out = append(out, proto.NodeStatus{
 			Name: n.Name, Cores: n.Cores, Used: n.Used(), State: n.State.String(),
 		})
@@ -777,42 +741,18 @@ func (s *Server) QDel(id int) {
 	s.Kick()
 }
 
-// killLocked terminates a job in any state. Caller holds s.mu.
+// killLocked terminates a job in any state; a running one is charged
+// for what it used. Caller holds s.mu.
 func (s *Server) killLocked(ji *jobInfo, why string) {
-	j := ji.j
-	switch {
-	case j.State == job.Queued:
-		s.queue.Remove(ji.j)
-		s.bumpQueueLocked(j)
-	case j.Active():
-		s.dropDynLocked(int(j.ID))
-		s.cl.Release(j.ID)
-		s.active.Remove(j.ID)
-		s.sendMomLocked(s.nodes[ji.msNode], proto.TKillJob, proto.KillJobReq{JobID: int(j.ID)})
-		s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
-	default:
+	running := ji.j.Active()
+	if !s.rm.Cancel(ji.j, s.now()) {
 		return
 	}
-	ji.stopKillTimerLocked()
-	j.State = job.Cancelled
-	j.EndTime = s.now()
-	s.bumpLocked(j)
-	s.logf("job %d killed (%s)", j.ID, why)
-}
-
-func (s *Server) dropDynLocked(id int) {
-	// The request is resolving (grant, reject, kill, completion): its
-	// negotiation-deadline timer must not fire later.
-	if ji := s.jobs[id]; ji != nil && ji.negTimer != nil {
-		ji.negTimer.Stop()
-		ji.negTimer = nil
+	if running {
+		s.sendMomLocked(s.nodes[ji.msNode], proto.TKillJob, proto.KillJobReq{JobID: int(ji.j.ID)})
 	}
-	for i, r := range s.dyn {
-		if int(r.Job.ID) == id {
-			s.dyn = append(s.dyn[:i], s.dyn[i+1:]...)
-			return
-		}
-	}
+	ji.stopTimersLocked()
+	s.logf("job %d killed (%s)", ji.j.ID, why)
 }
 
 // monitorLoop is the failure detector and the heartbeat sink: it
@@ -908,19 +848,16 @@ func (s *Server) sweepBeacons() {
 // dropped — the applications they were meant for died with it.
 // Caller holds s.mu.
 func (s *Server) failNodeLocked(ni *nodeInfo, why string) {
-	affected := s.cl.SetNodeState(ni.node.ID, cluster.Down)
+	s.rm.Cluster().SetNodeState(ni.node.ID, cluster.Down)
 	if ni.conn != nil {
 		_ = ni.conn.Close()
 		ni.conn = nil
 	}
 	ni.verdicts = nil
-	for _, id := range affected { // SetNodeState returns sorted ids
-		if _, ok := s.active.Get(id); !ok {
-			continue
-		}
-		s.failJobSliceLocked(ni.node, id, why)
+	for _, j := range s.rm.JobsOn(ni.node.ID) {
+		s.failJobSliceLocked(ni.node, j, why)
 	}
-	s.bumpLocked(nil)
+	s.rm.Bump(nil)
 }
 
 // failJobSliceLocked strips a job's cores on one dead node and applies
@@ -928,37 +865,24 @@ func (s *Server) failNodeLocked(ni *nodeInfo, why string) {
 // scheduler will place it on spare capacity), cancel kills it. The
 // original request size is restored first so a requeued job asks for
 // what it was submitted with. Caller holds s.mu.
-func (s *Server) failJobSliceLocked(node *cluster.Node, id job.ID, why string) {
-	j, ok := s.active.Get(id)
-	ji := s.jobs[int(id)]
-	if !ok || ji == nil {
+func (s *Server) failJobSliceLocked(node *cluster.Node, j *job.Job, why string) {
+	ji := s.jobs[int(j.ID)]
+	if ji == nil || !j.Active() {
 		return
 	}
-	lost := node.HeldBy(id)
-	if lost > 0 {
-		origCores := j.Cores
-		if err := s.cl.ReleasePartial(id, cluster.Alloc{{NodeID: node.ID, Cores: lost}}); err != nil {
-			s.logf("strip %d cores of job %d on %s: %v", lost, id, node.Name, err)
-			return
-		}
-		if lost > j.DynCores {
-			j.Cores -= lost - j.DynCores
-			j.DynCores = 0
-		} else {
-			j.DynCores -= lost
-		}
+	origCores := j.Cores
+	if s.rm.StripNode(j, node.ID, s.now()) > 0 {
 		ji.hosts = removeNodeSlices(ji.hosts, node.Name)
-		s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
 		j.Cores = origCores
 	}
 	switch s.opts.FailurePolicy {
 	case rms.FailRequeue:
-		if err := (*serverRM)(s).Preempt(j); err != nil {
-			s.logf("requeue job %d after %s: %v", id, why, err)
+		if err := s.rm.Preempt(j); err != nil {
+			s.logf("requeue job %d after %s: %v", j.ID, why, err)
 			s.killLocked(ji, why)
 			return
 		}
-		s.logf("job %d requeued (%s)", id, why)
+		s.logf("job %d requeued (%s)", j.ID, why)
 	default:
 		s.killLocked(ji, why)
 	}
@@ -991,27 +915,8 @@ func (s *Server) jobDone(from *nodeInfo, done proto.JobDoneReq) {
 		s.logf("ignoring stale jobdone for %d from %s (ms is %s)", done.JobID, from.node.Name, ji.msNode)
 		return
 	}
-	j := ji.j
-	s.dropDynLocked(done.JobID)
-	s.cl.Release(j.ID)
-	s.active.Remove(j.ID)
-	ji.stopKillTimerLocked()
-	j.State = job.Completed
-	j.EndTime = s.now()
-	s.rec.AddJob(metrics.JobRecord{
-		ID: j.ID, Type: j.Name, User: j.Cred.User, Cores: j.TotalCores(),
-		Submit: j.SubmitTime, Start: j.StartTime, End: j.EndTime,
-		Backfilled: j.Backfilled, Evolving: j.Class == job.Evolving,
-		DynGranted: ji.granted, GrantTime: ji.dynGrant,
-	})
-	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
-	if s.opts.Sched != nil && ji.fsID > 0 {
-		// Sharded O(1) append by the interned leaf id; the charge
-		// folds into the tree at the scheduler's next Advance.
-		s.opts.Sched.Fairshare().RecordID(ji.fsID,
-			float64(j.TotalCores())*sim.SecondsOf(j.EndTime-j.StartTime))
-	}
-	s.bumpLocked(j)
+	s.rm.Complete(ji.j, s.now())
+	ji.stopTimersLocked()
 	s.mu.Unlock()
 	s.logf("job %d done", done.JobID)
 	s.Kick()
@@ -1033,24 +938,15 @@ func (s *Server) dynGet(from *nodeInfo, req proto.DynGetReq) {
 		s.answerDynTo(from, proto.DynGetResp{JobID: req.JobID, Granted: false, Reason: "not the mother superior"})
 		return
 	}
-	for _, p := range s.dyn {
-		if int(p.Job.ID) == req.JobID {
-			s.mu.Unlock()
-			s.answerDynTo(from, proto.DynGetResp{JobID: req.JobID, Granted: false, Reason: "request already pending"})
-			return
-		}
-	}
-	r := &job.DynRequest{
-		Job: ji.j, Cores: req.Cores, Nodes: req.Nodes, PPN: req.PPN,
-		IssuedAt: s.now(), Seq: s.dynSeq,
-	}
+	r := &job.DynRequest{Job: ji.j, Cores: req.Cores, Nodes: req.Nodes, PPN: req.PPN, IssuedAt: s.now()}
 	if req.TimeoutSecs > 0 {
-		r.Deadline = s.now() + sim.Duration(req.TimeoutSecs)*sim.Second
+		r.Deadline = r.IssuedAt + sim.Duration(req.TimeoutSecs)*sim.Second
 	}
-	s.dynSeq++
-	ji.j.State = job.DynQueued
-	s.dyn = append(s.dyn, r)
-	s.bumpLocked(ji.j)
+	if err := s.rm.QueueDyn(r); err != nil {
+		s.mu.Unlock()
+		s.answerDynTo(from, proto.DynGetResp{JobID: req.JobID, Granted: false, Reason: err.Error()})
+		return
+	}
 	if req.TimeoutSecs > 0 {
 		// Negotiation deadline: if the request is still pending when
 		// it expires, deliver the final rejection ourselves. The timer
@@ -1060,9 +956,8 @@ func (s *Server) dynGet(from *nodeInfo, req proto.DynGetReq) {
 		//lint:wallclock negotiation deadlines are real protocol timeouts
 		ji.negTimer = time.AfterFunc(time.Duration(req.TimeoutSecs)*time.Second, func() {
 			s.mu.Lock()
-			pending := s.findDynLocked(req.JobID) == r
-			if pending {
-				(*serverRM)(s).RejectDyn(r, "negotiation deadline expired")
+			if s.rm.PendingDyn(r.Job.ID) == r {
+				s.rm.RejectDyn(r, "negotiation deadline expired")
 			}
 			s.mu.Unlock()
 		})
@@ -1120,23 +1015,14 @@ func (s *Server) dynFree(from *nodeInfo, req proto.DynFreeReq) {
 			part = append(part, cluster.Slice{NodeID: ni.node.ID, Cores: h.Cores})
 		}
 	}
-	if err := s.cl.ReleasePartial(ji.j.ID, part); err != nil {
+	if err := s.rm.Release(ji.j, part, s.now()); err != nil {
 		s.mu.Unlock()
 		s.logf("dynfree job=%d rejected: %v", req.JobID, err)
 		return
 	}
-	released := part.TotalCores()
-	if released > ji.j.DynCores {
-		ji.j.Cores -= released - ji.j.DynCores
-		ji.j.DynCores = 0
-	} else {
-		ji.j.DynCores -= released
-	}
 	ji.hosts = subtractHostSlices(ji.hosts, req.Hosts)
-	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
-	s.bumpLocked(ji.j)
 	s.mu.Unlock()
-	s.logf("dynfree job=%d released %d cores", req.JobID, released)
+	s.logf("dynfree job=%d released %d cores", req.JobID, part.TotalCores())
 	s.Kick()
 }
 
@@ -1174,7 +1060,7 @@ func (s *Server) schedLoop() {
 		case <-t.C:
 		}
 		s.mu.Lock()
-		res := s.opts.Sched.Iterate(s.now(), (*serverRM)(s))
+		res := s.opts.Sched.Iterate(s.now(), &s.rm)
 		s.opts.Sched.Recycle(res)
 		s.mu.Unlock()
 	}
@@ -1184,5 +1070,5 @@ func (s *Server) schedLoop() {
 func (s *Server) Recorder() *metrics.Recorder {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.rec
+	return s.rm.Recorder()
 }
