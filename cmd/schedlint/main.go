@@ -11,7 +11,6 @@
 //	goroutinelife    every go statement needs a provable shutdown path
 //	epochguard       writes to epoch-guarded fields must reach their bump before return
 //	poollife         pooled objects: no use after release, released or escaped on every path
-//	arenasafe        arena refs die at the next Alloc; handles die at Reset/CopyFrom/Free
 //	atomicfield      sync/atomic fields: atomic everywhere, declared, 64-bit aligned on 386
 //	sharedguard      fields written from several goroutine contexts need a declared guard
 //	chanlife         channel fields: one closing owner, no send-after-close or double close
@@ -51,7 +50,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/arenasafe"
 	"repro/internal/analysis/atomicfield"
 	"repro/internal/analysis/chanlife"
 	"repro/internal/analysis/epochguard"
@@ -77,7 +75,6 @@ var analyzers = []*analysis.Analyzer{
 	goroutinelife.Analyzer,
 	epochguard.Analyzer,
 	poollife.Analyzer,
-	arenasafe.Analyzer,
 	atomicfield.Analyzer,
 	sharedguard.Analyzer,
 	chanlife.Analyzer,

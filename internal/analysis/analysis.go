@@ -45,8 +45,58 @@ type Analyzer struct {
 	// determinism contracts (nodeterminism, goroutinelife, ...) bind
 	// product code only.
 	Tests bool
+	// Packages names the package classes the analyzer checks (see
+	// ClassOf); zero checks every package.
+	Packages Class
 	// Run inspects the package and reports findings via pass.Report.
 	Run func(pass *Pass) error
+}
+
+// Class is a set of package classes: what a package promises, and so
+// which analyzers hold it to that promise.
+type Class uint8
+
+const (
+	// Deterministic packages drive the simulator: runs repeat bit for
+	// bit, so no wall clock and no global randomness.
+	Deterministic Class = 1 << iota
+	// Daemon packages are the live daemons and their substrate: the
+	// wall clock is allowed where a directive says why.
+	Daemon
+	// Concurrent packages share memory between goroutines: locking,
+	// channel ownership and field-guard contracts apply.
+	Concurrent
+	// Tooling is schedlint itself: its reports and golden fixtures are
+	// diffed byte for byte, so it is held to Deterministic's rules.
+	Tooling
+)
+
+// classes is the one package table, keyed by the last element of the
+// import path.
+var classes = map[string]Class{
+	"core": Deterministic | Concurrent, "profile": Deterministic, "sim": Deterministic,
+	"cluster": Deterministic, "esp": Deterministic, "quadflow": Deterministic,
+	"workload": Deterministic, "fairness": Deterministic, "rms": Deterministic | Concurrent,
+	"job": Deterministic, "metrics": Deterministic, "trace": Deterministic,
+	"config": Deterministic, "experiments": Deterministic, "backoff": Deterministic,
+	"campaign": Deterministic | Concurrent, "fairtree": Deterministic | Concurrent,
+
+	"serverd": Daemon | Concurrent, "mauid": Daemon | Concurrent, "mom": Daemon | Concurrent,
+	"proto": Daemon | Concurrent, "tm": Daemon | Concurrent, "clock": Daemon | Concurrent,
+	"chaos": Daemon | Concurrent,
+
+	"analysis": Tooling, "analysistest": Tooling, "callgraph": Tooling, "dataflow": Tooling,
+	"loader": Tooling, "schedlint": Tooling, "atomicfield": Tooling, "chanlife": Tooling,
+	"epochguard": Tooling, "goroutinelife": Tooling, "lockcheck": Tooling, "lockorder": Tooling,
+	"maporder": Tooling, "nodeterminism": Tooling, "poollife": Tooling, "protoerr": Tooling,
+	"protoexhaustive": Tooling, "sharedguard": Tooling,
+}
+
+// ClassOf returns the classes of the package at path. An external test
+// package ("<pkg>_test") is held to its package's classes.
+func ClassOf(path string) Class {
+	path = path[strings.LastIndexByte(path, '/')+1:]
+	return classes[strings.TrimSuffix(path, "_test")]
 }
 
 // Pass carries one analyzed package into an Analyzer's Run.
@@ -131,13 +181,20 @@ func (t *Target) Cached(key string, build func() any) any {
 	return v
 }
 
-// RunAnalyzers applies every analyzer to the package, filters findings
-// through the lint directives in the source, and returns the surviving
-// findings sorted by position.
+// RunAnalyzers applies every analyzer whose package classes include the
+// package, filters findings through the lint directives in the source,
+// and returns the surviving findings sorted by position. A finding an
+// analyzer repeats — a walker revisiting a loop body reports the same
+// (position, message) on every pass — is kept once.
 func RunAnalyzers(t *Target, analyzers []*Analyzer) ([]Finding, error) {
 	sup := NewSuppressor(t.Fset, t.Files)
+	class := ClassOf(t.Pkg.Path())
 	var out []Finding
+	seen := make(map[Finding]bool)
 	for _, a := range analyzers {
+		if a.Packages != 0 && a.Packages&class == 0 {
+			continue
+		}
 		var diags []Diagnostic
 		pass := &Pass{
 			Analyzer:  a,
@@ -160,7 +217,11 @@ func RunAnalyzers(t *Target, analyzers []*Analyzer) ([]Finding, error) {
 			if t.TestsLoaded && !a.Tests && strings.HasSuffix(pos.Filename, "_test.go") {
 				continue
 			}
-			out = append(out, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+			f := Finding{Analyzer: a.Name, Pos: pos, Message: d.Message}
+			if !seen[f] {
+				seen[f] = true
+				out = append(out, f)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -55,21 +55,8 @@ var Analyzer = &analysis.Analyzer{
 	Doc:       "channel fields have one declared closing owner, closes stay in the owner's synchronous context, and no send-after-close or double-close is reachable",
 	Directive: "chanlife",
 	Tests:     true,
+	Packages:  analysis.Concurrent,
 	Run:       run,
-}
-
-// checkedPkgs mirrors sharedguard's set: the daemons, their substrate,
-// and the scaled concurrent structures.
-var checkedPkgs = map[string]bool{
-	"serverd": true, "mom": true, "mauid": true, "rms": true, "chaos": true,
-	"proto": true, "tm": true, "campaign": true, "core": true, "fairtree": true,
-}
-
-func pkgElem(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		path = path[i+1:]
-	}
-	return strings.TrimSuffix(path, "_test")
 }
 
 // chanField is one tracked channel field.
@@ -86,19 +73,14 @@ type analyzer struct {
 	// mayClose / maySend are per-node interprocedural summaries.
 	mayClose map[*callgraph.Node]map[*types.Var]bool
 	maySend  map[*callgraph.Node]map[*types.Var]bool
-	reported map[string]bool
 }
 
 func run(pass *analysis.Pass) error {
-	if !checkedPkgs[pkgElem(pass.Pkg.Path())] {
-		return nil
-	}
 	a := &analyzer{
 		pass:     pass,
 		fields:   map[*types.Var]*chanField{},
 		mayClose: map[*callgraph.Node]map[*types.Var]bool{},
 		maySend:  map[*callgraph.Node]map[*types.Var]bool{},
-		reported: map[string]bool{},
 	}
 	a.collectFields()
 	if len(a.fields) == 0 {
@@ -153,7 +135,7 @@ func (a *analyzer) collectFields() {
 				Message: fmt.Sprintf("malformed chan-owner marker on %s: want `chan-owner <func>`", fm.Field.Name())})
 			continue
 		}
-		owner := resolveFunc(a.pass, fm.Struct, name)
+		owner := dataflow.ResolveFunc(a.pass.Pkg, fm.Struct, name)
 		if owner == nil {
 			a.pass.Report(analysis.Diagnostic{Pos: fm.Pos, Unsuppressable: true,
 				Message: fmt.Sprintf("chan-owner %q on %s: no such method on %s or package function", name, fm.Field.Name(), fm.Struct)})
@@ -162,19 +144,6 @@ func (a *analyzer) collectFields() {
 		cf.owner = owner
 		cf.decl = fm.Pos
 	}
-}
-
-// resolveFunc finds the named owner: a method of the enclosing struct
-// first, then a package-level function.
-func resolveFunc(pass *analysis.Pass, structName, name string) *types.Func {
-	if tn, ok := pass.Pkg.Scope().Lookup(structName).(*types.TypeName); ok {
-		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pass.Pkg, name)
-		if fn, ok := obj.(*types.Func); ok {
-			return fn
-		}
-	}
-	fn, _ := pass.Pkg.Scope().Lookup(name).(*types.Func)
-	return fn
 }
 
 // closedField resolves close(arg)'s argument to a tracked field.
@@ -361,18 +330,6 @@ func (a *analyzer) walkNode(n *callgraph.Node) {
 	})
 }
 
-// reportOnce dedupes findings across the walker's bounded loop
-// re-executions.
-func (a *analyzer) reportOnce(pos token.Pos, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	key := fmt.Sprintf("%d:%s", pos, msg)
-	if a.reported[key] {
-		return
-	}
-	a.reported[key] = true
-	a.pass.Reportf(pos, "%s", msg)
-}
-
 // transfer applies one atomic statement.
 func (a *analyzer) transfer(st *chState, node ast.Node) {
 	ast.Inspect(node, func(x ast.Node) bool {
@@ -382,7 +339,7 @@ func (a *analyzer) transfer(st *chState, node ast.Node) {
 		case *ast.CallExpr:
 			if f := a.closedField(x); f != nil {
 				if prev, ok := st.closed[f]; ok {
-					a.reportOnce(x.Pos(), "second close of channel field %s may be reachable (closed at line %d)",
+					a.pass.Reportf(x.Pos(), "second close of channel field %s may be reachable (closed at line %d)",
 						f.Name(), a.pass.Fset.Position(prev).Line)
 				}
 				st.closed[f] = x.Pos()
@@ -392,7 +349,7 @@ func (a *analyzer) transfer(st *chState, node ast.Node) {
 		case *ast.SendStmt:
 			if f := a.fieldOf(x.Chan); f != nil {
 				if prev, ok := st.closed[f]; ok {
-					a.reportOnce(x.Pos(), "send on channel field %s may follow its close (closed at line %d)",
+					a.pass.Reportf(x.Pos(), "send on channel field %s may follow its close (closed at line %d)",
 						f.Name(), a.pass.Fset.Position(prev).Line)
 				}
 			}
@@ -417,7 +374,7 @@ func (a *analyzer) applyCall(st *chState, call *ast.CallExpr) {
 	}
 	for f := range a.mayClose[callee] {
 		if prev, ok := st.closed[f]; ok {
-			a.reportOnce(call.Pos(), "call to %s may close channel field %s again (closed at line %d)",
+			a.pass.Reportf(call.Pos(), "call to %s may close channel field %s again (closed at line %d)",
 				callee.Name, f.Name(), a.pass.Fset.Position(prev).Line)
 		} else {
 			st.closed[f] = call.Pos()
@@ -425,7 +382,7 @@ func (a *analyzer) applyCall(st *chState, call *ast.CallExpr) {
 	}
 	for f := range a.maySend[callee] {
 		if prev, ok := st.closed[f]; ok {
-			a.reportOnce(call.Pos(), "call to %s may send on channel field %s after its close (closed at line %d)",
+			a.pass.Reportf(call.Pos(), "call to %s may send on channel field %s after its close (closed at line %d)",
 				callee.Name, f.Name(), a.pass.Fset.Position(prev).Line)
 		}
 	}

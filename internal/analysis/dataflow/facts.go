@@ -6,34 +6,9 @@ import (
 	"go/types"
 	"strconv"
 	"strings"
+
+	"repro/internal/analysis"
 )
-
-// markerPrefix mirrors the `//schedlint:` declaration-marker syntax of
-// the analysis package (see analysis.Markers); duplicated here so the
-// attachment helpers can parse comment groups that the parser hangs
-// directly off declarations and struct fields.
-const markerPrefix = "//schedlint:"
-
-func parseMarker(c *ast.Comment, key string) (args string, ok bool) {
-	text := c.Text
-	// The marker may trail other commentary on the same line — field
-	// annotations routinely compose with lockcheck's guard comments,
-	// as in `// guarded by mu //schedlint:epoch-guarded by bump`.
-	i := strings.Index(text, markerPrefix)
-	if i < 0 {
-		return "", false
-	}
-	k, rest, _ := strings.Cut(strings.TrimPrefix(text[i:], markerPrefix), " ")
-	if k != key {
-		return "", false
-	}
-	// Anything after an embedded `//` is commentary (fixture `// want`
-	// expectations ride on marker lines), not marker arguments.
-	if i := strings.Index(rest, "//"); i >= 0 {
-		rest = rest[:i]
-	}
-	return strings.TrimSpace(rest), true
-}
 
 // FuncMarker is a `//schedlint:<key>` marker attached to a function or
 // method declaration (in its doc comment).
@@ -57,7 +32,7 @@ func FuncMarkers(files []*ast.File, info *types.Info, key string) []FuncMarker {
 				continue
 			}
 			for _, c := range fd.Doc.List {
-				args, ok := parseMarker(c, key)
+				args, ok := analysis.ParseMarker(c, key)
 				if !ok {
 					continue
 				}
@@ -103,7 +78,7 @@ func FieldMarkers(files []*ast.File, info *types.Info, key string) []FieldMarker
 							continue
 						}
 						for _, c := range cg.List {
-							args, ok := parseMarker(c, key)
+							args, ok := analysis.ParseMarker(c, key)
 							if !ok {
 								continue
 							}
@@ -120,6 +95,20 @@ func FieldMarkers(files []*ast.File, info *types.Info, key string) []FieldMarker
 		}
 	}
 	return out
+}
+
+// ResolveFunc finds the function a field marker names (an epoch bump,
+// a channel's closing owner): a method of the marked field's struct
+// first, then a package-level function.
+func ResolveFunc(pkg *types.Package, structName, name string) *types.Func {
+	if tn, ok := pkg.Scope().Lookup(structName).(*types.TypeName); ok {
+		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, name)
+		if fn, ok := obj.(*types.Func); ok {
+			return fn
+		}
+	}
+	fn, _ := pkg.Scope().Lookup(name).(*types.Func)
+	return fn
 }
 
 // FieldWrite is one write to a tracked struct field: a plain or

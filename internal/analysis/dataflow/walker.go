@@ -1,5 +1,5 @@
 // Package dataflow is the shared dataflow substrate of schedlint's
-// lifetime analyzers (epochguard, poollife, arenasafe). It layers three
+// lifetime analyzers (epochguard, poollife, chanlife). It layers three
 // facilities over the PR 5 call graph:
 //
 //   - a path-sensitive statement walker (Walk) that threads an
@@ -9,7 +9,8 @@
 //     the other;
 //   - declaration/field marker attachment (FuncMarkers, FieldMarkers)
 //     resolving `//schedlint:<key>` comments to the *types.Func /
-//     *types.Var they annotate, locally or through Pass.Dep;
+//     *types.Var they annotate, locally or through Pass.Dep, and the
+//     function a field marker names (ResolveFunc);
 //   - def/use helpers (FieldWritesIn, LocalVar, SelectorPath) that map
 //     syntax to the checker's objects: which annotated struct fields a
 //     statement writes, which function-local variable an expression

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"regexp"
 	"strings"
 )
 
@@ -10,7 +11,8 @@ import (
 type Directive struct {
 	Name   string
 	Reason string
-	Pos    token.Position
+	Pos    token.Pos
+	File   string
 	// From/To is the inclusive line range the directive covers in its
 	// file: its own line and the next (so a directive above a statement
 	// works), widened to the whole function when the directive sits on
@@ -57,7 +59,7 @@ func Directives(fset *token.FileSet, files []*ast.File) []Directive {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				d := Directive{Name: name, Reason: reason, Pos: pos, From: pos.Line, To: pos.Line + 1}
+				d := Directive{Name: name, Reason: reason, Pos: c.Pos(), File: pos.Filename, From: pos.Line, To: pos.Line + 1}
 				for _, fn := range funcs {
 					// The directive is part of the declaration header or
 					// its doc comment: cover the whole function.
@@ -94,38 +96,71 @@ func directiveIsDocLine(fset *token.FileSet, f *ast.File, line, fnStart int) boo
 // Marker is one parsed `//schedlint:<key> <args>` comment. Unlike the
 // `//lint:` directives above — which *suppress* findings — markers
 // *declare* facts the interprocedural analyzers check against: a
-// dispatch switch's role (`//schedlint:dispatch server.mom`) or a
-// package's lock acquisition order
-// (`//schedlint:lockorder Server.mu < Conn.wm`).
+// dispatch switch's role (`schedlint:dispatch server.mom`) or a
+// package's lock acquisition order (`schedlint:lockorder Server.mu <
+// Conn.wm`).
 type Marker struct {
 	Key  string
 	Args string
-	Pos  token.Position
+	Pos  token.Pos
 }
 
 const markerPrefix = "//schedlint:"
 
+// ParseMarker extracts the arguments of a marker of the given key from
+// one comment. The marker may trail other commentary on the same line —
+// field annotations compose with lockcheck's guard comments, as in
+// `// guarded by mu //schedlint:epoch-guarded by bump` — and anything
+// after an embedded `//` is commentary too (fixture `// want`
+// expectations ride on marker lines), not arguments.
+func ParseMarker(c *ast.Comment, key string) (args string, ok bool) {
+	i := strings.Index(c.Text, markerPrefix)
+	if i < 0 {
+		return "", false
+	}
+	k, rest, _ := strings.Cut(c.Text[i+len(markerPrefix):], " ")
+	if k != key {
+		return "", false
+	}
+	rest, _, _ = strings.Cut(rest, "//")
+	return strings.TrimSpace(rest), true
+}
+
 // Markers returns every `//schedlint:<key>` marker of the given key in
 // the files, in file/position order.
-func Markers(fset *token.FileSet, files []*ast.File, key string) []Marker {
+func Markers(files []*ast.File, key string) []Marker {
 	var out []Marker
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := c.Text
-				if !strings.HasPrefix(text, markerPrefix) {
-					continue
+				if args, ok := ParseMarker(c, key); ok {
+					out = append(out, Marker{Key: key, Args: args, Pos: c.Pos()})
 				}
-				rest := strings.TrimPrefix(text, markerPrefix)
-				k, args, _ := strings.Cut(rest, " ")
-				if k != key {
-					continue
-				}
-				out = append(out, Marker{Key: k, Args: strings.TrimSpace(args), Pos: fset.Position(c.Pos())})
 			}
 		}
 	}
 	return out
+}
+
+// guardedRe accepts two forms. `guarded by mu` names a sibling mutex of
+// the same receiver. `guarded by s.mu` — a dotted path — names the
+// mutex by its habitual rendered expression, for record structs (a
+// jobInfo held in the server's map) protected by their container's lock
+// rather than one of their own.
+var guardedRe = regexp.MustCompile(`guarded by ([\w.]+)`)
+
+// GuardedBy returns the mutex a struct field's `// guarded by <mu>`
+// annotation names, or "" when it has none.
+func GuardedBy(field *ast.Field) string {
+	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
+		if cg == nil {
+			continue
+		}
+		if m := guardedRe.FindStringSubmatch(cg.Text()); m != nil {
+			return m[1]
+		}
+	}
+	return ""
 }
 
 // Suppressor answers "is a finding at this position silenced?".
@@ -137,7 +172,7 @@ type Suppressor struct {
 func NewSuppressor(fset *token.FileSet, files []*ast.File) *Suppressor {
 	s := &Suppressor{byFile: make(map[string][]Directive)}
 	for _, d := range Directives(fset, files) {
-		s.byFile[d.Pos.Filename] = append(s.byFile[d.Pos.Filename], d)
+		s.byFile[d.File] = append(s.byFile[d.File], d)
 	}
 	return s
 }

@@ -141,7 +141,7 @@ func collectGroups(pass *analysis.Pass) []*group {
 				Message: fmt.Sprintf("malformed epoch-guarded marker %q: want `epoch-guarded by <func>`", fm.Args)})
 			continue
 		}
-		bump := resolveBump(pass, fm.Struct, name)
+		bump := dataflow.ResolveFunc(pass.Pkg, fm.Struct, name)
 		if bump == nil {
 			pass.Report(analysis.Diagnostic{Pos: fm.Pos, Unsuppressable: true,
 				Message: fmt.Sprintf("epoch-guarded bump %q: no such method on %s or package function", name, fm.Struct)})
@@ -189,19 +189,6 @@ func collectGroups(pass *analysis.Pass) []*group {
 		}
 	}
 	return groups
-}
-
-// resolveBump finds the named bump function: a method of the guarded
-// struct first, then a package-level function.
-func resolveBump(pass *analysis.Pass, structName, name string) *types.Func {
-	if tn, ok := pass.Pkg.Scope().Lookup(structName).(*types.TypeName); ok {
-		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pass.Pkg, name)
-		if fn, ok := obj.(*types.Func); ok {
-			return fn
-		}
-	}
-	fn, _ := pass.Pkg.Scope().Lookup(name).(*types.Func)
-	return fn
 }
 
 // witness records the site that made a group dirty, for the report.

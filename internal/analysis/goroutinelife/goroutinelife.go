@@ -31,48 +31,27 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
+	"repro/internal/analysis/dataflow"
 )
 
-// Analyzer is the goroutinelife check.
+// Analyzer is the goroutinelife check. It patrols everywhere
+// nodeterminism does: a leaked goroutine either breaks determinism or
+// outlives a daemon Close.
 var Analyzer = &analysis.Analyzer{
 	Name:      "goroutinelife",
 	Doc:       "every go statement in deterministic/daemon packages needs a provable shutdown path (WaitGroup join, done-channel or context guard)",
 	Directive: "goroutine",
+	Packages:  analysis.Deterministic | analysis.Daemon | analysis.Tooling,
 	Run:       run,
-}
-
-// checkedPkgs is the union of the nodeterminism strict set and the
-// daemon set: everywhere a leaked goroutine either breaks determinism
-// or outlives a daemon Close.
-var checkedPkgs = map[string]bool{
-	// sim-driven
-	"core": true, "profile": true, "sim": true, "cluster": true,
-	"esp": true, "quadflow": true, "workload": true, "fairness": true,
-	"rms": true, "job": true, "metrics": true, "trace": true,
-	"config": true, "experiments": true, "backoff": true, "campaign": true,
-	// daemons and their substrate
-	"serverd": true, "mauid": true, "mom": true,
-	"proto": true, "tm": true, "clock": true, "chaos": true,
 }
 
 // shutdownName marks lifecycle channels.
 var shutdownName = regexp.MustCompile(`(?i)(done|quit|stop|clos|exit|shutdown)`)
 
-func lastElem(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
 func run(pass *analysis.Pass) error {
-	if !checkedPkgs[lastElem(pass.Pkg.Path())] {
-		return nil
-	}
 	g := callgraph.Build(pass)
 
 	// Per-node base attributes, then a fixpoint over synchronous call
@@ -84,21 +63,20 @@ func run(pass *analysis.Pass) error {
 		joined[n] = j
 		guarded[n] = gu
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.Nodes {
-			for _, e := range n.Calls {
-				if joined[e.Callee] && !joined[n] {
-					joined[n] = true
-					changed = true
-				}
-				if guarded[e.Callee] && !guarded[n] {
-					guarded[n] = true
-					changed = true
-				}
+	dataflow.Fixpoint(g, func(n *callgraph.Node) bool {
+		changed := false
+		for _, e := range n.Calls {
+			if joined[e.Callee] && !joined[n] {
+				joined[n] = true
+				changed = true
+			}
+			if guarded[e.Callee] && !guarded[n] {
+				guarded[n] = true
+				changed = true
 			}
 		}
-	}
+		return changed
+	})
 
 	for _, n := range g.Nodes {
 		for _, sp := range n.Spawns {

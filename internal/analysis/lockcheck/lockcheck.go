@@ -1,5 +1,6 @@
 // Package lockcheck enforces the documented locking discipline of the
-// daemon packages (serverd, mom, mauid, rms). Struct fields annotated
+// Concurrent packages (the daemons, rms, campaign, core, fairtree,
+// proto, tm, clock). Struct fields annotated
 //
 //	foo map[int]*Job // guarded by mu
 //
@@ -11,8 +12,7 @@
 //
 // Independently, any function that calls X.Lock() without a matching
 // X.Unlock() (or the RLock/RUnlock pair) in the same function is
-// flagged: lock handoff across function boundaries is disallowed in
-// the daemons.
+// flagged: lock handoff across function boundaries is disallowed.
 //
 // Function literals are analyzed as separate functions: a goroutine or
 // timer callback must take the lock itself, it does not inherit the
@@ -22,7 +22,6 @@ package lockcheck
 import (
 	"go/ast"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -32,34 +31,13 @@ import (
 // Analyzer is the lockcheck check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockcheck",
-	Doc:       "checks `// guarded by mu` field annotations and Lock/Unlock pairing in daemon packages",
+	Doc:       "checks `// guarded by mu` field annotations and Lock/Unlock pairing in concurrent packages",
 	Directive: "locked",
+	Packages:  analysis.Concurrent,
 	Run:       run,
 }
 
-// daemonPkgs are the packages with a locking discipline to enforce.
-var daemonPkgs = map[string]bool{
-	"serverd": true, "mom": true, "mauid": true, "rms": true, "chaos": true,
-}
-
-// guardedRe accepts two forms. `guarded by mu` names a sibling mutex:
-// the required lock is <same receiver expression>.mu. `guarded by
-// s.mu` — a dotted path — names the mutex by its habitual rendered
-// expression, for record structs (a jobInfo held in the server's map)
-// protected by their container's lock rather than one of their own.
-var guardedRe = regexp.MustCompile(`guarded by ([\w.]+)`)
-
-func lastElem(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
 func run(pass *analysis.Pass) error {
-	if !daemonPkgs[lastElem(pass.Pkg.Path())] {
-		return nil
-	}
 	guarded := collectGuardedFields(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -84,7 +62,7 @@ func collectGuardedFields(pass *analysis.Pass) map[*types.Var]string {
 				return true
 			}
 			for _, field := range st.Fields.List {
-				mu := guardAnnotation(field)
+				mu := analysis.GuardedBy(field)
 				if mu == "" {
 					continue
 				}
@@ -98,18 +76,6 @@ func collectGuardedFields(pass *analysis.Pass) map[*types.Var]string {
 		})
 	}
 	return out
-}
-
-func guardAnnotation(field *ast.Field) string {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		if m := guardedRe.FindStringSubmatch(cg.Text()); m != nil {
-			return m[1]
-		}
-	}
-	return ""
 }
 
 // lockOp is one Lock-family call on a rendered mutex expression

@@ -1,5 +1,5 @@
 // Package lockorder is the interprocedural deadlock check for the
-// daemon packages. Where lockcheck (intraprocedural) enforces the
+// Concurrent packages. Where lockcheck (intraprocedural) enforces the
 // guarded-field and Lock/Unlock-pairing discipline, lockorder follows
 // held-lock sets *across* same-package calls on the callgraph and
 // reports the two shapes a per-function check cannot see:
@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
+	"repro/internal/analysis/dataflow"
 )
 
 // Analyzer is the lockorder check.
@@ -48,23 +49,8 @@ var Analyzer = &analysis.Analyzer{
 	Name:      "lockorder",
 	Doc:       "interprocedural mutex analysis: self-deadlocks, lock-order cycles, declared-order violations",
 	Directive: "lockorder",
+	Packages:  analysis.Concurrent,
 	Run:       run,
-}
-
-// checkedPkgs are the packages with concurrent daemon code worth the
-// interprocedural pass (the same set lockcheck patrols, plus the
-// substrate packages that own mutexes).
-var checkedPkgs = map[string]bool{
-	"serverd": true, "mom": true, "mauid": true, "rms": true,
-	"chaos": true, "proto": true, "campaign": true, "clock": true,
-	"tm": true,
-}
-
-func lastElem(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }
 
 // lock is one mutex identity: the checker object of its declaration.
@@ -112,9 +98,6 @@ type acqEvent struct {
 }
 
 func run(pass *analysis.Pass) error {
-	if !checkedPkgs[lastElem(pass.Pkg.Path())] {
-		return nil
-	}
 	locks := collectLocks(pass)
 	if len(locks) == 0 {
 		return nil
@@ -427,32 +410,30 @@ func closeAcquires(g *callgraph.Graph, infos map[*callgraph.Node]*funcInfo) {
 		fi := infos[n]
 		fi.transAcquires = append(fi.transAcquires, fi.acquires...)
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.Nodes {
-			fi := infos[n]
-			for _, e := range n.Calls {
-				callee := infos[e.Callee]
-				if callee == nil {
-					continue
-				}
-				for _, ta := range callee.transAcquires {
-					if !fi.transSeen[ta.lk] {
-						fi.transSeen[ta.lk] = true
-						fi.transAcquires = append(fi.transAcquires, ta)
-						changed = true
-					}
+	dataflow.Fixpoint(g, func(n *callgraph.Node) bool {
+		fi, changed := infos[n], false
+		for _, e := range n.Calls {
+			callee := infos[e.Callee]
+			if callee == nil {
+				continue
+			}
+			for _, ta := range callee.transAcquires {
+				if !fi.transSeen[ta.lk] {
+					fi.transSeen[ta.lk] = true
+					fi.transAcquires = append(fi.transAcquires, ta)
+					changed = true
 				}
 			}
 		}
-	}
+		return changed
+	})
 }
 
 // declaredOrder parses the package's `//schedlint:lockorder A < B < C`
 // marker into lock → rank (outermost = 0). Unknown names are reported
 // by name so a typo cannot silently disable the check.
 func declaredOrder(pass *analysis.Pass, locks map[*types.Var]*lock) map[*lock]int {
-	markers := analysis.Markers(pass.Fset, pass.Files, "lockorder")
+	markers := analysis.Markers(pass.Files, "lockorder")
 	if len(markers) == 0 {
 		return nil
 	}
@@ -467,7 +448,7 @@ func declaredOrder(pass *analysis.Pass, locks map[*types.Var]*lock) map[*lock]in
 			lk, ok := byName[name]
 			if !ok {
 				pass.Report(analysis.Diagnostic{
-					Pos:            posOf(pass, m.Pos),
+					Pos:            m.Pos,
 					Message:        fmt.Sprintf("lockorder marker names unknown mutex %q (known: %s)", name, strings.Join(sortedNames(byName), ", ")),
 					Unsuppressable: true,
 				})
@@ -503,15 +484,4 @@ func orderString(order map[*lock]int) string {
 		names[i] = e.name
 	}
 	return strings.Join(names, " < ")
-}
-
-// posOf maps a file position back to a token.Pos for reporting.
-func posOf(pass *analysis.Pass, p token.Position) token.Pos {
-	for _, f := range pass.Files {
-		tf := pass.Fset.File(f.Pos())
-		if tf != nil && tf.Name() == p.Filename && p.Line <= tf.LineCount() {
-			return tf.LineStart(p.Line)
-		}
-	}
-	return pass.Files[0].Pos()
 }

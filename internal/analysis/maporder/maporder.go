@@ -64,15 +64,8 @@ var noMapRangePkgs = map[string]string{
 	"fairtree": "range over map in the fairtree package: folds, factors and history rows must walk dense NodeID arrays or sorted stamps so usage accounting stays byte-identical at any producer count",
 }
 
-func lastElem(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
 func run(pass *analysis.Pass) error {
-	noRangeMsg := noMapRangePkgs[lastElem(pass.Pkg.Path())]
+	noRangeMsg := noMapRangePkgs[pass.Pkg.Name()]
 	for _, f := range pass.Files {
 		v := &visitor{pass: pass, noRangeMsg: noRangeMsg}
 		ast.Walk(v, f)

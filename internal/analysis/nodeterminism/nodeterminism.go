@@ -8,27 +8,27 @@
 // rand.Intn() silently breaks that property. This analyzer enforces
 // it mechanically:
 //
-//   - in the sim-driven packages (core, profile, sim, cluster, esp,
-//     quadflow, workload, fairness, rms, and the pure data/format
-//     packages they feed: job, metrics, trace, config, experiments)
-//     any call to the wall clock (time.Now, time.Sleep, time.After,
-//     timers, ...) or to a global math/rand function is an error, and
-//     the //lint:wallclock directive is itself rejected — these
-//     packages have no legitimate wall-clock path;
-//   - in the live daemon packages (serverd, mauid, mom, proto, tm,
-//     clock) the same calls are flagged but may be annotated with
+//   - in the Deterministic packages of analysis.ClassOf's table (core,
+//     profile, sim, cluster, esp, quadflow, workload, fairness, rms,
+//     fairtree, campaign, backoff, and the pure data/format packages
+//     they feed: job, metrics, trace, config, experiments) and in the
+//     Tooling packages (schedlint and every analyzer package) any call
+//     to the wall clock (time.Now, time.Sleep, time.After, timers, ...)
+//     or to a global math/rand function is an error, and the
+//     //lint:wallclock directive is itself rejected — these packages
+//     have no legitimate wall-clock path;
+//   - in the Daemon packages (serverd, mauid, mom, proto, tm, clock,
+//     chaos) the same calls are flagged but may be annotated with
 //     `//lint:wallclock <reason>` where the path is genuinely
 //     wall-clock (daemon timeouts, uptime, socket deadlines).
 //
-// Package main binaries and examples are exempt.
+// Examples and the other binaries are exempt.
 package nodeterminism
 
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -38,26 +38,8 @@ var Analyzer = &analysis.Analyzer{
 	Name:      "nodeterminism",
 	Doc:       "flags wall-clock time and global math/rand use in deterministic packages",
 	Directive: "wallclock",
+	Packages:  analysis.Deterministic | analysis.Daemon | analysis.Tooling,
 	Run:       run,
-}
-
-// strictPkgs never touch the wall clock; the directive is rejected.
-var strictPkgs = map[string]bool{
-	"core": true, "profile": true, "sim": true, "cluster": true,
-	"esp": true, "quadflow": true, "workload": true, "fairness": true,
-	"rms": true, "job": true, "metrics": true, "trace": true,
-	"config": true, "experiments": true, "backoff": true,
-	"campaign": true, "arena": true, "fairtree": true,
-	// The analyzers themselves must be deterministic: SARIF output and
-	// golden fixtures are diffed byte-for-byte in CI.
-	"dataflow": true, "epochguard": true, "poollife": true,
-	"arenasafe": true,
-}
-
-// daemonPkgs may annotate genuinely wall-clock paths.
-var daemonPkgs = map[string]bool{
-	"serverd": true, "mauid": true, "mom": true,
-	"proto": true, "tm": true, "clock": true, "chaos": true,
 }
 
 // wallClockFuncs are the package-level time functions that read or
@@ -76,19 +58,11 @@ var allowedRandFuncs = map[string]bool{
 	"NewChaCha8": true,
 }
 
-func lastElem(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
 func run(pass *analysis.Pass) error {
-	name := lastElem(pass.Pkg.Path())
-	strict := strictPkgs[name]
-	if !strict && !daemonPkgs[name] {
-		return nil
-	}
+	// Strict packages have no legitimate wall-clock path; only a Daemon
+	// package may annotate one.
+	name := pass.Pkg.Name()
+	strict := analysis.ClassOf(pass.Pkg.Path())&(analysis.Deterministic|analysis.Tooling) != 0
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -123,7 +97,7 @@ func run(pass *analysis.Pass) error {
 		for _, d := range analysis.Directives(pass.Fset, pass.Files) {
 			if d.Name == "wallclock" {
 				pass.Report(analysis.Diagnostic{
-					Pos:            directivePos(pass, d),
+					Pos:            d.Pos,
 					Message:        "//lint:wallclock is not allowed in sim-driven package " + name + "; these packages must stay bit-deterministic",
 					Unsuppressable: true,
 				})
@@ -131,22 +105,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-// directivePos maps a directive's file position back to a token.Pos
-// for reporting.
-func directivePos(pass *analysis.Pass, d analysis.Directive) token.Pos {
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				p := pass.Fset.Position(c.Pos())
-				if p.Filename == d.Pos.Filename && p.Line == d.Pos.Line && p.Column == d.Pos.Column {
-					return c.Pos()
-				}
-			}
-		}
-	}
-	return pass.Files[0].Pos()
 }
 
 // pkgFunc resolves a call of the form pkg.Fn(...) to its package path

@@ -185,13 +185,9 @@ func run(pass *analysis.Pass) error {
 type plAnalyzer struct {
 	pass *analysis.Pass
 	reg  *registry
-	// reported dedupes findings per position (loop passes revisit
-	// statements).
-	reported map[token.Pos]bool
 }
 
 func (a *plAnalyzer) checkFunc(body *ast.BlockStmt) {
-	a.reported = map[token.Pos]bool{}
 	dataflow.Walk(body, newState(), dataflow.Hooks{
 		Transfer: func(st dataflow.State, n ast.Node) { a.transfer(st.(*plState), n) },
 		Defer:    func(st dataflow.State, call *ast.CallExpr) { a.call(st.(*plState), call) },
@@ -207,20 +203,12 @@ func (a *plAnalyzer) checkFunc(body *ast.BlockStmt) {
 					if !p.IsValid() {
 						p = vs.acq
 					}
-					a.reportOnce(p, "pooled %s may reach return without %s (acquired at %s)",
+					a.pass.Reportf(p, "pooled %s may reach return without %s (acquired at %s)",
 						vs.pool, vs.rel, a.pass.Fset.Position(vs.acq))
 				}
 			}
 		},
 	})
-}
-
-func (a *plAnalyzer) reportOnce(pos token.Pos, format string, args ...any) {
-	if a.reported[pos] {
-		return
-	}
-	a.reported[pos] = true
-	a.pass.Reportf(pos, format, args...)
 }
 
 // transfer interprets one atomic statement or condition expression.
@@ -246,7 +234,7 @@ func (a *plAnalyzer) transfer(s *plState, n ast.Node) {
 		// floor: neither released nor escaped.
 		if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
 			if pool, ok := a.ctorOf(call); ok {
-				a.reportOnce(call.Pos(), "pooled %s dropped without release", pool)
+				a.pass.Reportf(call.Pos(), "pooled %s dropped without release", pool)
 				a.evalCallArgs(s, call)
 				return
 			}
@@ -346,7 +334,7 @@ func (a *plAnalyzer) eval(s *plState, e ast.Expr, escaping bool) {
 			return
 		}
 		if vs.released {
-			a.reportOnce(e.Pos(), "pooled %s used after %s", vs.pool, vs.rel)
+			a.pass.Reportf(e.Pos(), "pooled %s used after %s", vs.pool, vs.rel)
 		}
 		if escaping {
 			delete(s.vars, v)
@@ -417,7 +405,7 @@ func (a *plAnalyzer) call(s *plState, call *ast.CallExpr) {
 			if v := a.trackedVar(s, obj); v != nil {
 				vs := s.vars[v]
 				if vs.released {
-					a.reportOnce(call.Pos(), "pooled %s released twice (%s)", vs.pool, pool)
+					a.pass.Reportf(call.Pos(), "pooled %s released twice (%s)", vs.pool, pool)
 				}
 				vs.released = true
 				vs.live = false

@@ -13,7 +13,7 @@
 //     its trailing comment. Replies that are read inline (request /
 //     response on one connection) use the pseudo-role `reply`.
 //   - Every `switch` over a MsgType in a daemon package is declared
-//     with a `//schedlint:dispatch <role>` marker on the line above,
+//     with a `schedlint:dispatch <role>` marker on the line above,
 //     and must handle exactly the tags registered for that role: each
 //     registered tag appears as a case, and each case tag is
 //     registered for the role.
@@ -70,12 +70,13 @@ func run(pass *analysis.Pass) error {
 
 	// Half two: every switch over a MsgType value, wherever it lives,
 	// must be declared and exhaustive for its role.
-	markers := analysis.Markers(pass.Fset, pass.Files, "dispatch")
+	markers := analysis.Markers(pass.Files, "dispatch")
 	markerAt := make(map[string]*analysis.Marker, len(markers))
 	used := make(map[*analysis.Marker]bool, len(markers))
 	for i := range markers {
 		m := &markers[i]
-		markerAt[fmt.Sprintf("%s:%d", m.Pos.Filename, m.Pos.Line)] = m
+		pos := pass.Fset.Position(m.Pos)
+		markerAt[fmt.Sprintf("%s:%d", pos.Filename, pos.Line)] = m
 	}
 
 	for _, f := range pass.Files {
@@ -108,7 +109,7 @@ func run(pass *analysis.Pass) error {
 		m := &markers[i]
 		if !used[m] {
 			pass.Report(analysis.Diagnostic{
-				Pos:            markerPos(pass, m),
+				Pos:            m.Pos,
 				Message:        fmt.Sprintf("//schedlint:dispatch %s marker is not attached to a MsgType switch on the next line", strings.TrimSpace(m.Args)),
 				Unsuppressable: true,
 			})
@@ -284,14 +285,4 @@ func constString(pass *analysis.Pass, expr ast.Expr) (string, bool) {
 		return "", false
 	}
 	return constant.StringVal(tv.Value), true
-}
-
-func markerPos(pass *analysis.Pass, m *analysis.Marker) token.Pos {
-	for _, f := range pass.Files {
-		tf := pass.Fset.File(f.Pos())
-		if tf != nil && tf.Name() == m.Pos.Filename {
-			return tf.LineStart(m.Pos.Line)
-		}
-	}
-	return token.NoPos
 }

@@ -85,16 +85,15 @@ func newParamFlow(pass *analysis.Pass, g *callgraph.Graph, seeds, origins map[*c
 			}
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.Nodes {
-			for _, e := range n.Calls {
-				if pf.flowEdge(n, e) {
-					changed = true
-				}
+	dataflow.Fixpoint(g, func(n *callgraph.Node) bool {
+		changed := false
+		for _, e := range n.Calls {
+			if pf.flowEdge(n, e) {
+				changed = true
 			}
 		}
-	}
+		return changed
+	})
 	return pf
 }
 

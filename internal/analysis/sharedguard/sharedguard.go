@@ -61,7 +61,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -71,37 +70,18 @@ import (
 	"repro/internal/analysis/dataflow"
 )
 
-// Analyzer is the sharedguard check.
+// Analyzer is the sharedguard check. The Concurrent packages are the
+// live daemons and their substrate, plus the packages whose lock-free
+// or sharded structures carry the scale work (campaign's claim index,
+// core's epoch counters, fairtree's sharded usage, proto's pooled conn
+// state).
 var Analyzer = &analysis.Analyzer{
 	Name:      "sharedguard",
 	Doc:       "fields written from two or more goroutine contexts must declare a guard: a `// guarded by mu` mutex, atomicity, or //schedlint:confined",
 	Directive: "shared",
 	Tests:     true,
+	Packages:  analysis.Concurrent,
 	Run:       run,
-}
-
-// checkedPkgs are the concurrency-bearing packages under the
-// memory-model contract: the live daemons and their substrate, plus
-// the packages whose lock-free or sharded structures carry the scale
-// work (campaign's claim index, core's epoch counters, fairtree's
-// sharded usage, proto's pooled conn state).
-var checkedPkgs = map[string]bool{
-	"serverd": true, "mom": true, "mauid": true, "rms": true, "chaos": true,
-	"proto": true, "tm": true, "campaign": true, "core": true, "fairtree": true,
-}
-
-// guardedRe accepts both lockcheck forms: a sibling mutex (`guarded by
-// mu`) and a dotted owner path for record structs protected by their
-// container's lock (`guarded by s.mu` on a jobInfo field).
-var guardedRe = regexp.MustCompile(`guarded by ([\w.]+)`)
-
-func pkgElem(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		path = path[i+1:]
-	}
-	// The driver labels external test packages "<pkg>_test"; they are
-	// held to the package's own contract.
-	return strings.TrimSuffix(path, "_test")
 }
 
 // fieldInfo is what the sweep knows about one declared struct field.
@@ -114,9 +94,6 @@ type fieldInfo struct {
 }
 
 func run(pass *analysis.Pass) error {
-	if !checkedPkgs[pkgElem(pass.Pkg.Path())] {
-		return nil
-	}
 	fields := collectFields(pass)
 	if len(fields) == 0 {
 		return nil
@@ -151,7 +128,7 @@ func run(pass *analysis.Pass) error {
 			// covers every leaf written through it (`p.stats.Severed++`
 			// under the guard declared on stats).
 			covered := false
-			for _, pv := range w.Path[1 : max(len(w.Path)-1, 1)] {
+			for _, pv := range w.Path[1:max(len(w.Path)-1, 1)] {
 				if fi := fields[pv]; fi != nil && (fi.guarded || fi.confined) {
 					covered = true
 				}
@@ -237,12 +214,7 @@ func collectFields(pass *analysis.Pass) map[*types.Var]*fieldInfo {
 					continue
 				}
 				for _, field := range st.Fields.List {
-					guarded := false
-					for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-						if cg != nil && guardedRe.MatchString(cg.Text()) {
-							guarded = true
-						}
-					}
+					guarded := analysis.GuardedBy(field) != ""
 					for _, name := range field.Names {
 						v, ok := pass.TypesInfo.Defs[name].(*types.Var)
 						if !ok {
@@ -353,17 +325,16 @@ func spawnOrigins(pass *analysis.Pass, g *callgraph.Graph) (origins, seeds map[*
 	}
 
 	// Propagate along synchronous edges to a fixpoint.
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.Nodes {
-			for _, e := range n.Calls {
-				for o := range origins[n] {
-					if add(e.Callee, o) {
-						changed = true
-					}
+	dataflow.Fixpoint(g, func(n *callgraph.Node) bool {
+		changed := false
+		for _, e := range n.Calls {
+			for o := range origins[n] {
+				if add(e.Callee, o) {
+					changed = true
 				}
 			}
 		}
-	}
+		return changed
+	})
 	return origins, seeds, names, isSpawn
 }

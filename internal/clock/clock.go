@@ -44,8 +44,8 @@ func (Wall) After(d time.Duration) <-chan time.Time { return time.After(d) }
 // at an arbitrary fixed instant and only moves when Advance is called.
 type Fake struct {
 	mu      sync.Mutex
-	now     time.Time
-	waiters []fakeWaiter
+	now     time.Time    // guarded by mu
+	waiters []fakeWaiter // guarded by mu
 }
 
 type fakeWaiter struct {

@@ -264,13 +264,16 @@ type mirror struct {
 	queued []*job.Job //schedlint:epoch-guarded by bumpQueue
 	qkeys  []uint64   //schedlint:confined cycle qkeys[i] is the entry.qkey of queued[i]; ascending
 	//schedlint:confined cycle see the type's comment
-	active []*job.Job //schedlint:epoch-guarded by bump
+	active job.RunSet //schedlint:epoch-guarded by bump
 	//schedlint:confined cycle see the type's comment
 	dyn []*job.DynRequest //schedlint:epoch-guarded by bump
 
 	// The mirror's own state epoch, the Serial of the last pull, and the
 	// newest queue key handed out.
 	serial, srvSerial, lastKey uint64 //schedlint:confined cycle see the type's comment
+	// now is the server's clock at the last pull: a job the cycle starts
+	// starts then.
+	now sim.Time //schedlint:confined cycle see the type's comment
 	// qlog is the mirror's queue epoch and the jobs behind it.
 	qlog core.QueueLog //schedlint:confined cycle see the type's comment
 	// actions are this cycle's decisions; they stay until the next
@@ -330,13 +333,14 @@ func newMirror(st *proto.SchedState) (*mirror, error) {
 		}
 	}
 	m.setDyn(st.Dyn)
-	m.serial, m.srvSerial = st.Serial, st.Serial
+	m.serial, m.srvSerial, m.now = st.Serial, st.Serial, sim.Time(st.NowMS)
 	m.qlog.Reset(st.Serial)
 	return m, nil
 }
 
 // apply brings the mirror from the previous pull to this one.
 func (m *mirror) apply(d *proto.SchedDelta) error {
+	m.now = sim.Time(d.NowMS)
 	if d.Serial == m.srvSerial && len(d.Jobs)+len(d.Tail)+len(m.actions) == 0 {
 		return nil // nothing happened on either side: the epochs stand
 	}
@@ -432,8 +436,6 @@ func (m *mirror) place(sj *proto.SchedJob, tail bool) error {
 	return nil
 }
 
-func byID(j *job.Job, id job.ID) int { return cmp.Compare(j.ID, id) }
-
 // list files e under its state — the queue in key order, the active
 // list by id, as the server orders them — if the state has a list.
 func (m *mirror) list(e *entry) bool {
@@ -444,17 +446,12 @@ func (m *mirror) list(e *entry) bool {
 		m.qkeys = slices.Insert(m.qkeys, i, e.qkey)
 		m.bumpQueue(&e.Job)
 	case e.Active():
-		m.insertActive(&e.Job)
+		m.active.Add(&e.Job)
 		m.bump()
 	default:
 		return false
 	}
 	return true
-}
-
-func (m *mirror) insertActive(j *job.Job) {
-	i, _ := slices.BinarySearchFunc(m.active, j.ID, byID)
-	m.active = slices.Insert(m.active, i, j)
 }
 
 // unlist takes e off the list its state files it under.
@@ -463,10 +460,8 @@ func (m *mirror) unlist(e *entry) {
 	case e.State == job.Queued:
 		m.dequeue(e)
 	case e.Active():
-		if i, ok := slices.BinarySearchFunc(m.active, e.ID, byID); ok {
-			m.active = slices.Delete(m.active, i, i+1)
-			m.bump()
-		}
+		m.active.Remove(e.ID)
+		m.bump()
 	}
 }
 
@@ -515,7 +510,7 @@ func parseState(s string) (job.State, error) {
 func (m *mirror) Cluster() *cluster.Cluster      { return m.cl }
 func (m *mirror) QueuedJobs() []*job.Job         { return append([]*job.Job(nil), m.queued...) }
 func (m *mirror) QueueRef() []*job.Job           { return m.queued } // core.QueueSnapshotter
-func (m *mirror) ActiveJobs() []*job.Job         { return append([]*job.Job(nil), m.active...) }
+func (m *mirror) ActiveJobs() []*job.Job         { return m.active.Jobs() }
 func (m *mirror) DynRequests() []*job.DynRequest { return append([]*job.DynRequest(nil), m.dyn...) }
 
 func (m *mirror) StartJob(j *job.Job) (cluster.Alloc, error) {
@@ -527,9 +522,10 @@ func (m *mirror) StartJob(j *job.Job) (cluster.Alloc, error) {
 	if alloc == nil {
 		return nil, fmt.Errorf("mauid: mirror cannot place %s", j.ID)
 	}
-	m.insertActive(j)
+	m.active.Add(j)
 	m.dequeue(e)
 	j.State = job.Running
+	j.StartTime = m.now
 	m.actions = append(m.actions, proto.SchedAction{Kind: "start", JobID: int(j.ID)})
 	return alloc, nil
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/mom"
 	"repro/internal/proto"
 	"repro/internal/serverd"
+	"repro/internal/sim"
 	"repro/internal/tm"
 )
 
@@ -168,6 +169,36 @@ func TestMirrorFromSnapshot(t *testing.T) {
 	if err := m.Preempt(&job.Job{}); err == nil {
 		t.Error("mirror preemption must be unsupported")
 	}
+}
+
+// TestMirrorStartStampsPullTime: a job the mirror starts starts at the
+// server clock of the cycle's pull. Left at the queued record's 0, the
+// rest of the cycle would plan it as a job long past its walltime.
+func TestMirrorStartStampsPullTime(t *testing.T) {
+	leak.Check(t)
+	nodes := []proto.NodeStatus{{Name: "n0", Cores: 8, State: "up"}}
+	m, err := newMirror(&proto.SchedState{NowMS: 5000, Serial: 1, Nodes: nodes, Queued: []proto.SchedJob{
+		{ID: 1, User: "u", State: "queued", Cores: 2, WallSecs: 60},
+		{ID: 2, User: "u", State: "queued", Cores: 2, WallSecs: 60},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := func(pullMS int64) {
+		t.Helper()
+		j := m.QueuedJobs()[0]
+		if _, err := m.StartJob(j); err != nil {
+			t.Fatal(err)
+		}
+		if j.StartTime != sim.Time(pullMS) {
+			t.Errorf("job %d started at %d, want the pull's NowMS %d", j.ID, j.StartTime, pullMS)
+		}
+	}
+	start(5000)
+	if err := m.apply(&proto.SchedDelta{NowMS: 9000, Serial: 2, Nodes: nodes}); err != nil {
+		t.Fatal(err)
+	}
+	start(9000)
 }
 
 func TestMirrorOverfullSnapshot(t *testing.T) {
@@ -514,8 +545,8 @@ func TestDeltaApplyAllocsAreDeltaSized(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if len(m.queued) != depth || len(m.active) != touched/2 {
-		t.Fatalf("mirror holds %d queued and %d active, want %d and %d", len(m.queued), len(m.active), depth, touched/2)
+	if len(m.queued) != depth || m.active.Len() != touched/2 {
+		t.Fatalf("mirror holds %d queued and %d active, want %d and %d", len(m.queued), m.active.Len(), depth, touched/2)
 	}
 	// One entry per new job, plus change; a copy of the queue alone
 	// would be 80 kB in one allocation.

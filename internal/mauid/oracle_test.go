@@ -177,7 +177,7 @@ func diffMirrors(got, want *mirror) string {
 	if len(got.qkeys) != len(got.queued) {
 		return fmt.Sprintf("%d queue keys for %d queued jobs", len(got.qkeys), len(got.queued))
 	}
-	if g, w := ids(got.active), ids(want.active); !reflect.DeepEqual(g, w) {
+	if g, w := ids(got.active.Jobs()), ids(want.active.Jobs()); !reflect.DeepEqual(g, w) {
 		return fmt.Sprintf("active order:\n mirror   %v\n snapshot %v", g, w)
 	}
 	type dynKey struct {

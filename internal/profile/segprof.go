@@ -4,16 +4,16 @@
 // carries thousands of boundaries and FindSlot dominates the iteration
 // when 100k queued jobs each probe it. SegProfile keeps the same
 // piecewise-constant semantics but chunks the steps into fixed-size
-// segments held in an int32-freelist arena (the sim-engine slot-arena
-// pattern), with per-segment min/max aggregates:
+// segments, linked by index in one plain slice, with per-segment
+// min/max aggregates:
 //
 //   - FindSlot/MinFree skip whole segments that are uniformly feasible
 //     (min ≥ cores) or uniformly infeasible (max < cores), so a probe
 //     costs O(segments) instead of O(steps) in the common case;
 //   - boundary insertion shifts at most one segment (with an O(segCap)
 //     local split when full) instead of memmoving the whole step list;
-//   - clones for what-if planning copy the arena wholesale — still one
-//     memcpy, no pointer graph.
+//   - clones for what-if planning copy the segment slice wholesale —
+//     still one memcpy, no pointer graph.
 //
 // Every operation is defined to be value-identical to the flat Profile:
 // the differential test in segprof_test.go drives both implementations
@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/arena"
 	"repro/internal/sim"
 )
 
@@ -36,12 +35,12 @@ import (
 const segCap = 32
 
 // segment is one chunk of consecutive steps plus aggregates. Segments
-// link through arena handles, never pointers, so a profile clone is a
-// flat copy of the arena.
+// link through indices, never pointers, so a profile clone is a flat
+// copy of the slice.
 type segment struct {
 	t    [segCap]sim.Time
 	free [segCap]int32
-	next int32 // arena handle of the next segment; -1 terminates
+	next int32 // index of the next segment; -1 terminates
 	n    int32 // live steps in this segment (≥ 1)
 	min  int32 // min of free[0..n)
 	max  int32 // max of free[0..n)
@@ -51,8 +50,7 @@ type segment struct {
 // equivalent to Profile but segmented for scale. The zero value is not
 // usable; call NewSeg or Builder.BuildSegInto.
 type SegProfile struct {
-	segs arena.Slots[segment]
-	head int32
+	segs []segment // the chain starts at segs[0]
 }
 
 // NewSeg creates a segmented profile with freeNow cores available from
@@ -65,36 +63,41 @@ func NewSeg(now sim.Time, freeNow int) *SegProfile {
 
 // reset reinitializes the profile to a single step, keeping storage.
 func (p *SegProfile) reset(now sim.Time, freeNow int32) {
-	p.segs.Reset()
-	h := p.segs.Alloc()
-	seg := p.segs.At(h)
+	p.segs = p.segs[:0]
+	p.alloc()
+	seg := &p.segs[0]
 	seg.next = -1
 	seg.n = 1
 	seg.t[0] = now
 	seg.free[0] = freeNow
 	seg.min, seg.max = freeNow, freeNow
-	p.head = h
 }
 
-// CloneInto copies p into dst, reusing dst's arena storage — the
-// what-if overlay path. A nil dst allocates a fresh profile.
+// alloc appends a segment and returns its index. The append may move
+// the slice: a *segment taken before the call is stale after it.
+func (p *SegProfile) alloc() int32 {
+	p.segs = append(p.segs, segment{})
+	return int32(len(p.segs) - 1)
+}
+
+// CloneInto copies p into dst, reusing dst's storage — the what-if
+// overlay path. A nil dst allocates a fresh profile.
 func (p *SegProfile) CloneInto(dst *SegProfile) *SegProfile {
 	if dst == nil {
 		dst = &SegProfile{}
 	}
-	dst.segs.CopyFrom(&p.segs)
-	dst.head = p.head
+	dst.segs = append(dst.segs[:0], p.segs...)
 	return dst
 }
 
 // Start returns the first instant the profile covers.
-func (p *SegProfile) Start() sim.Time { return p.segs.At(p.head).t[0] }
+func (p *SegProfile) Start() sim.Time { return p.segs[0].t[0] }
 
 // NumSteps returns the total number of step boundaries.
 func (p *SegProfile) NumSteps() int {
 	n := 0
-	for h := p.head; h >= 0; h = p.segs.At(h).next {
-		n += int(p.segs.At(h).n)
+	for h := int32(0); h >= 0; h = p.segs[h].next {
+		n += int(p.segs[h].n)
 	}
 	return n
 }
@@ -102,8 +105,8 @@ func (p *SegProfile) NumSteps() int {
 // Steps returns a copy of the steps, for inspection and tests.
 func (p *SegProfile) Steps() []Step {
 	out := make([]Step, 0, p.NumSteps())
-	for h := p.head; h >= 0; {
-		seg := p.segs.At(h)
+	for h := int32(0); h >= 0; {
+		seg := &p.segs[h]
 		for k := 0; k < int(seg.n); k++ {
 			out = append(out, Step{T: seg.t[k], Free: int(seg.free[k])})
 		}
@@ -117,15 +120,15 @@ func (p *SegProfile) Steps() []Step {
 // index of the last step with time ≤ t within it (-1 when t precedes
 // even the head's first step).
 func (p *SegProfile) locate(t sim.Time) (int32, int) {
-	h := p.head
+	h := int32(0)
 	for {
-		seg := p.segs.At(h)
-		if seg.next < 0 || p.segs.At(seg.next).t[0] > t {
+		seg := &p.segs[h]
+		if seg.next < 0 || p.segs[seg.next].t[0] > t {
 			break
 		}
 		h = seg.next
 	}
-	seg := p.segs.At(h)
+	seg := &p.segs[h]
 	i := int(seg.n) - 1
 	for i >= 0 && seg.t[i] > t {
 		i--
@@ -137,7 +140,7 @@ func (p *SegProfile) locate(t sim.Time) (int32, int) {
 // start report the initial value.
 func (p *SegProfile) FreeAt(t sim.Time) int {
 	h, i := p.locate(t)
-	seg := p.segs.At(h)
+	seg := &p.segs[h]
 	if i < 0 {
 		return int(seg.free[0])
 	}
@@ -158,13 +161,13 @@ func recomputeAgg(seg *segment) {
 	seg.min, seg.max = mn, mx
 }
 
-// split divides a full segment in half, allocating the upper half from
-// the arena and relinking — the local alternative to the flat
-// profile's whole-slice memmove.
+// split divides a full segment in half, appending the upper half and
+// relinking — the local alternative to the flat profile's whole-slice
+// memmove.
 func (p *SegProfile) split(h int32) {
-	nh := p.segs.Alloc() // may grow the arena: re-fetch pointers after
-	seg := p.segs.At(h)
-	s2 := p.segs.At(nh)
+	nh := p.alloc() // may move the slice: take pointers after
+	seg := &p.segs[h]
+	s2 := &p.segs[nh]
 	const half = segCap / 2
 	copy(s2.t[:half], seg.t[half:])
 	copy(s2.free[:half], seg.free[half:])
@@ -179,7 +182,7 @@ func (p *SegProfile) split(h int32) {
 // containing it) and returns its segment handle and index.
 func (p *SegProfile) ensureBoundary(t sim.Time) (int32, int) {
 	h, i := p.locate(t)
-	seg := p.segs.At(h)
+	seg := &p.segs[h]
 	if i >= 0 && seg.t[i] == t {
 		return h, i
 	}
@@ -192,11 +195,11 @@ func (p *SegProfile) ensureBoundary(t sim.Time) (int32, int) {
 	pos := i + 1
 	if int(seg.n) == segCap {
 		p.split(h)
-		seg = p.segs.At(h)
+		seg = &p.segs[h]
 		if pos > int(seg.n) {
 			pos -= int(seg.n)
 			h = seg.next
-			seg = p.segs.At(h)
+			seg = &p.segs[h]
 		}
 	}
 	for k := int(seg.n); k > pos; k-- {
@@ -223,7 +226,7 @@ func (p *SegProfile) AddRelease(t sim.Time, cores int) {
 	c := int32(cores)
 	h, i := p.ensureBoundary(t)
 	for h >= 0 {
-		seg := p.segs.At(h)
+		seg := &p.segs[h]
 		n := int(seg.n)
 		for k := i; k < n; k++ {
 			seg.free[k] += c
@@ -252,7 +255,7 @@ func (p *SegProfile) AddHold(start, end sim.Time, cores int) {
 	h, i := p.ensureBoundary(start)
 	c := int32(cores)
 	for h >= 0 {
-		seg := p.segs.At(h)
+		seg := &p.segs[h]
 		n := int(seg.n)
 		if i == 0 && seg.t[n-1] < end {
 			// Every step in the segment is inside the hold.
@@ -286,7 +289,7 @@ func (p *SegProfile) MinFree(start, end sim.Time) int {
 		return p.FreeAt(start)
 	}
 	h, i := p.locate(start)
-	seg := p.segs.At(h)
+	seg := &p.segs[h]
 	var min int32
 	if i < 0 {
 		min = seg.free[0]
@@ -302,7 +305,7 @@ func (p *SegProfile) MinFree(start, end sim.Time) int {
 		}
 	}
 	for nh := seg.next; nh >= 0; {
-		s2 := p.segs.At(nh)
+		s2 := &p.segs[nh]
 		if s2.t[0] >= end {
 			break
 		}
@@ -342,7 +345,7 @@ func (p *SegProfile) FindSlot(cores int, dur sim.Duration, earliest sim.Time) si
 	}
 	c := int32(cores)
 	h, i := p.locate(earliest)
-	seg := p.segs.At(h)
+	seg := &p.segs[h]
 	var start sim.Time
 	ok := false
 	if seg.free[i] >= c {
@@ -361,7 +364,7 @@ func (p *SegProfile) FindSlot(cores int, dur sim.Duration, earliest sim.Time) si
 		}
 	}
 	for nh := seg.next; nh >= 0; {
-		s2 := p.segs.At(nh)
+		s2 := &p.segs[nh]
 		if ok && satAdd(start, dur) <= s2.t[0] {
 			return start
 		}
@@ -401,8 +404,8 @@ func (p *SegProfile) String() string {
 	var b strings.Builder
 	b.WriteByte('[')
 	first := true
-	for h := p.head; h >= 0; {
-		seg := p.segs.At(h)
+	for h := int32(0); h >= 0; {
+		seg := &p.segs[h]
 		for k := 0; k < int(seg.n); k++ {
 			if !first {
 				b.WriteByte(' ')
@@ -423,8 +426,8 @@ func (p *SegProfile) CheckInvariants() error {
 	seen := 0
 	var prev sim.Time
 	first := true
-	for h := p.head; h >= 0; {
-		seg := p.segs.At(h)
+	for h := int32(0); h >= 0; {
+		seg := &p.segs[h]
 		if seg.n < 1 || seg.n > segCap {
 			return fmt.Errorf("segprofile: segment with %d steps", seg.n)
 		}
@@ -445,7 +448,7 @@ func (p *SegProfile) CheckInvariants() error {
 			return fmt.Errorf("segprofile: stale aggregates (min %d/%d, max %d/%d)", seg.min, mn, seg.max, mx)
 		}
 		seen += int(seg.n)
-		if seen > p.segs.Cap()*segCap {
+		if seen > len(p.segs)*segCap {
 			return fmt.Errorf("segprofile: segment chain cycle")
 		}
 		h = seg.next
@@ -457,13 +460,13 @@ func (p *SegProfile) CheckInvariants() error {
 }
 
 // BuildSegInto materializes the accumulated deltas into dst, reusing
-// its arena storage, and returns dst. The result is step-for-step
-// identical to BuildInto on a flat Profile.
+// its storage, and returns dst. The result is step-for-step identical
+// to BuildInto on a flat Profile.
 func (b *Builder) BuildSegInto(dst *SegProfile) *SegProfile {
 	sortDeltas(b.deltas)
 	dst.reset(b.base, int32(b.baseFree))
-	h := dst.head
-	seg := dst.segs.At(h)
+	h := int32(0)
+	seg := &dst.segs[h]
 	free := int32(b.baseFree)
 	for i := 0; i < len(b.deltas); {
 		t := b.deltas[i].t
@@ -471,11 +474,11 @@ func (b *Builder) BuildSegInto(dst *SegProfile) *SegProfile {
 			free += int32(b.deltas[i].d)
 		}
 		if int(seg.n) == segCap {
-			nh := dst.segs.Alloc() // may grow the arena: re-fetch seg
-			recomputeAgg(dst.segs.At(h))
-			dst.segs.At(h).next = nh
+			nh := dst.alloc() // may move the slice: re-fetch seg
+			recomputeAgg(&dst.segs[h])
+			dst.segs[h].next = nh
 			h = nh
-			seg = dst.segs.At(h)
+			seg = &dst.segs[h]
 			seg.next = -1
 			seg.n = 0
 		}

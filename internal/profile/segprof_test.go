@@ -132,6 +132,60 @@ func TestSegProfileSplitDense(t *testing.T) {
 	}
 }
 
+// TestSegProfileCloneIntoReusedStorage clones into storage that held a
+// larger profile, then splits the clone hard with dense holds and
+// releases until its segment slice outgrows that storage. Every split
+// appends a segment and may move the slice, so a *segment kept across
+// one would write into stale memory; the clone must match the flat
+// profile step for step after every operation, and its source must not
+// change.
+func TestSegProfileCloneIntoReusedStorage(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var b Builder
+		b.Reset(0, 4096)
+		for i := 0; i < 1000; i++ {
+			b.Release(sim.Duration(1+rng.Intn(100000))*sim.Second, 1+rng.Intn(8))
+		}
+		dst := b.BuildSegInto(&SegProfile{})
+		held := len(dst.segs)
+
+		b.Reset(0, 512)
+		for i := 0; i < 40; i++ {
+			b.Release(sim.Duration(1+rng.Intn(2000))*sim.Second, 1+rng.Intn(8))
+		}
+		src := b.BuildSegInto(&SegProfile{})
+		flat := b.Build()
+		before := src.Steps()
+
+		c := src.CloneInto(dst)
+		for op := 0; op < 1000; op++ {
+			at := sim.Duration(rng.Intn(2000)) * sim.Second
+			cores := 1 + rng.Intn(16)
+			if rng.Intn(2) == 0 {
+				end := at + sim.Duration(1+rng.Intn(50))*sim.Second
+				flat.AddHold(at, end, cores)
+				c.AddHold(at, end, cores)
+			} else {
+				flat.AddRelease(at, cores)
+				c.AddRelease(at, cores)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+			if !stepsEqual(flat.Steps(), c.Steps()) {
+				t.Fatalf("seed %d op %d:\nflat  %v\nclone %v", seed, op, flat, c)
+			}
+		}
+		if len(c.segs) <= held {
+			t.Fatalf("seed %d: the clone has %d segments, never outgrowing the %d it reused", seed, len(c.segs), held)
+		}
+		if !stepsEqual(src.Steps(), before) {
+			t.Fatalf("seed %d: splitting the clone changed its source", seed)
+		}
+	}
+}
+
 // benchProfilePair builds a production-scale profile (thousands of
 // release boundaries, a band of holds) in both representations.
 func benchProfilePair() (*Profile, *SegProfile) {

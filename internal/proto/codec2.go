@@ -174,6 +174,8 @@ func (c *Conn) ClientHandshake(m Mode) error {
 // ModeV2 acceptor still serves sniffed v1 peers: the paper's
 // qsub/qstat clients never handshake, and refusing them would break
 // every old client for no protocol benefit.
+//
+//lint:locked the handshake runs before any Recv, on a conn no other goroutine reads yet
 func (c *Conn) AcceptHandshake(m Mode) error {
 	if _, err := io.ReadFull(c.c, c.scratch[:1]); err != nil {
 		return fmt.Errorf("proto: handshake read: %w", err)
@@ -323,6 +325,8 @@ func (c *Conn) recvV2() (*Envelope, error) {
 
 // readFrameLen reads the frame-length uvarint byte by byte (through
 // the conn scratch so nothing escapes per call).
+//
+//lint:locked its one caller, recvV2, runs with c.rm held
 func (c *Conn) readFrameLen() (uint64, error) {
 	var x uint64
 	var s uint

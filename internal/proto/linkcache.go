@@ -50,8 +50,8 @@ type LinkCache struct {
 type cachedLink struct {
 	mu   sync.Mutex
 	conn atomic.Pointer[Conn] // nil until dialled and after an error; Close reads it without mu
-	busy int                  // guarded by LinkCache.mu: requests holding or waiting for mu
-	used time.Time            // guarded by LinkCache.mu: when the latest request began
+	busy int                  // guarded by lc.mu: requests holding or waiting for mu
+	used time.Time            // guarded by lc.mu: when the latest request began
 }
 
 // NewLinkCache creates an empty cache whose links negotiate their codec

@@ -67,16 +67,6 @@ type Options struct {
 	// once (default 256). A connect flood queues in the kernel accept
 	// backlog instead of spawning an unbounded goroutine per SYN.
 	MaxHandshakes int
-	// IngestWorkers sizes the shared pool that applies mom messages
-	// (job completions, dynamic requests) to server state (default 4).
-	// Per-mom ordering is preserved by sharding on node id, so lock
-	// contention scales with the pool size rather than the mom count.
-	IngestWorkers int
-	// BeaconRingSize is the capacity of the lock-free heartbeat ring
-	// the monitor sweep drains in batch (default 65536, rounded up to
-	// a power of two). A full ring falls back to locked stamping, so
-	// undersizing costs throughput, never liveness.
-	BeaconRingSize int
 	// OnBeacon, when set, is called by the monitor sweep with the
 	// sender-to-stamp latency of every heartbeat carrying a SentMS
 	// wall clock — the soak test's measurement hook. Keep it cheap; it
@@ -85,6 +75,18 @@ type Options struct {
 	// Verbose enables stderr logging.
 	Verbose bool
 }
+
+const (
+	// ingestWorkers sizes the shared pool that applies mom messages
+	// (job completions, dynamic requests) to server state. Per-mom
+	// ordering is preserved by sharding on node id, so lock contention
+	// scales with the pool size rather than the mom count.
+	ingestWorkers = 4
+	// beaconRingSize is the capacity of the lock-free heartbeat ring the
+	// monitor sweep drains in batch. A full ring falls back to locked
+	// stamping, so undersizing costs throughput, never liveness.
+	beaconRingSize = 1 << 16
+)
 
 // jobInfo is the server-side record of one job. The record lives in
 // the jobs map and shares its lock: every mutable field is guarded by
@@ -182,12 +184,6 @@ func New(opts Options) *Server {
 	if opts.MaxHandshakes <= 0 {
 		opts.MaxHandshakes = 256
 	}
-	if opts.IngestWorkers <= 0 {
-		opts.IngestWorkers = 4
-	}
-	if opts.BeaconRingSize <= 0 {
-		opts.BeaconRingSize = 1 << 16
-	}
 	var fs *core.Fairshare
 	if opts.Sched != nil {
 		fs = opts.Sched.Fairshare()
@@ -215,14 +211,14 @@ func (s *Server) Start(addr string) error {
 	}
 	s.ln = ln
 	s.start = time.Now() //lint:wallclock anchors the daemon's virtual clock at startup
-	s.ingest = make([]chan func(), s.opts.IngestWorkers)
+	s.ingest = make([]chan func(), ingestWorkers)
 	for i := range s.ingest {
 		s.ingest[i] = make(chan func(), 64)
 		s.wg.Add(1)
 		go s.ingestLoop(s.ingest[i])
 	}
 	if s.opts.HeartbeatInterval > 0 {
-		s.beacons = newBeaconRing(s.opts.BeaconRingSize)
+		s.beacons = newBeaconRing(beaconRingSize)
 		s.wg.Add(1)
 		go s.monitorLoop()
 	}
