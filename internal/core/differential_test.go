@@ -708,9 +708,11 @@ func checkTable(t *testing.T, step int, s *Scheduler, rm ResourceManager, now si
 			t.Fatalf("step %d: kept table row %d (%v) differs from a fill's", step, i, ref.jobs[i].ID)
 		}
 	}
-	if got.nSys != ref.nSys || got.minCores > ref.minCores || got.minWall > ref.minWall {
-		t.Fatalf("step %d: kept table counts %d system rows (fill: %d), bounds %d cores / %v (fill: %d / %v)",
-			step, got.nSys, ref.nSys, got.minCores, got.minWall, ref.minCores, ref.minWall)
+	if got.nSys != ref.nSys {
+		t.Fatalf("step %d: kept table counts %d system rows (fill: %d)", step, got.nSys, ref.nSys)
+	}
+	if err := got.checkFit(); err != nil {
+		t.Fatalf("step %d: kept table: %v", step, err)
 	}
 }
 

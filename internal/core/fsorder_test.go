@@ -124,6 +124,9 @@ func TestRepairMatchesFullFill(t *testing.T) {
 					t.Fatalf("seed %d step %d: cores column desynced at %d", seed, step, i)
 				}
 			}
+			if err := s.table.checkFit(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
 		}
 		if s.table.repairs == 0 {
 			t.Fatalf("seed %d: incremental repair never engaged", seed)

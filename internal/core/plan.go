@@ -50,40 +50,6 @@ func fillBuilder(b *profile.Builder, now sim.Time, cl *cluster.Cluster, active [
 	return next
 }
 
-// buildProfile constructs the availability profile of a cluster state
-// in one batch pass (sort once, prefix-sum once).
-func buildProfile(now sim.Time, cl *cluster.Cluster, active []*job.Job) *profile.Profile {
-	var b profile.Builder
-	fillBuilder(&b, now, cl, active)
-	return b.Build()
-}
-
-// planJobs runs the reservation planning pass of the Maui iteration:
-// jobs are placed in the given (priority) order; StartNow jobs and the
-// first maxHeld blocked jobs receive holds in the profile (these are
-// the reservations); later blocked jobs get an optimistic earliest
-// start computed against the profile as left by the held jobs, without
-// adding holds (they are backfill candidates). The profile is mutated.
-func planJobs(p *profile.Profile, ordered []*job.Job, now sim.Time, maxHeld int) []Planned {
-	plans := make([]Planned, 0, len(ordered))
-	blocked := 0
-	for _, j := range ordered {
-		start := p.FindSlot(j.Cores, j.Walltime, now)
-		pl := Planned{Job: j, Start: start}
-		if start == now {
-			pl.StartNow = true
-			pl.Held = true
-			p.AddHold(start, holdEnd(start, j.Walltime), j.Cores)
-		} else if start < sim.Forever && blocked < maxHeld {
-			pl.Held = true
-			blocked++
-			p.AddHold(start, holdEnd(start, j.Walltime), j.Cores)
-		}
-		plans = append(plans, pl)
-	}
-	return plans
-}
-
 // planTable is planJobs plus delaySet over the struct-of-arrays job
 // table: rows [0, upTo) are placed in priority order against p, which is
 // mutated with the Maui holds (StartNow rows plus the first maxHeld
@@ -95,21 +61,39 @@ func planJobs(p *profile.Profile, ordered []*job.Job, now sim.Time, maxHeld int)
 //
 // Once maxHeld rows are held and delayDepth measured, a row can change
 // the plan only by starting now: a later start places no hold and is not
-// measured. The walk then prunes as the final walk does, and exactly so.
-// A row wider than the cores free at now cannot start now and is passed
-// over without the slot search, as is one at least as wide and as long
-// as a request already found not to start now (noFit) — holds only take
-// capacity away. With no free cores left, or a frontier that covers the
-// least any row asks for, nothing behind starts now and the walk ends
-// (a row of no cores starts now on any profile, so a table holding one
-// never ends for want of free cores). A need row is never passed over:
-// its start is what the caller measures. The rows of need that lie
+// measured. The walk then prunes as the final walk does, and exactly so:
+// it jumps to the next row the fit index does not rule out, and ends
+// when the index rules out the whole table. A need row is never passed
+// over: its start is what the caller measures. The rows of need that lie
 // beyond the end are searched against the profile as the walk left it,
 // which is the profile every later row would have seen.
 func planTable(p *profile.SegProfile, t *jobTable, upTo int, now sim.Time, maxHeld, delayDepth int, need []Planned, starts []sim.Time, measured []Planned) []Planned {
-	held, blocked := 0, 0
-	i := 0
-	for ; i < upTo && (held < maxHeld || blocked < delayDepth); i++ {
+	held, blocked, skips := 0, 0, 0
+	freeNow := p.FreeAt(now)
+	var tried noFit
+	next := upTo // the next need row
+	if len(need) > 0 {
+		next = need[0].idx
+	}
+	for i := 0; i < upTo; i++ {
+		pruning := held >= maxHeld && blocked >= delayDepth
+		if pruning {
+			if !tried.admits(t.fit[1], freeNow) {
+				break
+			}
+			k := t.nextFit(i, next, freeNow, &tried)
+			skips += k - i
+			if i = k; i == upTo {
+				break
+			}
+		}
+		if i == next {
+			need = need[1:]
+			next = upTo
+			if len(need) > 0 {
+				next = need[0].idx
+			}
+		}
 		cores, wall := int(t.cores[i]), t.wall[i]
 		start := p.FindSlot(cores, wall, now)
 		if starts != nil {
@@ -119,6 +103,9 @@ func planTable(p *profile.SegProfile, t *jobTable, upTo int, now sim.Time, maxHe
 		case start == now:
 			p.AddHold(now, holdEnd(now, wall), cores)
 			measured = append(measured, Planned{Job: t.jobs[i], Start: now, Held: true, StartNow: true, idx: i})
+			freeNow = p.FreeAt(now)
+		case pruning:
+			tried.add(cores, wall)
 		case start < sim.Forever:
 			if held < maxHeld {
 				held++
@@ -128,50 +115,6 @@ func planTable(p *profile.SegProfile, t *jobTable, upTo int, now sim.Time, maxHe
 				blocked++
 				measured = append(measured, Planned{Job: t.jobs[i], Start: start, Held: true, idx: i})
 			}
-		}
-	}
-	for len(need) > 0 && need[0].idx < i {
-		need = need[1:]
-	}
-
-	// Every hold placed and every blocked row measured: only a start now
-	// counts from here on.
-	freeNow := p.FreeAt(now)
-	var tried noFit
-	skips := 0
-	next := upTo // the next need row
-	if len(need) > 0 {
-		next = need[0].idx
-	}
-	for ; i < upTo; i++ {
-		if freeNow <= 0 && t.minCores > 0 {
-			break
-		}
-		cores := int(t.cores[i])
-		if i == next {
-			need = need[1:]
-			next = upTo
-			if len(need) > 0 {
-				next = need[0].idx
-			}
-		} else if cores > freeNow || tried.rulesOut(cores, t.wall[i]) {
-			skips++
-			continue
-		}
-		wall := t.wall[i]
-		start := p.FindSlot(cores, wall, now)
-		if starts != nil {
-			starts[i] = start
-		}
-		if start == now {
-			p.AddHold(now, holdEnd(now, wall), cores)
-			measured = append(measured, Planned{Job: t.jobs[i], Start: now, Held: true, StartNow: true, idx: i})
-			freeNow = p.FreeAt(now)
-			continue
-		}
-		tried.add(cores, wall)
-		if tried.rulesOut(int(t.minCores), t.minWall) {
-			break
 		}
 	}
 	t.whatIfSkips += uint64(skips)
@@ -186,39 +129,4 @@ func holdEnd(start sim.Time, wall sim.Duration) sim.Time {
 		return sim.Forever
 	}
 	return start + wall
-}
-
-// startsByID indexes planned starts for delay comparison.
-func startsByID(plans []Planned) map[job.ID]sim.Time {
-	m := make(map[job.ID]sim.Time, len(plans))
-	for _, p := range plans {
-		m[p.Job.ID] = p.Start
-	}
-	return m
-}
-
-// delaySet selects the jobs whose delays the extended iteration
-// measures: every StartNow job plus the first delayDepth blocked jobs
-// (Fig. 5: ReservationDelayDepth governs the StartLater jobs counted).
-// The second result is the index (into the priority order) of the last
-// measured job, or -1 when nothing is measured. A what-if plan only
-// needs to run up to that index: a job's planned start depends solely
-// on the holds of higher-priority jobs, so everything after the last
-// measured job is dead work for delay comparison.
-func delaySet(plans []Planned, delayDepth int) ([]Planned, int) {
-	var out []Planned
-	last := -1
-	blocked := 0
-	for i, p := range plans {
-		switch {
-		case p.StartNow:
-			out = append(out, p)
-			last = i
-		case p.Start < sim.Forever && blocked < delayDepth:
-			out = append(out, p)
-			blocked++
-			last = i
-		}
-	}
-	return out, last
 }

@@ -474,46 +474,6 @@ func (s *Scheduler) patchTable(now sim.Time, rm ResourceManager, ct ChangeTracke
 	return true
 }
 
-// noFit is the pruned walk's memory of requests it found not to start
-// now: the smallest few, since one that is at least as wide and at least
-// as long as any of them cannot start either while the profile only
-// loses capacity.
-type noFit struct {
-	n   int
-	req [4]struct {
-		cores int
-		wall  sim.Duration
-	}
-}
-
-func (f *noFit) rulesOut(cores int, wall sim.Duration) bool {
-	for _, r := range f.req[:f.n] {
-		if r.cores <= cores && r.wall <= wall {
-			return true
-		}
-	}
-	return false
-}
-
-// add records a request rulesOut did not cover: in place of one it
-// covers in turn, else in a free slot, else not at all.
-func (f *noFit) add(cores int, wall sim.Duration) {
-	k := f.n
-	for i, r := range f.req[:f.n] {
-		if cores <= r.cores && wall <= r.wall {
-			k = i
-			break
-		}
-	}
-	if k == len(f.req) {
-		return
-	}
-	f.req[k].cores, f.req[k].wall = cores, wall
-	if k == f.n {
-		f.n++
-	}
-}
-
 // startRow starts row i's job through the RM and reports whether it
 // did. A table that was in step with the RM's queue epoch stays in
 // step: StartJob changes the queue membership of its job alone, so
@@ -607,15 +567,14 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 	// Once every hold is placed and something has blocked, the only
 	// thing a row can still do is start now: it cannot block anything
 	// further, and it gets no reservation. The walk then prunes, and
-	// exactly so. A row wider than the cores free at this instant cannot
-	// start — FindSlot returns now only when its cores are free at now —
-	// and is passed over without the slot search; free cores only fall
-	// as the walk adds holds, so with none left nothing behind can start
-	// either (a row of no cores never does: Allocate refuses it) and the
-	// walk ends; with backfill off it ends at once. For the same reason
-	// a request found not to fit now rules out every later one at least
-	// as wide and as long (noFit), and the walk ends when that is every
-	// row. Moldable rows may shrink to fit and keep the full path.
+	// exactly so: it jumps over the rows the fit index rules out. A row
+	// wider than the cores free at this instant (a moldable row: the least
+	// it may shrink to) cannot start, as FindSlot returns now only when its
+	// cores are free at now, and free cores only fall as the walk adds
+	// holds; so a request found not to fit now rules out every later one
+	// at least as wide and as long (noFit). The walk ends when the index
+	// rules out the whole table, or no core is free (a row of no cores
+	// never starts: Allocate refuses it); with backfill off, at once.
 	final := s.ensureBase(pc, rm).CloneInto(&s.finalBuf)
 	noBackfill := s.opts.Config.BackfillPolicy == "NONE"
 	heldBlocked := 0
@@ -625,7 +584,6 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 	startFailed := false
 	var tried noFit
 	for i := 0; i < t.len(); i++ {
-		cores := int(t.cores[i])
 		if !pruning && anyBlocked && heldBlocked >= s.opts.Config.ReservationDepth {
 			if noBackfill {
 				break
@@ -634,21 +592,24 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 			freeNow = final.FreeAt(now)
 		}
 		if pruning {
-			if freeNow <= 0 {
+			if freeNow <= 0 || !tried.admits(t.fit[1], freeNow) {
 				break
 			}
-			if (startNowBlocked && t.sys[i] == 0) || (!t.mold[i] && (cores > freeNow || tried.rulesOut(cores, t.wall[i]))) {
+			k := t.nextFit(i, t.len(), freeNow, &tried)
+			t.finalSkips += uint64(k - i)
+			if i = k; i == t.len() {
+				break
+			}
+			if startNowBlocked && t.sys[i] == 0 {
+				t.finalSkips++
 				continue
 			}
 		}
 		j := t.jobs[i]
-		wall := t.wall[i]
+		cores, wall := int(t.cores[i]), t.wall[i]
 		start := final.FindSlot(cores, wall, now)
 		if pruning && start != now && !t.mold[i] {
 			tried.add(cores, wall)
-			if tried.rulesOut(int(t.minCores), t.minWall) {
-				break // not even the least any row asks for
-			}
 		}
 		suppressed := (startNowBlocked && t.sys[i] == 0) || (anyBlocked && noBackfill)
 		if !suppressed && t.mold[i] {

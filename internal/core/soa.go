@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -30,6 +30,7 @@ type jobTable struct {
 	// Sorted (priority-descending) parallel arrays.
 	jobs  []*job.Job
 	cores []int32
+	least []int32 // leastCores: a moldable row may shrink to MinCores
 	wall  []sim.Duration
 	sys   []int64
 	mold  []bool
@@ -48,11 +49,8 @@ type jobTable struct {
 	// nSys counts the rows carrying SystemPriority, for the
 	// StrictSystemPriority gate.
 	nSys int
-	// minCores and minWall bound from below what any row asks for (a
-	// moldable row: what it may shrink to). A fill makes them exact;
-	// rows leaving the table leave them standing.
-	minCores int32
-	minWall  sim.Duration
+	fit  []fitNode // the fit index over (least, wall), fit.go
+	head int       // row 0's position in the backing arrays
 
 	// Order-cache state: valid marks the sorted arrays reusable; they
 	// reflect the RM's queue at queueEpoch and the share tree's change
@@ -71,10 +69,10 @@ type jobTable struct {
 
 	// repairs and fills count the two ways the table is brought up to
 	// date, so tests can assert the fast path actually engaged rather
-	// than silently falling back to a full fill; whatIfSkips counts the
-	// rows a what-if walk passed over without a slot search (planTable),
-	// for the same purpose.
-	repairs, fills, whatIfSkips uint64
+	// than silently falling back to a full fill; whatIfSkips and
+	// finalSkips count the rows the what-if and final walks passed over
+	// without a slot search, for the same purpose.
+	repairs, fills, whatIfSkips, finalSkips uint64
 }
 
 // tableRow is one row outside the table: pulled out by repair, or about
@@ -87,7 +85,7 @@ type tableRow struct {
 	wall   sim.Duration
 	sys    int64
 	cores  int32
-	least  int32 // the fewest cores the job may start with; not a column
+	least  int32
 	user   int32
 	mold   bool
 }
@@ -111,6 +109,7 @@ func (t *jobTable) grow(n int) {
 func (t *jobTable) setLen(n int) {
 	t.jobs = t.jobs[:n]
 	t.cores = t.cores[:n]
+	t.least = t.least[:n]
 	t.wall = t.wall[:n]
 	t.sys = t.sys[:n]
 	t.mold = t.mold[:n]
@@ -127,13 +126,23 @@ func (t *jobTable) extend(k int) {
 		t.setLen(n)
 		return
 	}
-	c := n + n/4 + 16
+	h, c := t.head, n+n/4+16
 	t.jobs = regrow(t.jobs, n, c)
 	t.cores = regrow(t.cores, n, c)
+	t.least = regrow(t.least, n, c)
 	t.wall = regrow(t.wall, n, c)
 	t.sys = regrow(t.sys, n, c)
 	t.mold = regrow(t.mold, n, c)
 	t.users = regrow(t.users, n, c)
+	t.head = 0
+	if p := 1 << bits.Len(uint(c-1)); len(t.fit) < 2*p {
+		t.fit = make([]fitNode, 2*p)
+		for x := range t.fit {
+			t.fit[x] = noRow
+		}
+		h = 0
+	}
+	t.refit(0, h+n-k) // the rows kept, moved down by h
 }
 
 func regrow[T any](s []T, n, c int) []T { return append(make([]T, 0, c), s...)[:n] }
@@ -151,7 +160,7 @@ func (t *jobTable) permBuf(n int) []int32 {
 // input slice is read only — never retained or reordered (it may be
 // the RM's own queue storage via QueueSnapshotter).
 func (t *jobTable) fill(eligible []*job.Job, now sim.Time, w PriorityWeights, fs *Fairshare) {
-	n := len(eligible)
+	n, end := len(eligible), t.head+t.len() // rows not refilled are cleared
 	t.fills++
 	t.grow(n)
 	for i, j := range eligible {
@@ -162,11 +171,12 @@ func (t *jobTable) fill(eligible []*job.Job, now sim.Time, w PriorityWeights, fs
 	}
 	sort.Sort((*tableSorter)(t))
 	t.fsOrder = fs != nil && w.Fairshare != 0 && w.QueueTime == 0 && w.XFactor == 0 && w.Resource == 0
-	t.nSys, t.minCores, t.minWall = 0, math.MaxInt32, sim.Forever
+	t.nSys = 0
 	t.started = t.started[:0]
 	for k, pi := range t.perm {
 		t.setRow(k, t.rowOf(eligible[pi], fs))
 	}
+	t.refit(0, max(n, end-t.head))
 }
 
 // rowOf reads a queued job's columns (not its sort key).
@@ -180,7 +190,7 @@ func (t *jobTable) rowOf(j *job.Job, fs *Fairshare) tableRow {
 
 // rowAt reads row i back out of the table.
 func (t *jobTable) rowAt(i int) tableRow {
-	return tableRow{j: t.jobs[i], cores: t.cores[i], least: leastCores(t.jobs[i]), wall: t.wall[i], sys: t.sys[i], mold: t.mold[i], user: t.users[i]}
+	return tableRow{j: t.jobs[i], cores: t.cores[i], least: t.least[i], wall: t.wall[i], sys: t.sys[i], mold: t.mold[i], user: t.users[i]}
 }
 
 // leastCores is the smallest request j can start with: a moldable job
@@ -196,6 +206,7 @@ func leastCores(j *job.Job) int32 {
 func (t *jobTable) setRow(i int, r tableRow) {
 	t.jobs[i] = r.j
 	t.cores[i] = r.cores
+	t.least[i] = r.least
 	t.wall[i] = r.wall
 	t.sys[i] = r.sys
 	t.mold[i] = r.mold
@@ -203,7 +214,6 @@ func (t *jobTable) setRow(i int, r tableRow) {
 	if r.sys > 0 {
 		t.nSys++
 	}
-	t.minCores, t.minWall = min(t.minCores, r.least), min(t.minWall, r.wall)
 }
 
 // repair brings the sorted table up to date without re-sorting the
@@ -344,8 +354,10 @@ func (t *jobTable) extract(pos []int32) {
 			}
 		}
 		clear(t.jobs[:k])
-		t.jobs, t.cores, t.wall = t.jobs[k:], t.cores[k:], t.wall[k:]
+		t.jobs, t.cores, t.least, t.wall = t.jobs[k:], t.cores[k:], t.least[k:], t.wall[k:]
 		t.sys, t.mold, t.users = t.sys[k:], t.mold[k:], t.users[k:]
+		t.head += k
+		t.refit(-k, last+1-k)
 		return
 	}
 	wi := first
@@ -361,6 +373,7 @@ func (t *jobTable) extract(pos []int32) {
 	}
 	clear(t.jobs[n-k:])
 	t.setLen(n - k)
+	t.refit(first, n)
 }
 
 // lowerBound returns the first row in [lo, hi) that does not sort
@@ -408,6 +421,7 @@ func (t *jobTable) merge(rows []tableRow, now sim.Time, w PriorityWeights, fs *F
 		t.setRow(wi, rows[x])
 		wi--
 	}
+	t.refit(int(ins[0]), m+k)
 }
 
 // rowBefore is the table's total sort order: priority descending,
@@ -426,6 +440,7 @@ func rowBefore(pa float64, sa sim.Time, ia job.ID, pb float64, sb sim.Time, ib j
 func (t *jobTable) moveRows(dst, src, cnt int) {
 	copy(t.jobs[dst:dst+cnt], t.jobs[src:src+cnt])
 	copy(t.cores[dst:dst+cnt], t.cores[src:src+cnt])
+	copy(t.least[dst:dst+cnt], t.least[src:src+cnt])
 	copy(t.wall[dst:dst+cnt], t.wall[src:src+cnt])
 	copy(t.sys[dst:dst+cnt], t.sys[src:src+cnt])
 	copy(t.mold[dst:dst+cnt], t.mold[src:src+cnt])
