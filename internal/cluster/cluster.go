@@ -93,9 +93,10 @@ func (a Alloc) String() string {
 }
 
 // MaxNodeCores is the most cores a node may have. A node's free-core
-// value indexes Allocate's counting pass, so the bound is also what
-// that pass may cost; the daemons refuse a node outside
-// [1, MaxNodeCores] before it reaches a cluster (ValidNodeCores).
+// value indexes the placement index's lookup slots and its bitset over
+// values, so the bound caps those at 64 K slots and 1 K words; the
+// daemons refuse a node outside [1, MaxNodeCores] before it reaches a
+// cluster (ValidNodeCores).
 const MaxNodeCores = 1 << 16
 
 // ValidNodeCores reports whether a node may have cores cores.
@@ -111,11 +112,8 @@ type Cluster struct {
 	// maxCores is the largest node's core count (at most MaxNodeCores),
 	// the range of a node's free-core value.
 	maxCores int
-
-	// byFree's scratch: the ordered candidates, and one counter per
-	// free-core value.
-	order  []*Node
-	counts []int
+	// free indexes the Up nodes by free cores, in placement order.
+	free freeIndex
 }
 
 // New creates a cluster of n identical Up nodes with coresPerNode cores
@@ -144,6 +142,8 @@ func (c *Cluster) AddNode(name string, cores int) *Node {
 	c.nodes = append(c.nodes, n)
 	c.idle += cores
 	c.maxCores = max(c.maxCores, cores)
+	c.free.grow(c.maxCores)
+	c.free.move(n.ID, 0, cores)
 	return n
 }
 
@@ -181,63 +181,37 @@ func (c *Cluster) UsedCores() int { return c.used }
 // AllocOf returns the allocation currently held by the job (nil if none).
 func (c *Cluster) AllocOf(id job.ID) Alloc { return c.allocs[id] }
 
-// byFree returns the nodes with at least least free cores, emptiest
-// first and in ascending ID among equals — the placement order of
-// Allocate and AllocateNodes. It is a counting sort over free-core
-// values, which range over [0, maxCores]: one pass counts the nodes per
-// value, one turns the counts into positions, one drops each node into
-// its place; the ID order comes from the node slice. The result is the
-// cluster's scratch, valid until the next call.
-func (c *Cluster) byFree(least int) []*Node {
-	if cap(c.counts) <= c.maxCores {
-		c.counts = make([]int, c.maxCores+1)
-	}
-	counts := c.counts[:c.maxCores+1]
-	for _, n := range c.nodes {
-		if f := n.Free(); f >= least {
-			counts[f]++
-		}
-	}
-	k := 0
-	for f := c.maxCores; f >= least; f-- {
-		counts[f], k = k, k+counts[f]
-	}
-	if cap(c.order) < k {
-		c.order = make([]*Node, k)
-	}
-	order := c.order[:k]
-	for _, n := range c.nodes {
-		if f := n.Free(); f >= least {
-			order[counts[f]] = n
-			counts[f]++
-		}
-	}
-	clear(counts)
-	return order
-}
-
 // Allocate finds cores free cores for the job and marks them used.
 // Placement policy: fill the emptiest nodes first, which keeps jobs on
 // few nodes (good for a node-attached workload like MPI) and matches
 // the "exclusive-ish" placement Torque's node allocation produces; ties
-// go to the lower node ID.
+// go to the lower node ID. The walk visits free-core values from the
+// largest down and stops once the request is covered: one pass over the
+// values counts the nodes taken, one over their bits fills the Alloc.
 // It returns nil (and changes nothing) when not enough cores are free.
 func (c *Cluster) Allocate(id job.ID, cores int) Alloc {
 	if cores <= 0 || c.idle < cores {
 		return nil
 	}
-	var alloc Alloc
-	remaining := cores
-	for _, n := range c.byFree(1) {
-		take := min(n.Free(), remaining)
-		alloc = append(alloc, Slice{NodeID: n.ID, Cores: take})
-		remaining -= take
-		if remaining == 0 {
+	k, rest := 0, cores
+	for v := c.free.below(c.maxCores); rest > 0; v = c.free.below(v - 1) {
+		n := c.free.bucket(v).n
+		if rest <= v*n {
+			k += (rest + v - 1) / v
 			break
 		}
+		k += n
+		rest -= v * n
 	}
-	if remaining > 0 {
-		return nil // unreachable given the idle check, kept for safety
+	alloc := make(Alloc, 0, k)
+	rest = cores
+	for v := c.free.below(c.maxCores); rest > 0; v = c.free.below(v - 1) {
+		b := c.free.bucket(v)
+		for n := b.next(0); n >= 0 && rest > 0; n = b.next(n + 1) {
+			take := min(v, rest)
+			alloc = append(alloc, Slice{NodeID: n, Cores: take})
+			rest -= take
+		}
 	}
 	c.apply(id, alloc)
 	return alloc
@@ -251,13 +225,19 @@ func (c *Cluster) AllocateNodes(id job.ID, nodes, ppn int) Alloc {
 	if nodes <= 0 || ppn <= 0 {
 		return nil
 	}
-	candidates := c.byFree(ppn)
-	if len(candidates) < nodes {
+	found := 0
+	for v := c.free.below(c.maxCores); v >= ppn && found < nodes; v = c.free.below(v - 1) {
+		found += c.free.bucket(v).n
+	}
+	if found < nodes {
 		return nil
 	}
-	alloc := make(Alloc, nodes)
-	for i, n := range candidates[:nodes] {
-		alloc[i] = Slice{NodeID: n.ID, Cores: ppn}
+	alloc := make(Alloc, 0, nodes)
+	for v := c.free.below(c.maxCores); len(alloc) < nodes; v = c.free.below(v - 1) {
+		b := c.free.bucket(v)
+		for n := b.next(0); n >= 0 && len(alloc) < nodes; n = b.next(n + 1) {
+			alloc = append(alloc, Slice{NodeID: n, Cores: ppn})
+		}
 	}
 	c.apply(id, alloc)
 	return alloc
@@ -276,21 +256,28 @@ func (c *Cluster) AllocateOn(id job.ID, nodeID, cores int) Alloc {
 	return alloc
 }
 
+// apply holds alloc's cores for the job. A job that held nothing keeps
+// alloc itself, which is the caller's slice too; a later grant appends
+// to a copy, as alloc has no spare capacity.
 func (c *Cluster) apply(id job.ID, alloc Alloc) {
 	for _, s := range alloc {
 		c.hold(c.nodes[s.NodeID], s.Cores)
 	}
-	c.allocs[id] = append(c.allocs[id], alloc...)
+	if held, ok := c.allocs[id]; ok {
+		alloc = append(held, alloc...)
+	}
+	c.allocs[id] = alloc
 }
 
 // hold changes the cores in use on node n by delta, keeping the
-// cluster's idle and used counts current.
+// cluster's idle and used counts and the placement index current.
 func (c *Cluster) hold(n *Node, delta int) {
-	n.used += delta
 	if n.State == Up {
+		c.free.move(n.ID, n.Free(), n.Free()-delta)
 		c.idle -= delta
 		c.used += delta
 	}
+	n.used += delta
 }
 
 // Release frees every core held by the job.
@@ -352,7 +339,9 @@ func (c *Cluster) SetNodeState(nodeID int, s NodeState) {
 		c.idle += sign * (n.Cores - n.used)
 		c.used += sign * n.used
 	}
+	free := n.Free()
 	n.State = s
+	c.free.move(n.ID, free, n.Free())
 }
 
 // Snapshot returns free cores per node (index = node ID); used by the
@@ -366,8 +355,9 @@ func (c *Cluster) Snapshot() []int {
 }
 
 // CheckInvariants recounts every node's usage from the allocations and
-// compares it, and the idle/used totals, with the kept counts; tests
-// call it after mutation sequences.
+// compares it, and the idle/used totals, with the kept counts, and holds
+// the placement index to the nodes' free cores; tests call it after
+// mutation sequences.
 func (c *Cluster) CheckInvariants() error {
 	perNode := make(map[int]int)
 	idle, used := 0, 0
@@ -394,5 +384,5 @@ func (c *Cluster) CheckInvariants() error {
 	if idle != c.idle || used != c.used {
 		return fmt.Errorf("idle/used cores counted %d/%d, nodes sum to %d/%d", c.idle, c.used, idle, used)
 	}
-	return nil
+	return c.free.check(c.nodes)
 }

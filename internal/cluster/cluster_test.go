@@ -277,8 +277,8 @@ func recount(c *Cluster) (idle, used int) {
 
 // placementOrder is the placement order by comparison sort: the nodes
 // with at least least free cores, emptiest first, then by ascending ID.
-// It is the oracle the counting pass behind Allocate and AllocateNodes is
-// held to.
+// It is the oracle the free-core index behind Allocate and AllocateNodes
+// is held to.
 func placementOrder(c *Cluster, least int) []*Node {
 	var order []*Node
 	for _, n := range c.nodes {
@@ -324,16 +324,29 @@ func sortAllocateNodes(c *Cluster, nodes, ppn int) Alloc {
 	return alloc
 }
 
-// TestCountersAndPlacement drives a cluster of mixed node sizes through
-// random placements (Allocate, AllocateNodes, AllocateOn), releases
-// (whole and partial), node state changes (Down, Offline, back Up, with
-// jobs on them) and late node registrations, and after every step
-// requires the kept idle and used counts to equal a recount over the
-// nodes, and every placement to be the one the sort-based order gives.
+// TestCountersAndPlacement drives a cluster of mixed node sizes — on
+// odd seeds with one MaxNodeCores node among them — through random
+// placements (Allocate, AllocateNodes, AllocateOn), releases (whole and
+// partial), node state changes (Down, Offline, back Up, with jobs on
+// them) and late node registrations, and after every step requires the
+// kept idle and used counts to equal a recount over the nodes, the
+// free-core index to match the nodes (CheckInvariants), and every
+// placement to be the one the sort-based order gives.
 func TestCountersAndPlacement(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := New(3+rng.Intn(20), 1+rng.Intn(16))
+		if seed%2 == 1 {
+			c.AddNode("big", MaxNodeCores)
+		}
+		// scale draws a request size bound: mostly the small nodes'
+		// range, so that the big node does not take every request.
+		scale := func() int {
+			if rng.Intn(4) == 0 {
+				return c.maxCores
+			}
+			return min(c.maxCores, 24)
+		}
 		var live []job.ID
 		next := job.ID(1)
 		placed := func(op string, id job.ID, got, want Alloc) {
@@ -348,18 +361,18 @@ func TestCountersAndPlacement(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(10); {
 			case op < 3:
-				cores := rng.Intn(3 * c.maxCores)
+				cores := rng.Intn(3 * scale())
 				want := sortAllocate(c, cores)
 				placed("Allocate", next, c.Allocate(next, cores), want)
 				next++
 			case op < 4:
-				nodes, ppn := rng.Intn(4), rng.Intn(c.maxCores+2)
+				nodes, ppn := rng.Intn(4), rng.Intn(scale()+2)
 				want := sortAllocateNodes(c, nodes, ppn)
 				placed("AllocateNodes", next, c.AllocateNodes(next, nodes, ppn), want)
 				next++
 			case op < 5:
 				n := c.nodes[rng.Intn(len(c.nodes))]
-				cores := 1 + rng.Intn(n.Cores)
+				cores := 1 + rng.Intn(min(n.Cores, scale()))
 				var want Alloc
 				if n.Free() >= cores {
 					want = Alloc{{NodeID: n.ID, Cores: cores}}
@@ -414,7 +427,7 @@ func TestCheckInvariantsCountsCores(t *testing.T) {
 
 // TestNodeCoreBound: a node may have up to MaxNodeCores cores, and
 // placement works at that size; a larger node is refused rather than
-// sizing Allocate's counting pass by it.
+// sizing the free-core index's slots by it.
 func TestNodeCoreBound(t *testing.T) {
 	for cores, want := range map[int]bool{-1: false, 0: false, 1: true, MaxNodeCores: true, MaxNodeCores + 1: false} {
 		if ValidNodeCores(cores) != want {
@@ -439,4 +452,165 @@ func TestNodeCoreBound(t *testing.T) {
 		}
 	}()
 	c.AddNode("huge", MaxNodeCores+1)
+}
+
+// TestFreeIndexChurn holds and releases cores on one MaxNodeCores node
+// beside 1,000 8-core nodes, 10,000 times at random, and requires the
+// index to keep one bucket per free value present (an emptied bucket is
+// reused, not kept or reallocated), bitsets no longer than the node
+// count needs, and placements that match the sort-based order.
+func TestFreeIndexChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := New(1000, 8)
+	big := c.AddNode("big", MaxNodeCores)
+	next := job.ID(1)
+	var live []job.ID
+	peak := 0
+	observe := func(step int) {
+		t.Helper()
+		distinct := map[int]bool{}
+		for _, n := range c.nodes {
+			if f := n.Free(); f > 0 {
+				distinct[f] = true
+			}
+		}
+		peak = max(peak, len(distinct))
+		x := &c.free
+		if kept := len(x.buckets) - len(x.spare); kept != len(distinct) {
+			t.Fatalf("step %d: %d buckets in use for %d free values", step, kept, len(distinct))
+		}
+		if len(x.buckets) > peak {
+			t.Fatalf("step %d: %d buckets, at most %d values were ever present at once", step, len(x.buckets), peak)
+		}
+		for _, b := range x.buckets {
+			if len(b.ids) > (len(c.nodes)+63)/64 {
+				t.Fatalf("step %d: a bucket of %d words for %d nodes", step, len(b.ids), len(c.nodes))
+			}
+		}
+	}
+	for step := 0; step < 10000; step++ {
+		switch {
+		case step%100 == 99:
+			cores := 1 + rng.Intn(64)
+			want := sortAllocate(c, cores)
+			if got := c.Allocate(next, cores); got.String() != want.String() {
+				t.Fatalf("step %d: Allocate(%d) placed %v, the sorted order gives %v", step, cores, got, want)
+			}
+			observe(step)
+			c.Release(next)
+			next++
+		case big.Free() > 0 && (len(live) == 0 || rng.Intn(2) == 0):
+			if c.AllocateOn(next, big.ID, 1+rng.Intn(min(big.Free(), 4096))) == nil {
+				t.Fatalf("step %d: hold on the big node failed", step)
+			}
+			live = append(live, next)
+			next++
+		default:
+			k := rng.Intn(len(live))
+			id := live[k]
+			if held := c.AllocOf(id)[0].Cores; held > 1 && rng.Intn(2) == 0 {
+				if err := c.ReleasePartial(id, Alloc{{NodeID: big.ID, Cores: 1 + rng.Intn(held-1)}}); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+			c.Release(id)
+			live = append(live[:k], live[k+1:]...)
+		}
+		observe(step)
+		if step%100 == 0 {
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+	}
+	if peak > 3 {
+		t.Errorf("%d free values present at once; 8, the big node's and one partly taken node's are the most", peak)
+	}
+}
+
+// TestPlacementAllocs pins placement's allocations on a half-full
+// 600 × 8 cluster whose nodes are filled at random: Allocate and
+// AllocateNodes make the Alloc they return, at its exact size, and
+// nothing else, and Release makes none.
+func TestPlacementAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := New(600, 8)
+	next := job.ID(1)
+	for c.UsedCores() < c.IdleCores() {
+		c.AllocateOn(next, rng.Intn(600), 1+rng.Intn(8))
+		next++
+	}
+	const runs = 100
+	for _, tc := range []struct {
+		name  string
+		place func(job.ID) Alloc
+	}{
+		{"Allocate", func(id job.ID) Alloc { return c.Allocate(id, 21) }},
+		{"AllocateNodes", func(id job.ID) Alloc { return c.AllocateNodes(id, 3, 4) }},
+	} {
+		// One round first, so that the allocation map and the index's
+		// buckets have the room the measured rounds need.
+		first := next
+		for i := 0; i <= runs; i++ {
+			tc.place(first + job.ID(i))
+		}
+		for i := 0; i <= runs; i++ {
+			c.Release(first + job.ID(i))
+		}
+		id := first
+		if got := testing.AllocsPerRun(runs, func() {
+			if a := tc.place(id); a == nil || cap(a) != len(a) {
+				t.Fatalf("%s for job %d returned %v with capacity %d", tc.name, id, a, cap(a))
+			}
+			id++
+		}); got != 1 {
+			t.Errorf("%s allocates %.2f times per call, want 1 (its Alloc)", tc.name, got)
+		}
+		id = first
+		if got := testing.AllocsPerRun(runs, func() {
+			c.Release(id)
+			id++
+		}); got != 0 {
+			t.Errorf("Release after %s allocates %.2f times per call, want 0", tc.name, got)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		next += runs + 1
+	}
+}
+
+// TestAllocIsNotAliased: the cluster keeps the Alloc that Allocate
+// returns to a job that held nothing, without a copy; a later grant, a
+// partial release and the full release must still leave the caller's
+// slice as it was returned.
+func TestAllocIsNotAliased(t *testing.T) {
+	c := New(4, 8)
+	a := c.Allocate(1, 12)
+	want := a.String()
+	if held := c.AllocOf(1); &held[0] != &a[0] {
+		t.Error("the first placement is kept as returned, without a copy")
+	}
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		{"a grant", func() { c.Allocate(1, 6) }},
+		{"a partial release", func() {
+			if err := c.ReleasePartial(1, Alloc{{NodeID: a[0].NodeID, Cores: 3}}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"the release", func() { c.Release(1) }},
+	}
+	for _, st := range steps {
+		st.do()
+		if a.String() != want {
+			t.Fatalf("after %s the returned Alloc reads %v, was %s", st.name, a, want)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

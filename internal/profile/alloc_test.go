@@ -60,8 +60,7 @@ func TestBuildIntoAllocs(t *testing.T) {
 		fill()
 		b.BuildInto(&scratch)
 	})
-	// sort.Slice boxes its closure; everything else must reuse storage.
-	if allocs > 3 {
-		t.Errorf("Builder.BuildInto on warm storage allocates %.0f times per call, want <= 3", allocs)
+	if allocs != 0 {
+		t.Errorf("Builder.BuildInto on warm storage allocates %.0f times per call, want 0", allocs)
 	}
 }

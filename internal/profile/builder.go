@@ -1,13 +1,15 @@
 // Batch profile construction. Building a profile by repeated
 // AddRelease/AddHold pays an O(n) memmove per boundary insertion —
 // O(n²) for the per-iteration rebuild from hundreds of running jobs.
-// The Builder instead collects all capacity deltas, sorts them once,
-// and materializes the step list by a single prefix-sum pass:
-// O(n log n) to build, O(n) to rebuild into reused storage.
+// The Builder instead collects all capacity deltas, sorts them once by
+// time with a typed (non-reflective) sort, and materializes the step
+// list by a single prefix-sum pass: O(n log n) to build, with no
+// allocation when rebuilding into reused storage.
 package profile
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -73,7 +75,7 @@ func (b *Builder) Build() *Profile {
 // sortDeltas orders deltas by time; equal times keep any order, since
 // same-time deltas fold into one step.
 func sortDeltas(ds []delta) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i].t < ds[j].t })
+	slices.SortFunc(ds, func(a, b delta) int { return cmp.Compare(a.t, b.t) })
 }
 
 // BuildInto materializes into dst, reusing its step storage, and

@@ -80,7 +80,7 @@ func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 		r.Unstart(j, s.now())
 		return nil, fmt.Errorf("serverd: dispatch to %s: %w", hosts[0].Node, err)
 	}
-	s.logf("job %d started on %s (ms=%s)", id, alloc.String(), ji.msNode)
+	s.logf("job %d started on %s (ms=%s)", id, alloc, ji.msNode)
 	return alloc, nil
 }
 
