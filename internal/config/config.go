@@ -16,6 +16,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -73,6 +74,8 @@ func Default() *SchedConfig {
 }
 
 // ParseDuration parses "3600", "30:00", or "06:00:00" into a duration.
+// It refuses a duration that is negative, not a number, or longer than
+// sim.Forever.
 func ParseDuration(s string) (sim.Duration, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -84,23 +87,36 @@ func ParseDuration(s string) (sim.Duration, error) {
 		if err != nil {
 			return 0, fmt.Errorf("config: bad duration %q: %v", s, err)
 		}
-		if secs < 0 {
+		switch {
+		case math.IsNaN(secs):
+			return 0, fmt.Errorf("config: bad duration %q", s)
+		case secs < 0:
 			return 0, fmt.Errorf("config: negative duration %q", s)
+		case secs*float64(sim.Second)+0.5 >= float64(sim.Forever): // +Inf too
+			return 0, errDurationTooLong(s)
 		}
 		return sim.Seconds(secs), nil
 	}
 	if len(parts) > 3 {
 		return 0, fmt.Errorf("config: bad duration %q", s)
 	}
+	const maxSecs = int64(sim.Forever / sim.Second)
 	var total int64
 	for _, p := range parts {
 		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
 		if err != nil || v < 0 {
 			return 0, fmt.Errorf("config: bad duration component %q in %q", p, s)
 		}
+		if v > maxSecs || total > (maxSecs-v)/60 {
+			return 0, errDurationTooLong(s)
+		}
 		total = total*60 + v
 	}
 	return sim.Duration(total) * sim.Second, nil
+}
+
+func errDurationTooLong(s string) error {
+	return fmt.Errorf("config: duration %q is past the end of time", s)
 }
 
 // FormatDuration renders a duration as HH:MM:SS (inverse of

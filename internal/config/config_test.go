@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -122,6 +123,12 @@ func TestParseDuration(t *testing.T) {
 		{"-5", 0, false},
 		{"1:2:3:4", 0, false},
 		{"1:-2", 0, false},
+		{"1e9", 1e12, true},
+		{"99999999999999:00:00", 0, false},
+		{"9223372036854775807", 0, false},
+		{"NaN", 0, false},
+		{"Inf", 0, false},
+		{"-Inf", 0, false},
 	}
 	for _, c := range cases {
 		got, err := ParseDuration(c.in)
@@ -131,6 +138,25 @@ func TestParseDuration(t *testing.T) {
 		}
 		if c.ok && got != c.want {
 			t.Errorf("ParseDuration(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestParseDurationEndOfTime: the longest whole-second duration short
+// of sim.Forever parses in both forms — exactly as HH:MM:SS, to within
+// float precision as seconds — and a second more does not.
+func TestParseDurationEndOfTime(t *testing.T) {
+	last := sim.Forever / sim.Second * sim.Second
+	if got, err := ParseDuration(FormatDuration(last)); err != nil || got != last {
+		t.Errorf("ParseDuration(%q) = %v, %v; want %v", FormatDuration(last), got, err, last)
+	}
+	secs := strconv.FormatInt(int64(last/sim.Second), 10)
+	if got, err := ParseDuration(secs); err != nil || got < last-sim.Second || got > sim.Forever {
+		t.Errorf("ParseDuration(%q) = %v, %v; want about %v", secs, got, err, last)
+	}
+	for _, s := range []string{FormatDuration(last + sim.Second), strconv.FormatInt(int64(last/sim.Second)+1, 10)} {
+		if got, err := ParseDuration(s); err == nil {
+			t.Errorf("ParseDuration(%q) = %v, want an error", s, got)
 		}
 	}
 }
@@ -235,4 +261,48 @@ func TestContinuationAtEOF(t *testing.T) {
 	if !u.PermSet || !u.Perm {
 		t.Error("trailing continuation should still apply the line")
 	}
+}
+
+// FuzzParseDuration: a duration either fails to parse or lies in
+// [0, sim.Forever], and a whole-second one survives FormatDuration.
+func FuzzParseDuration(f *testing.F) {
+	for _, s := range []string{"3600", "00:30:00", "45:30", "1.5", "-5", "1e9", "NaN", "Inf", "-Inf",
+		"99999999999999:00:00", "9223372036854775807", "1281023893:59:59", "4611686018427387"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := ParseDuration(s)
+		if err != nil {
+			return
+		}
+		if d < 0 || d > sim.Forever {
+			t.Fatalf("ParseDuration(%q) = %d, outside [0, sim.Forever]", s, d)
+		}
+		if d%sim.Second == 0 {
+			if back, err := ParseDuration(FormatDuration(d)); err != nil || back != d {
+				t.Fatalf("ParseDuration(%q) = %d, but %q parses to %d, %v", s, d, FormatDuration(d), back, err)
+			}
+		}
+	})
+}
+
+// FuzzParse: no configuration text panics the parser, and a duration
+// it accepts is never negative.
+func FuzzParse(f *testing.F) {
+	f.Add(fig6)
+	for _, s := range []string{"DFSINTERVAL 99999999999999:00:00", "DFSINTERVAL 9223372036854775807", "DFSINTERVAL 1e9",
+		"DFSINTERVAL NaN", "USERCFG[u] DFSTARGETDELAYTIME=Inf", "GROUPCFG[g] DFSSINGLEDELAYTIME=99999999999999:00:00 \\\n DFSDYNDELAYPERM=1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		cfg, err := Parse(text)
+		if err != nil {
+			return
+		}
+		for _, d := range []sim.Duration{cfg.Fairness.Interval, cfg.RMPollInterval, cfg.FSInterval} {
+			if d < 0 {
+				t.Fatalf("Parse(%q) accepted the negative duration %d", text, d)
+			}
+		}
+	})
 }

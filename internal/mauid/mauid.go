@@ -263,6 +263,11 @@ type mirror struct {
 	//schedlint:confined cycle see the type's comment
 	queued []*job.Job //schedlint:epoch-guarded by bumpQueue
 	qkeys  []uint64   //schedlint:confined cycle qkeys[i] is the entry.qkey of queued[i]; ascending
+	// live counts the filled slots of queued: a job taken out of the
+	// queue leaves its slot empty and its key in qkeys (see dequeue).
+	live int //schedlint:confined cycle see the type's comment
+	// view is QueueRef's copy of the filled slots while some are empty.
+	view []*job.Job //schedlint:confined cycle see the type's comment
 	//schedlint:confined cycle see the type's comment
 	active job.RunSet //schedlint:epoch-guarded by bump
 	//schedlint:confined cycle see the type's comment
@@ -441,9 +446,13 @@ func (m *mirror) place(sj *proto.SchedJob, tail bool) error {
 func (m *mirror) list(e *entry) bool {
 	switch {
 	case e.State == job.Queued:
-		i, _ := slices.BinarySearch(m.qkeys, e.qkey)
-		m.queued = slices.Insert(m.queued, i, &e.Job)
-		m.qkeys = slices.Insert(m.qkeys, i, e.qkey)
+		if i, ok := slices.BinarySearch(m.qkeys, e.qkey); ok {
+			m.queued[i] = &e.Job // back into the slot its dequeue emptied
+		} else {
+			m.queued = slices.Insert(m.queued, i, &e.Job)
+			m.qkeys = slices.Insert(m.qkeys, i, e.qkey)
+		}
+		m.live++
 		m.bumpQueue(&e.Job)
 	case e.Active():
 		m.active.Add(&e.Job)
@@ -465,12 +474,44 @@ func (m *mirror) unlist(e *entry) {
 	}
 }
 
+// dequeue takes e out of the queue by emptying its slot and keeping its
+// key, as job.Queue.Remove does, so that a start costs no shift of the
+// queue behind it and a start the server skips goes back into its slot.
+// Once the empty slots outnumber the filled ones by job.Queue's margin
+// they are closed up in one pass, which a later list of a job whose
+// slot went with them pays for with an ordered insert.
 func (m *mirror) dequeue(e *entry) {
-	if i, ok := slices.BinarySearch(m.qkeys, e.qkey); ok {
-		m.queued = slices.Delete(m.queued, i, i+1)
-		m.qkeys = slices.Delete(m.qkeys, i, i+1)
+	if i, ok := slices.BinarySearch(m.qkeys, e.qkey); ok && m.queued[i] != nil {
+		m.queued[i] = nil
+		m.live--
+		if len(m.queued) > 2*m.live+64 {
+			m.compact()
+		}
 	}
 	m.bumpQueue(&e.Job)
+}
+
+// compact drops the empty slots of the queue and their keys.
+func (m *mirror) compact() {
+	w := 0
+	for i, j := range m.queued {
+		if j != nil {
+			m.queued[w], m.qkeys[w] = j, m.qkeys[i]
+			w++
+		}
+	}
+	clear(m.queued[w:])
+	m.queued, m.qkeys = m.queued[:w], m.qkeys[:w]
+}
+
+// filled appends the jobs of the queue's filled slots to dst.
+func (m *mirror) filled(dst []*job.Job) []*job.Job {
+	for _, j := range m.queued {
+		if j != nil {
+			dst = append(dst, j)
+		}
+	}
+	return dst
 }
 
 // setDyn replaces the pending dynamic requests with the server's list
@@ -508,10 +549,20 @@ func parseState(s string) (job.State, error) {
 }
 
 func (m *mirror) Cluster() *cluster.Cluster      { return m.cl }
-func (m *mirror) QueuedJobs() []*job.Job         { return append([]*job.Job(nil), m.queued...) }
-func (m *mirror) QueueRef() []*job.Job           { return m.queued } // core.QueueSnapshotter
+func (m *mirror) QueuedJobs() []*job.Job         { return m.filled(make([]*job.Job, 0, m.live)) }
 func (m *mirror) ActiveJobs() []*job.Job         { return m.active.Jobs() }
 func (m *mirror) DynRequests() []*job.DynRequest { return append([]*job.DynRequest(nil), m.dyn...) }
+
+// QueueRef implements core.QueueSnapshotter: the queue itself while no
+// slot is empty, else a copy of its filled slots, which is no more than
+// the table fill that reads it costs.
+func (m *mirror) QueueRef() []*job.Job {
+	if m.live == len(m.queued) {
+		return m.queued
+	}
+	m.view = m.filled(m.view[:0])
+	return m.view
+}
 
 func (m *mirror) StartJob(j *job.Job) (cluster.Alloc, error) {
 	e := m.jobs[j.ID]

@@ -522,8 +522,9 @@ func TestDeltaApplyAllocsAreDeltaSized(t *testing.T) {
 		}
 		d.Jobs = append(d.Jobs, running...)
 		running = running[:0]
+		queued := m.QueueRef()
 		for i := 0; i < touched/2; i++ {
-			j := *m.queued[(i*197)%len(m.queued)]
+			j := *queued[(i*197)%len(queued)]
 			running = append(running, proto.SchedJob{ID: int(j.ID), Name: "j", User: "u", Group: "g", State: "running", Cores: 1, WallSecs: 60, StartMS: 5})
 		}
 		d.Jobs = append(d.Jobs, running...)
@@ -545,8 +546,8 @@ func TestDeltaApplyAllocsAreDeltaSized(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if len(m.queued) != depth || m.active.Len() != touched/2 {
-		t.Fatalf("mirror holds %d queued and %d active, want %d and %d", len(m.queued), m.active.Len(), depth, touched/2)
+	if n := len(m.QueueRef()); n != depth || m.active.Len() != touched/2 {
+		t.Fatalf("mirror holds %d queued and %d active, want %d and %d", n, m.active.Len(), depth, touched/2)
 	}
 	// One entry per new job, plus change; a copy of the queue alone
 	// would be 80 kB in one allocation.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -171,11 +172,11 @@ func diffMirrors(got, want *mirror) string {
 		}
 		return out
 	}
-	if g, w := ids(got.queued), ids(want.queued); !reflect.DeepEqual(g, w) {
-		return fmt.Sprintf("queue order:\n mirror   %v\n snapshot %v", g, w)
+	if diff := queueFaults(got); diff != "" {
+		return diff
 	}
-	if len(got.qkeys) != len(got.queued) {
-		return fmt.Sprintf("%d queue keys for %d queued jobs", len(got.qkeys), len(got.queued))
+	if g, w := ids(got.QueueRef()), ids(want.QueueRef()); !reflect.DeepEqual(g, w) {
+		return fmt.Sprintf("queue order:\n mirror   %v\n snapshot %v", g, w)
 	}
 	if g, w := ids(got.active.Jobs()), ids(want.active.Jobs()); !reflect.DeepEqual(g, w) {
 		return fmt.Sprintf("active order:\n mirror   %v\n snapshot %v", g, w)
@@ -207,6 +208,40 @@ func diffMirrors(got, want *mirror) string {
 		if got.cl.Node(i).State != n.State {
 			return fmt.Sprintf("node %d is %s in the mirror, %s in the snapshot", i, got.cl.Node(i).State, n.State)
 		}
+	}
+	return ""
+}
+
+// queueFaults describes the first way m's queue breaks its own rules:
+// QueueRef and QueuedJobs hold no empty slot and agree, every slot has
+// its key in ascending order, a filled slot the key of its job's entry,
+// and live counts the filled slots.
+func queueFaults(m *mirror) string {
+	ref, jobs := m.QueueRef(), m.QueuedJobs()
+	if !slices.Equal(ref, jobs) {
+		return fmt.Sprintf("QueueRef %v and QueuedJobs %v differ", ref, jobs)
+	}
+	if i := slices.Index(ref, nil); i >= 0 {
+		return fmt.Sprintf("QueueRef holds an empty slot at %d", i)
+	}
+	if len(m.qkeys) != len(m.queued) {
+		return fmt.Sprintf("%d queue keys for %d queue slots", len(m.qkeys), len(m.queued))
+	}
+	filled := 0
+	for i, j := range m.queued {
+		if i > 0 && m.qkeys[i] <= m.qkeys[i-1] {
+			return fmt.Sprintf("queue keys not ascending at slot %d: %v", i, m.qkeys)
+		}
+		if j == nil {
+			continue
+		}
+		filled++
+		if e := m.jobs[j.ID]; e == nil || &e.Job != j || e.qkey != m.qkeys[i] {
+			return fmt.Sprintf("slot %d holds job %d under key %d, not its entry's", i, j.ID, m.qkeys[i])
+		}
+	}
+	if filled != m.live || len(ref) != m.live {
+		return fmt.Sprintf("%d filled slots and %d in QueueRef, live says %d", filled, len(ref), m.live)
 	}
 	return ""
 }
@@ -551,5 +586,128 @@ func TestSkippedStartConverges(t *testing.T) {
 	}
 	if d.m.cl.Node(0).State != cluster.Up {
 		t.Error("node state changed")
+	}
+}
+
+// TestMirrorEmptySlotsOracle holds the queue's empty slots to a fresh
+// mirror. A model server refuses about half of every commit's starts,
+// so that skipped starts come back both into the slots their dequeue
+// emptied and, when the cycle started enough jobs to close the slots
+// up, by ordered insert. After every start and every delta the queue
+// must keep its own rules, and after every delta equal newMirror of
+// the model's full snapshot.
+func TestMirrorEmptySlotsOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const cores = 4096
+	var (
+		queue   []int // the model server's queue, in order
+		running []int
+		rec     = map[int]*proto.SchedJob{}
+		next    = 1
+		serial  = uint64(1)
+		nowMS   = int64(1000)
+	)
+	submit := func() *proto.SchedJob {
+		sj := &proto.SchedJob{ID: next, Name: "e", User: fmt.Sprintf("u%d", next%7), Group: "g", State: "queued",
+			Cores: 1, WallSecs: 60, SubmitMS: nowMS}
+		rec[next] = sj
+		queue = append(queue, next)
+		next++
+		return sj
+	}
+	nodes := func() []proto.NodeStatus {
+		return []proto.NodeStatus{{Name: "n0", Cores: cores, Used: len(running), State: "up"}}
+	}
+	snapshot := func() *proto.SchedState {
+		st := &proto.SchedState{NowMS: nowMS, Nodes: nodes(), Serial: serial}
+		for _, id := range queue {
+			st.Queued = append(st.Queued, *rec[id])
+		}
+		slices.Sort(running)
+		for _, id := range running {
+			st.Active = append(st.Active, *rec[id])
+		}
+		return st
+	}
+	for range 200 {
+		submit()
+	}
+	m, err := newMirror(snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var intoSlot, byInsert int
+	for step := 0; step < 60; step++ {
+		// The cycle: start a random share of the queue, up to all of it.
+		share := rng.Float64()
+		var started []*job.Job
+		for _, j := range m.QueueRef() {
+			if rng.Float64() < share {
+				started = append(started, j)
+			}
+		}
+		for _, j := range started {
+			if _, err := m.StartJob(j); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if diff := queueFaults(m); diff != "" {
+				t.Fatalf("step %d, after starting job %d: %s", step, j.ID, diff)
+			}
+		}
+		// The server applies about half of the starts and skips the rest;
+		// it finishes some running jobs and takes new submissions.
+		nowMS += 1000
+		serial++
+		d := &proto.SchedDelta{NowMS: nowMS, Serial: serial}
+		skipped := map[int]bool{}
+		for _, j := range started {
+			id := int(j.ID)
+			if rng.Intn(2) == 0 {
+				skipped[id] = true
+				if _, kept := slices.BinarySearch(m.qkeys, m.jobs[j.ID].qkey); kept {
+					intoSlot++
+				} else {
+					byInsert++
+				}
+			} else {
+				rec[id].State, rec[id].StartMS = "running", nowMS
+				running = append(running, id)
+			}
+			d.Jobs = append(d.Jobs, *rec[id])
+		}
+		queue = slices.DeleteFunc(queue, func(id int) bool { return rec[id].State == "running" })
+		for i := 0; i < len(running); {
+			if id := running[i]; rng.Intn(3) == 0 {
+				rec[id].State = "completed"
+				d.Jobs = append(d.Jobs, *rec[id])
+				delete(rec, id)
+				running = slices.Delete(running, i, i+1)
+			} else {
+				i++
+			}
+		}
+		for range rng.Intn(40) {
+			d.Tail = append(d.Tail, *submit())
+		}
+		d.Nodes = nodes()
+		if err := m.apply(d); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		for id := range skipped {
+			if e := m.jobs[job.ID(id)]; e == nil || e.State != job.Queued {
+				t.Fatalf("step %d: skipped start of job %d not back in the queue", step, id)
+			}
+		}
+		want, err := newMirror(snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := diffMirrors(m, want); diff != "" {
+			t.Fatalf("step %d: mirror differs from newMirror(full snapshot): %s", step, diff)
+		}
+	}
+	t.Logf("skipped starts re-seated: %d into their slots, %d by ordered insert", intoSlot, byInsert)
+	if intoSlot == 0 || byInsert == 0 {
+		t.Fatalf("re-seated %d skipped starts into their slots and %d by ordered insert; want both", intoSlot, byInsert)
 	}
 }

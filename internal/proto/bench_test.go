@@ -134,6 +134,59 @@ func TestRecvAllocsRegression(t *testing.T) {
 	}
 }
 
+// readCounter counts the reads a Conn makes of its socket.
+type readCounter struct {
+	net.Conn
+	reads int
+}
+
+func (r *readCounter) Read(p []byte) (int, error) {
+	r.reads++
+	return r.Conn.Read(p)
+}
+
+// TestRecvReadsOncePerBurst: small frames that arrive together — a
+// mom's completions, a server's dispatches — are read from the socket
+// in one read, not one for each length prefix (a v2 length used to take
+// a read per byte) and another for each body.
+func TestRecvReadsOncePerBurst(t *testing.T) {
+	const n = 5
+	for _, ver := range []uint32{V1, V2} {
+		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
+			enc, l := loopPair(ver)
+			for i := range n {
+				if err := enc.Send(TJobDone, &JobDoneReq{JobID: i + 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			burst := l.Bytes()
+			if len(burst) > readBufSize {
+				t.Fatalf("a burst of %d bytes does not fit the %d-byte read buffer", len(burst), readBufSize)
+			}
+			peer, ours := net.Pipe()
+			defer peer.Close()
+			rc := &readCounter{Conn: ours}
+			c := NewConn(rc)
+			defer c.Close()
+			c.ver.Store(ver)
+			go func() { _, _ = peer.Write(burst) }()
+			for i := range n {
+				env, err := c.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got JobDoneReq
+				if err := env.Decode(&got); err != nil || env.Type != TJobDone || got.JobID != i+1 {
+					t.Fatalf("frame %d: %s %+v, %v", i, env.Type, got, err)
+				}
+			}
+			if rc.reads != 1 {
+				t.Errorf("%d frames written at once took %d reads, want 1", n, rc.reads)
+			}
+		})
+	}
+}
+
 // discardRecorder captures Send frames for replay.
 type discardRecorder struct {
 	net.Conn

@@ -150,7 +150,10 @@ func (c *Conn) ClientHandshake(m Mode) error {
 		return fmt.Errorf("proto: handshake write: %w", err)
 	}
 	var reply [4]byte
-	if _, err := io.ReadFull(c.c, reply[:]); err != nil {
+	c.rm.Lock()
+	_, err := io.ReadFull(c.r, reply[:])
+	c.rm.Unlock()
+	if err != nil {
 		return fmt.Errorf("proto: handshake read: %w", err)
 	}
 	if reply[0] != handshakeMagic[0] || reply[1] != handshakeMagic[1] || reply[2] != handshakeMagic[2] {
@@ -165,10 +168,10 @@ func (c *Conn) ClientHandshake(m Mode) error {
 	return nil
 }
 
-// AcceptHandshake classifies an inbound connection by sniffing its
+// AcceptHandshake classifies an inbound connection by peeking at its
 // first byte: the v2 magic starts a negotiation (the acceptor replies
 // with the chosen version), anything else marks a v1 peer and the
-// byte is handed back to the first Recv. It must run before any Recv.
+// byte stays buffered for the first Recv. It must run before any Recv.
 //
 // m == ModeV1 pins the reply to v1 even for v2-proposing peers. A
 // ModeV2 acceptor still serves sniffed v1 peers: the paper's
@@ -177,14 +180,14 @@ func (c *Conn) ClientHandshake(m Mode) error {
 //
 //lint:locked the handshake runs before any Recv, on a conn no other goroutine reads yet
 func (c *Conn) AcceptHandshake(m Mode) error {
-	if _, err := io.ReadFull(c.c, c.scratch[:1]); err != nil {
+	first, err := c.r.Peek(1)
+	if err != nil {
 		return fmt.Errorf("proto: handshake read: %w", err)
 	}
-	if c.scratch[0] != handshakeMagic[0] {
-		c.peek = int32(c.scratch[0])
+	if first[0] != handshakeMagic[0] {
 		return nil
 	}
-	if _, err := io.ReadFull(c.c, c.scratch[1:4]); err != nil {
+	if _, err := io.ReadFull(c.r, c.scratch[:4]); err != nil {
 		return fmt.Errorf("proto: handshake read: %w", err)
 	}
 	if c.scratch[1] != handshakeMagic[1] || c.scratch[2] != handshakeMagic[2] {
@@ -296,8 +299,10 @@ func (c *Conn) sendV2(t MsgType, payload any) error {
 
 // recvV2 reads one v2 frame. Caller holds rm with the read deadline
 // already armed.
+//
+//lint:locked its one caller, Recv, runs with c.rm held
 func (c *Conn) recvV2() (*Envelope, error) {
-	n, err := c.readFrameLen()
+	n, err := readFrameLen(c.r)
 	if err != nil {
 		return nil, err
 	}
@@ -317,27 +322,26 @@ func (c *Conn) recvV2() (*Envelope, error) {
 		}
 		recvPool.Put(bp)
 	}()
-	if _, err := io.ReadFull(c.c, buf); err != nil {
+	if _, err := io.ReadFull(c.r, buf); err != nil {
 		return nil, err
 	}
 	return parseV2(buf)
 }
 
-// readFrameLen reads the frame-length uvarint byte by byte (through
-// the conn scratch so nothing escapes per call).
-//
-//lint:locked its one caller, recvV2, runs with c.rm held
-func (c *Conn) readFrameLen() (uint64, error) {
+// readFrameLen reads the frame-length uvarint a byte at a time from the
+// conn's read buffer, so a length costs no read of its own: the buffer
+// fill that brings it usually brings the body, and the frames behind it.
+func readFrameLen(r io.ByteReader) (uint64, error) {
 	var x uint64
 	var s uint
 	for i := 0; i < binary.MaxVarintLen32; i++ {
-		if _, err := io.ReadFull(c.c, c.scratch[:1]); err != nil {
+		b, err := r.ReadByte()
+		if err != nil {
 			if i > 0 && err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return 0, err
 		}
-		b := c.scratch[0]
 		if b < 0x80 {
 			return x | uint64(b)<<s, nil
 		}

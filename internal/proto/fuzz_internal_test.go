@@ -176,3 +176,118 @@ func tripOnce(t *testing.T, ver uint32, payload any) any {
 	}
 	return dst
 }
+
+// FuzzConnFrameStream cuts a stream of frames — v2 behind a client's
+// hello, or v1 behind the first byte the acceptor sniffs — into writes
+// at arbitrary byte boundaries, inside the hello and inside a length
+// prefix included. The acceptor must decode the frames the sender sent,
+// in order, each to what it decodes to in one piece, and then meet the
+// stream's tail — garbage, a cut frame or nothing — with a clean error.
+func FuzzConnFrameStream(f *testing.F) {
+	f.Add(true, []byte{0, 5, 21, 1}, []byte{1}, []byte{})
+	f.Add(false, []byte{0, 5, 21, 1}, []byte{1}, []byte{})
+	f.Add(true, []byte{2, 2, 2}, []byte{3, 0, 7, 200}, []byte{0xff, 0xff})
+	f.Add(false, []byte{13, 8}, []byte{2, 5}, []byte{0x00, 0x00, 0x00})
+	f.Add(true, []byte{5}, []byte{}, []byte{0x81})
+	f.Add(false, []byte{}, []byte{1, 1}, []byte{handshakeMagic[0], handshakeMagic[1], handshakeMagic[2], V2, 0x03})
+	samples := samplePayloads()
+	f.Fuzz(func(t *testing.T, v2 bool, picks, cuts, tail []byte) {
+		ver := uint32(V1)
+		if v2 {
+			ver = V2
+		}
+		if len(picks) > 16 {
+			picks = picks[:16]
+		}
+		enc, l := loopPair(ver)
+		var stream []byte
+		if v2 {
+			stream = []byte{handshakeMagic[0], handshakeMagic[1], handshakeMagic[2], V2}
+		}
+		var sent []payloadSample
+		for _, p := range picks {
+			s := samples[int(p)%len(samples)]
+			if err := enc.Send(s.typ, s.val); err != nil {
+				t.Fatal(err)
+			}
+			sent = append(sent, s)
+		}
+		stream = append(append(stream, l.Bytes()...), tail...)
+
+		peer, ours := net.Pipe()
+		go func() {
+			// The acceptor's reply is read beside the writes, which it
+			// may answer before it has read them all, and before the
+			// close, which would fail its write.
+			replied := make(chan struct{})
+			go func() {
+				var reply [4]byte
+				_, _ = io.ReadFull(peer, reply[:])
+				close(replied)
+				_, _ = io.Copy(io.Discard, peer)
+			}()
+			defer func() {
+				if v2 {
+					<-replied
+				}
+				_ = peer.Close()
+			}()
+			rest := stream
+			for i := 0; len(rest) > 0; i++ {
+				n := len(rest)
+				if i < len(cuts) {
+					n = min(n, 1+int(cuts[i])%32)
+				}
+				if _, err := peer.Write(rest[:n]); err != nil {
+					return
+				}
+				rest = rest[n:]
+			}
+		}()
+		c := NewConn(ours)
+		defer c.Close()
+		err := c.AcceptHandshake(ModeAuto)
+		if !v2 && len(sent) == 0 {
+			// The tail alone, which may look like a hello: it must
+			// fail cleanly wherever it fails.
+			for err == nil {
+				_, err = c.Recv()
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("handshake: %v", err)
+		}
+		if c.Version() != int(ver) {
+			t.Fatalf("negotiated v%d, want v%d", c.Version(), ver)
+		}
+		for i, s := range sent {
+			env, err := c.Recv()
+			if err != nil {
+				t.Fatalf("frame %d (%s): %v", i, s.typ, err)
+			}
+			if env.Type != s.typ {
+				t.Fatalf("frame %d is %s, want %s", i, env.Type, s.typ)
+			}
+			got := s.newPayload()
+			if err := env.Decode(got); err != nil {
+				t.Fatalf("frame %d (%s): decode: %v", i, s.typ, err)
+			}
+			if want := tripOnce(t, ver, s.val); !reflect.DeepEqual(got, want) {
+				t.Fatalf("frame %d (%s) decoded from the cut stream differs:\n got  %#v\n want %#v", i, s.typ, got, want)
+			}
+		}
+		// Whatever the tail holds, the reads end in an error, not a
+		// panic or a hang: every frame consumes bytes and the writer
+		// closes its end.
+		for {
+			env, err := c.Recv()
+			if err != nil {
+				return
+			}
+			if env == nil {
+				t.Fatal("Recv returned neither an envelope nor an error")
+			}
+		}
+	})
+}

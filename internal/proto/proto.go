@@ -13,6 +13,7 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -103,12 +104,12 @@ func errFrameTooLarge(n uint64) error {
 // negotiates the v2 binary framing; Version reports the result.
 type Conn struct {
 	c  net.Conn
-	wm sync.Mutex // serializes frame writes
-	rm sync.Mutex // serializes frame reads
-	qm sync.Mutex // serializes Request send→recv pairs
+	r  *bufio.Reader // guarded by rm: every read of c goes through it
+	wm sync.Mutex    // serializes frame writes
+	rm sync.Mutex    // serializes frame reads
+	qm sync.Mutex    // serializes Request send→recv pairs
 
-	ver  atomic.Uint32 // negotiated wire version: 0/1 = v1 JSON, 2 = binary
-	peek int32         // guarded by rm: first byte sniffed by AcceptHandshake, -1 = none
+	ver atomic.Uint32 // negotiated wire version: 0/1 = v1 JSON, 2 = binary
 
 	// Deadline state is atomic so SetReadTimeout can unstick a reader
 	// already blocked inside Recv (net.Conn deadlines are safe to set
@@ -119,11 +120,17 @@ type Conn struct {
 	writeT     atomic.Int64 // per-Send deadline in ns, 0 = none
 	writeArmed atomic.Bool  // the socket currently carries a write deadline
 
-	scratch [16]byte // guarded by rm: header scratch, avoids per-Recv escapes
+	scratch [4]byte // guarded by rm: the v1 length header or the v2 hello, so neither escapes
 }
 
+// readBufSize is the read buffer of a Conn: room for a burst of small
+// frames in one read, small because a process holds a buffer per
+// connection end, and bufio reads a larger body straight into its
+// destination.
+const readBufSize = 256
+
 // NewConn wraps a net.Conn.
-func NewConn(c net.Conn) *Conn { return &Conn{c: c, peek: -1} }
+func NewConn(c net.Conn) *Conn { return &Conn{c: c, r: bufio.NewReaderSize(c, readBufSize)} }
 
 // Dial connects to addr and wraps the connection speaking v1. Use
 // DialMode to negotiate the v2 codec.
@@ -310,15 +317,7 @@ func (c *Conn) Recv() (*Envelope, error) {
 		return c.recvV2()
 	}
 	hdr := c.scratch[:4]
-	if b := c.peek; b >= 0 {
-		// AcceptHandshake consumed one byte while sniffing for the v2
-		// magic; it belongs to this first v1 frame.
-		c.peek = -1
-		hdr[0] = byte(b)
-		if _, err := io.ReadFull(c.c, hdr[1:]); err != nil {
-			return nil, err
-		}
-	} else if _, err := io.ReadFull(c.c, hdr); err != nil {
+	if _, err := io.ReadFull(c.r, hdr); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr)
@@ -338,7 +337,7 @@ func (c *Conn) Recv() (*Envelope, error) {
 		}
 		recvPool.Put(bp)
 	}()
-	if _, err := io.ReadFull(c.c, buf); err != nil {
+	if _, err := io.ReadFull(c.r, buf); err != nil {
 		return nil, err
 	}
 	var env Envelope
