@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
@@ -43,17 +44,17 @@ func (t *jobTable) refit(lo, hi int) {
 	}
 }
 
-// nextFit returns the first row in [i, hi) that free cores and tried do
-// not rule out for a start now, or hi. It walks the tree left to right
-// and descends only into nodes that admit: one that does not rules out
-// every row under it, and goes on doing so while the walk only takes
-// capacity away, so the rows before i need no second look. Climbing past
-// the root leaves x = 1 one level above it, where x<<h is past every leaf.
-func (t *jobTable) nextFit(i, hi, free int, tried *noFit) int {
+// nextFit returns the first row in [i, hi) that st admits for a start
+// now, or hi. It walks the tree left to right and descends only into
+// nodes st admits: one it refuses rules out every row under it, and
+// goes on doing so while the walk only takes capacity away, so the rows
+// before i need no second look. Climbing past the root leaves x = 1 one
+// level above it, where x<<h is past every leaf.
+func (t *jobTable) nextFit(i, hi int, st *startNow) int {
 	base := t.leaf(0)
 	x, h := base+i, 0 // node x at height h covers the leaves from x<<h
 	for x<<h < base+hi {
-		if tried.admits(t.fit[x], free) {
+		if st.admits(t.fit[x]) {
 			if h == 0 {
 				return x - base
 			}
@@ -68,49 +69,34 @@ func (t *jobTable) nextFit(i, hi, free int, tried *noFit) int {
 	return hi
 }
 
-// noFit is the pruned walk's memory of requests it found not to start
-// now: the smallest few, since one that is at least as wide and at least
-// as long as any of them cannot start either while the profile only
-// loses capacity.
-type noFit struct {
-	n   int
-	req [4]struct {
-		cores int
-		wall  sim.Duration
-	}
+// startNow is a pruned walk's start-now staircase, read off its profile
+// (SegProfile.StartNowStair): the cores free at now for the whole of a
+// walltime, which only fall as the walltime grows. A row of cores > 0
+// starts now exactly when it is no wider than that for its walltime, so
+// at a leaf the test is FindSlot's answer; a node, no wider and no
+// longer than any row under it, admits whenever one of them does.
+type startNow struct {
+	now   sim.Time
+	steps []profile.Step
 }
 
-func (f *noFit) rulesOut(cores int, wall sim.Duration) bool {
-	for _, r := range f.req[:f.n] {
-		if r.cores <= cores && r.wall <= wall {
-			return true
-		}
-	}
-	return false
+// read rebuilds the staircase from p at now, reusing its storage.
+func (s *startNow) read(p *profile.SegProfile, now sim.Time) {
+	s.now, s.steps = now, p.StartNowStair(now, s.steps[:0])
 }
 
-// admits reports whether a row bounded by n may still start now with
-// free cores free: no wider than free, and not ruled out. A row of no
+// admits reports whether a row bounded by n may start now: no wider
+// than the Free of the last step before its walltime ends. A row of no
 // cores fits even a profile held past its capacity.
-func (f *noFit) admits(n fitNode, free int) bool {
-	return int(n.cores) <= max(free, 0) && !f.rulesOut(int(n.cores), n.wall)
-}
-
-// add records a request rulesOut did not cover: in place of one it
-// covers in turn, else in a free slot, else not at all.
-func (f *noFit) add(cores int, wall sim.Duration) {
-	k := f.n
-	for i, r := range f.req[:f.n] {
-		if cores <= r.cores && wall <= r.wall {
-			k = i
-			break
+func (s *startNow) admits(n fitNode) bool {
+	end := holdEnd(s.now, n.wall)
+	lo, hi := 1, len(s.steps) // steps[0] is at now, before any end
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s.steps[m].T < end {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	if k == len(f.req) {
-		return
-	}
-	f.req[k].cores, f.req[k].wall = cores, wall
-	if k == f.n {
-		f.n++
-	}
+	return n.cores <= 0 || int(n.cores) <= s.steps[lo-1].Free
 }

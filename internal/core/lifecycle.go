@@ -64,7 +64,8 @@ func (l *Lifecycle) Cluster() *cluster.Cluster { return l.cl }
 // QueuedJobs returns the queued jobs in submission order.
 func (l *Lifecycle) QueuedJobs() []*job.Job { return l.queue.Jobs() }
 
-// ActiveJobs returns the running and dynqueued jobs in ID order.
+// ActiveJobs returns the running and dynqueued jobs in ID order, in the
+// running set's own slice: read-only, valid until the next transition.
 func (l *Lifecycle) ActiveJobs() []*job.Job { return l.active.Jobs() }
 
 // DynRequests returns the pending dynamic requests in FIFO order.

@@ -62,15 +62,15 @@ func fillBuilder(b *profile.Builder, now sim.Time, cl *cluster.Cluster, active [
 // Once maxHeld rows are held and delayDepth measured, a row can change
 // the plan only by starting now: a later start places no hold and is not
 // measured. The walk then prunes as the final walk does, and exactly so:
-// it jumps to the next row the fit index does not rule out, and ends
+// it jumps to the next row the start-now staircase admits, read again
+// after each start, and starts a rigid one with no slot search; it ends
 // when the index rules out the whole table. A need row is never passed
-// over: its start is what the caller measures. The rows of need that lie
-// beyond the end are searched against the profile as the walk left it,
-// which is the profile every later row would have seen.
+// over: its start is what the caller measures. The rows of need beyond
+// the end are searched against the profile as the walk left it, which
+// is the profile every later row would have seen.
 func planTable(p *profile.SegProfile, t *jobTable, upTo int, now sim.Time, maxHeld, delayDepth int, need []Planned, starts []sim.Time, measured []Planned) []Planned {
 	held, blocked, skips := 0, 0, 0
-	freeNow := p.FreeAt(now)
-	var tried noFit
+	st, stale := &t.startNow, true
 	next := upTo // the next need row
 	if len(need) > 0 {
 		next = need[0].idx
@@ -78,15 +78,20 @@ func planTable(p *profile.SegProfile, t *jobTable, upTo int, now sim.Time, maxHe
 	for i := 0; i < upTo; i++ {
 		pruning := held >= maxHeld && blocked >= delayDepth
 		if pruning {
-			if !tried.admits(t.fit[1], freeNow) {
+			if stale {
+				st.read(p, now)
+				stale = false
+			}
+			if !st.admits(t.fit[1]) {
 				break
 			}
-			k := t.nextFit(i, next, freeNow, &tried)
+			k := t.nextFit(i, next, st)
 			skips += k - i
 			if i = k; i == upTo {
 				break
 			}
 		}
+		fits := pruning && i < next && !t.mold[i]
 		if i == next {
 			need = need[1:]
 			next = upTo
@@ -95,7 +100,10 @@ func planTable(p *profile.SegProfile, t *jobTable, upTo int, now sim.Time, maxHe
 			}
 		}
 		cores, wall := int(t.cores[i]), t.wall[i]
-		start := p.FindSlot(cores, wall, now)
+		start := now
+		if !fits {
+			start = p.FindSlot(cores, wall, now)
+		}
 		if starts != nil {
 			starts[i] = start
 		}
@@ -103,9 +111,7 @@ func planTable(p *profile.SegProfile, t *jobTable, upTo int, now sim.Time, maxHe
 		case start == now:
 			p.AddHold(now, holdEnd(now, wall), cores)
 			measured = append(measured, Planned{Job: t.jobs[i], Start: now, Held: true, StartNow: true, idx: i})
-			freeNow = p.FreeAt(now)
-		case pruning:
-			tried.add(cores, wall)
+			stale = true
 		case start < sim.Forever:
 			if held < maxHeld {
 				held++

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -23,7 +24,8 @@ type ResourceManager interface {
 	Cluster() *cluster.Cluster
 	// QueuedJobs returns the static jobs waiting for allocation.
 	QueuedJobs() []*job.Job
-	// ActiveJobs returns jobs currently holding resources.
+	// ActiveJobs returns jobs currently holding resources, maybe in the
+	// RM's own slice: read-only, valid until the RM next mutates.
 	ActiveJobs() []*job.Job
 	// DynRequests returns pending dynamic requests in FIFO order.
 	DynRequests() []*job.DynRequest
@@ -567,35 +569,34 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 	// Once every hold is placed and something has blocked, the only
 	// thing a row can still do is start now: it cannot block anything
 	// further, and it gets no reservation. The walk then prunes, and
-	// exactly so: it jumps over the rows the fit index rules out. A row
-	// wider than the cores free at this instant (a moldable row: the least
-	// it may shrink to) cannot start, as FindSlot returns now only when its
-	// cores are free at now, and free cores only fall as the walk adds
-	// holds; so a request found not to fit now rules out every later one
-	// at least as wide and as long (noFit). The walk ends when the index
-	// rules out the whole table, or no core is free (a row of no cores
-	// never starts: Allocate refuses it); with backfill off, at once.
+	// exactly so: it reads the profile's start-now staircase (startNow)
+	// and jumps over the rows the fit index finds wider than the cores
+	// free for their whole walltime (a moldable row: the least it may
+	// shrink to). A rigid row the staircase admits starts with no slot
+	// search, and each start's hold is read back into the staircase. The
+	// walk ends when the index rules out the whole table, or no core is
+	// free (a row of no cores never starts: Allocate refuses it); with
+	// backfill off, at once.
 	final := s.ensureBase(pc, rm).CloneInto(&s.finalBuf)
 	noBackfill := s.opts.Config.BackfillPolicy == "NONE"
 	heldBlocked := 0
 	anyBlocked := false
 	pruning := false
-	freeNow := 0
 	startFailed := false
-	var tried noFit
+	st := &t.startNow
 	for i := 0; i < t.len(); i++ {
 		if !pruning && anyBlocked && heldBlocked >= s.opts.Config.ReservationDepth {
 			if noBackfill {
 				break
 			}
 			pruning = true
-			freeNow = final.FreeAt(now)
+			st.read(final, now)
 		}
 		if pruning {
-			if freeNow <= 0 || !tried.admits(t.fit[1], freeNow) {
+			if st.steps[0].Free <= 0 || !st.admits(t.fit[1]) {
 				break
 			}
-			k := t.nextFit(i, t.len(), freeNow, &tried)
+			k := t.nextFit(i, t.len(), st)
 			t.finalSkips += uint64(k - i)
 			if i = k; i == t.len() {
 				break
@@ -607,9 +608,9 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 		}
 		j := t.jobs[i]
 		cores, wall := int(t.cores[i]), t.wall[i]
-		start := final.FindSlot(cores, wall, now)
-		if pruning && start != now && !t.mold[i] {
-			tried.add(cores, wall)
+		start := now
+		if !pruning || t.mold[i] {
+			start = final.FindSlot(cores, wall, now)
 		}
 		suppressed := (startNowBlocked && t.sys[i] == 0) || (anyBlocked && noBackfill)
 		if !suppressed && t.mold[i] {
@@ -636,7 +637,7 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 				s.fair.ForgetJob(j.ID)
 				final.AddHold(now, holdEnd(now, wall), cores)
 				if pruning {
-					freeNow = final.FreeAt(now)
+					st.read(final, now)
 				}
 				continue
 			}
@@ -753,9 +754,7 @@ func (s *Scheduler) processDynRequest(pc *planContext, rm ResourceManager, req *
 
 	t := &s.table
 	n := t.len()
-	if cap(s.candStarts) < n {
-		s.candStarts = make([]sim.Time, n)
-	}
+	s.candStarts = slices.Grow(s.candStarts[:0], n)[:n]
 	maxHeld, delayDepth := s.maxHeld(), s.opts.Config.ReservationDelayDepth
 	// A base plan made this request covers the whole queue on both sides,
 	// so the candidate's measured set is the base's for the next request
@@ -773,7 +772,7 @@ func (s *Scheduler) processDynRequest(pc *planContext, rm ResourceManager, req *
 			upTo = pc.measured[k-1].idx + 1
 		}
 	}
-	candMeasured := planTable(candP, t, upTo, now, maxHeld, delayDepth, pc.measured, s.candStarts[:n], s.candMeasuredBuf[:0])
+	candMeasured := planTable(candP, t, upTo, now, maxHeld, delayDepth, pc.measured, s.candStarts, s.candMeasuredBuf[:0])
 	s.candMeasuredBuf = candMeasured
 
 	measured := pc.measured

@@ -48,9 +48,10 @@ type jobTable struct {
 	fsOrder bool
 	// nSys counts the rows carrying SystemPriority, for the
 	// StrictSystemPriority gate.
-	nSys int
-	fit  []fitNode // the fit index over (least, wall), fit.go
-	head int       // row 0's position in the backing arrays
+	nSys     int
+	fit      []fitNode // the fit index over (least, wall), fit.go
+	head     int       // row 0's position in the backing arrays
+	startNow startNow  // the pruned walks' staircase buffer, fit.go
 
 	// Order-cache state: valid marks the sorted arrays reusable; they
 	// reflect the RM's queue at queueEpoch and the share tree's change

@@ -72,8 +72,8 @@ func (q Queue) Jobs() []*Job {
 }
 
 // RunSet is a set of jobs kept in ID order — the running jobs of a
-// resource manager — so that listing them is a copy and not a sort, and
-// finding one a binary search. Its receivers follow Queue's rule.
+// resource manager — so that listing them is neither a copy nor a sort,
+// and finding one a binary search. Its receivers follow Queue's rule.
 type RunSet struct {
 	jobs []*Job
 }
@@ -110,5 +110,6 @@ func (r RunSet) Get(id ID) (*Job, bool) {
 // Len returns the number of jobs in the set.
 func (r RunSet) Len() int { return len(r.jobs) }
 
-// Jobs returns the jobs in ID order, in a new slice.
-func (r RunSet) Jobs() []*Job { return append([]*Job(nil), r.jobs...) }
+// Jobs returns the jobs in ID order: the set's own slice, read-only and
+// valid until the set next changes.
+func (r RunSet) Jobs() []*Job { return r.jobs }

@@ -330,6 +330,36 @@ func (p *SegProfile) MinFree(start, end sim.Time) int {
 	return int(min)
 }
 
+// StartNowStair appends to dst, and returns, the steps from now at which
+// the running minimum of free cores falls: (now, FreeAt(now)) first,
+// then each later step that holds fewer cores than every one before it.
+// It is MinFree(now, ·) as a staircase: for now ≥ Start, a request of
+// cores > 0 and dur starts now — FindSlot(cores, dur, now) == now —
+// exactly when cores ≤ the Free of the last entry whose T is before
+// satAdd(now, dur), or of the first when none is. A segment whose min
+// is not below the running minimum is skipped whole.
+func (p *SegProfile) StartNowStair(now sim.Time, dst []Step) []Step {
+	h, i := p.locate(now)
+	seg := &p.segs[h]
+	m := seg.free[max(i, 0)]
+	dst = append(dst, Step{T: now, Free: int(m)})
+	for k := i + 1; ; k = 0 {
+		for ; k < int(seg.n); k++ {
+			if seg.free[k] < m {
+				m = seg.free[k]
+				dst = append(dst, Step{T: seg.t[k], Free: int(m)})
+			}
+		}
+		for h = seg.next; h >= 0 && p.segs[h].min >= m; {
+			h = p.segs[h].next
+		}
+		if h < 0 {
+			return dst
+		}
+		seg = &p.segs[h]
+	}
+}
+
 // FindSlot returns the earliest time ≥ earliest at which cores cores
 // are continuously free for dur, or sim.Forever. Semantics match
 // Profile.FindSlot exactly; the sweep skips whole segments via the
