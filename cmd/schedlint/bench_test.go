@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkSchedlintRepo measures a whole-repo schedlint sweep, tests
-// included: one shared parse+typecheck load feeds all twelve
+// included: one shared parse+typecheck load feeds all eleven
 // analyzers (BENCH_lint.json tracks the wall time). The load-ms metric
 // separates the load from the analyzer passes — the loader caches each
 // package and analyzers memoize the call graph per target, so the

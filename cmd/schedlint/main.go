@@ -10,7 +10,6 @@
 //	protoexhaustive  proto message registry ↔ daemon dispatch switch agreement
 //	goroutinelife    every go statement needs a provable shutdown path
 //	epochguard       writes to epoch-guarded fields must reach their bump before return
-//	poollife         pooled objects: no use after release, released or escaped on every path
 //	atomicfield      sync/atomic fields: atomic everywhere, declared, 64-bit aligned on 386
 //	sharedguard      fields written from several goroutine contexts need a declared guard
 //	chanlife         channel fields: one closing owner, no send-after-close or double close
@@ -59,7 +58,6 @@ import (
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/maporder"
 	"repro/internal/analysis/nodeterminism"
-	"repro/internal/analysis/poollife"
 	"repro/internal/analysis/protoerr"
 	"repro/internal/analysis/protoexhaustive"
 	"repro/internal/analysis/sharedguard"
@@ -74,7 +72,6 @@ var analyzers = []*analysis.Analyzer{
 	protoexhaustive.Analyzer,
 	goroutinelife.Analyzer,
 	epochguard.Analyzer,
-	poollife.Analyzer,
 	atomicfield.Analyzer,
 	sharedguard.Analyzer,
 	chanlife.Analyzer,

@@ -88,7 +88,7 @@ var classes = map[string]Class{
 	"analysis": Tooling, "analysistest": Tooling, "callgraph": Tooling, "dataflow": Tooling,
 	"loader": Tooling, "schedlint": Tooling, "atomicfield": Tooling, "chanlife": Tooling,
 	"epochguard": Tooling, "goroutinelife": Tooling, "lockcheck": Tooling, "lockorder": Tooling,
-	"maporder": Tooling, "nodeterminism": Tooling, "poollife": Tooling, "protoerr": Tooling,
+	"maporder": Tooling, "nodeterminism": Tooling, "protoerr": Tooling,
 	"protoexhaustive": Tooling, "sharedguard": Tooling,
 }
 

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -191,28 +189,6 @@ func writtenField(info *types.Info, e ast.Expr) (field, root *types.Var, path []
 	}
 }
 
-// LocalVar resolves e to the function-local variable it names, or nil
-// for fields, package-level variables, and non-identifier expressions.
-func LocalVar(info *types.Info, pkg *types.Package, e ast.Expr) *types.Var {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	var v *types.Var
-	if u, ok := info.Uses[id].(*types.Var); ok {
-		v = u
-	} else if d, ok := info.Defs[id].(*types.Var); ok {
-		v = d
-	}
-	if v == nil || v.IsField() {
-		return nil
-	}
-	if pkg != nil && v.Parent() == pkg.Scope() {
-		return nil
-	}
-	return v
-}
-
 // SelectorPath resolves a variable or selector chain — p, p.segs,
 // s.sched.pool — to the object path it names: the root variable
 // followed by the fields selected, unwrapping pointers, parens, and a
@@ -258,22 +234,6 @@ func SelectorPath(info *types.Info, e ast.Expr) []*types.Var {
 	default:
 		return nil
 	}
-}
-
-// PathKey renders an object path as a comparable map key. Object
-// identity, not name, distinguishes the keys: two distinct variables
-// named "p" never collide.
-func PathKey(path []*types.Var) string {
-	var b strings.Builder
-	for i, v := range path {
-		if i > 0 {
-			b.WriteByte('.')
-		}
-		b.WriteString(v.Name())
-		b.WriteByte('#')
-		b.WriteString(strconv.Itoa(int(v.Pos())))
-	}
-	return b.String()
 }
 
 // FreshLocal reports whether v is a function-local variable whose

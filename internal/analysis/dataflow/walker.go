@@ -1,6 +1,6 @@
 // Package dataflow is the shared dataflow substrate of schedlint's
-// lifetime analyzers (epochguard, poollife, chanlife). It layers three
-// facilities over the PR 5 call graph:
+// lifetime analyzers (epochguard, chanlife). It layers three
+// facilities over the package call graph (internal/analysis/callgraph):
 //
 //   - a path-sensitive statement walker (Walk) that threads an
 //     analyzer-defined abstract state through a function body, forking
@@ -11,10 +11,9 @@
 //     resolving `//schedlint:<key>` comments to the *types.Func /
 //     *types.Var they annotate, locally or through Pass.Dep, and the
 //     function a field marker names (ResolveFunc);
-//   - def/use helpers (FieldWritesIn, LocalVar, SelectorPath) that map
-//     syntax to the checker's objects: which annotated struct fields a
-//     statement writes, which function-local variable an expression
-//     names, and the object path of a selector chain.
+//   - def/use helpers (FieldWritesIn, SelectorPath) that map syntax to
+//     the checker's objects: which annotated struct fields a statement
+//     writes, and the object path of a selector chain.
 //
 // The walker is an abstract interpreter, not a CFG builder: soundness
 // comes from joining every path that can reach a program point and

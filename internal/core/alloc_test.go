@@ -34,19 +34,19 @@ func TestIterateAllocs(t *testing.T) {
 }
 
 // TestIterateAllocsIdleTick100k guards the event-driven requeue at
-// scale: once a 100k-job iteration has settled and the result is
-// recycled, a tick with an unchanged state epoch must not allocate at
-// all — the skip path is a few field comparisons and a pooled result.
+// scale: once a 100k-job iteration has settled, a tick with an
+// unchanged state epoch must not allocate at all — the skip path is a
+// few field comparisons and a reset of the scheduler-owned result.
 func TestIterateAllocsIdleTick100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-job fixture")
 	}
 	s, rm := setupLargeQueue(100000, 4096)
-	s.Recycle(s.Iterate(sim.Minute, rm)) // settle and warm the pool
+	s.Iterate(sim.Minute, rm) // settle and warm the result
 	now := 2 * sim.Minute
 	allocs := testing.AllocsPerRun(100, func() {
 		now += sim.Second // stays far below the earliest walltime release
-		s.Recycle(s.Iterate(now, rm))
+		s.Iterate(now, rm)
 	})
 	if allocs > 0 {
 		t.Errorf("idle tick allocates %.0f times, want 0", allocs)
@@ -57,13 +57,13 @@ func TestIterateAllocsIdleTick100k(t *testing.T) {
 // budget of a busy 100k-job tick: each round submits one job (forcing
 // a full table refill, re-sort and final planning walk) and the
 // iteration must stay within a constant budget — the per-job work all
-// runs in reused scratch (SoA table, segment arenas, pooled results).
+// runs in reused scratch (SoA table, segment arenas, the owned result).
 func TestIterateAllocsBusyTick100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-job fixture")
 	}
 	s, rm := setupLargeQueue(100000, 4096)
-	s.Recycle(s.Iterate(sim.Minute, rm)) // settle: fills arenas and pool
+	s.Iterate(sim.Minute, rm) // settle: fills arenas and the result
 	now := 2 * sim.Minute
 	id := 1000000
 	allocs := testing.AllocsPerRun(5, func() {
@@ -71,7 +71,7 @@ func TestIterateAllocsBusyTick100k(t *testing.T) {
 		rm.queued = append(rm.queued, mkQueued(id, "u99", 32, 2*sim.Hour, now))
 		rm.bumpQueue()
 		id++
-		s.Recycle(s.Iterate(now, rm))
+		s.Iterate(now, rm)
 	})
 	// Budget: the submitted job itself, the queue append, and bounded
 	// bookkeeping — nothing proportional to the 100k-job table.

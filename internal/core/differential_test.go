@@ -865,7 +865,6 @@ func TestSchedulerDifferential(t *testing.T) {
 							shrunk++
 						}
 					}
-					sched.Recycle(resA)
 					checkTable(t, i, sched, inA.rm, st.now)
 					// Settle phase: a single pass is deliberately not
 					// idempotent (StrictSystemPriority computes its
@@ -889,7 +888,6 @@ func TestSchedulerDifferential(t *testing.T) {
 						// the decision set only.
 						compareResults(t, i, sA, sB, !tracked)
 						quiet := len(sA.Started)+len(sA.Backfilled)+sA.GrantedCount()+len(sA.Preempted)+len(sA.Resizes) == 0
-						sched.Recycle(sA)
 						checkTable(t, i, sched, inA.rm, st.now)
 						if quiet && len(inA.base.queued) == nq && len(inA.base.active) == na && len(inA.base.dyn) == nd && len(inA.base.failStart) == nf {
 							break
@@ -909,7 +907,6 @@ func TestSchedulerDifferential(t *testing.T) {
 							t.Fatalf("step %d idle tick %d made decisions: %d started, %d backfilled, %d granted",
 								i, tick, len(idle.Started), len(idle.Backfilled), idle.GrantedCount())
 						}
-						sched.Recycle(idle)
 						if len(inA.base.queued) != nq || len(inA.base.active) != na || len(inA.base.dyn) != nd {
 							t.Fatalf("step %d idle tick %d mutated the RM", i, tick)
 						}
@@ -963,14 +960,12 @@ func TestIterateSkipFrozenState(t *testing.T) {
 	if len(res.Reservations) == 0 {
 		t.Fatal("settle iteration should reserve blocked jobs")
 	}
-	s.Recycle(res)
 
 	// Frozen state before the release horizon: skipped.
 	res = s.Iterate(2*sim.Minute, rm)
 	if len(res.Started)+len(res.Backfilled)+len(res.Reservations)+len(res.DynDecisions) != 0 {
 		t.Fatal("frozen-state iteration must be a no-op")
 	}
-	s.Recycle(res)
 
 	// A queue mutation resumes planning.
 	rm.queued = append(rm.queued, mkQueued(5, "u", 16, sim.Hour, 3*sim.Minute))
@@ -979,7 +974,6 @@ func TestIterateSkipFrozenState(t *testing.T) {
 	if len(res.Reservations) == 0 {
 		t.Fatal("mutated queue must be replanned")
 	}
-	s.Recycle(res)
 
 	// Crossing the release horizon (the running job's walltime end)
 	// resumes planning even without an epoch bump: the waiting 16-core
@@ -990,5 +984,4 @@ func TestIterateSkipFrozenState(t *testing.T) {
 	if len(res.Reservations) == 0 && len(res.Started) == 0 {
 		t.Fatal("horizon crossing must be replanned")
 	}
-	s.Recycle(res)
 }

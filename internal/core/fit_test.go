@@ -272,7 +272,6 @@ func TestFinalWalkJumpsToTheFit(t *testing.T) {
 	cfg.ReservationDepth = 1
 	s := New(Options{Config: cfg}, 0)
 	res := s.Iterate(0, rm)
-	defer s.Recycle(res)
 	if len(res.Reservations) != 1 || len(res.Backfilled) != 1 || res.Backfilled[0] != fits {
 		t.Fatalf("reserved %d, backfilled %v: want one reservation and the 4-core row started", len(res.Reservations), res.Backfilled)
 	}

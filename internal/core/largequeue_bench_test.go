@@ -118,9 +118,9 @@ func BenchmarkIterateLargeQueue(b *testing.B) {
 // of comparisons — no queue scan, no sort, no planning.
 func BenchmarkIterateIdleTick(b *testing.B) {
 	s, rm := setupLargeQueue(100000, 4096)
-	s.Recycle(s.Iterate(sim.Minute, rm)) // settle: starts + dyn decisions
+	s.Iterate(sim.Minute, rm) // settle: starts + dyn decisions
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Recycle(s.Iterate(2*sim.Minute, rm))
+		s.Iterate(2*sim.Minute, rm)
 	}
 }

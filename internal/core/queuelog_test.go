@@ -68,7 +68,7 @@ func TestTableFollowsQueue(t *testing.T) {
 		s := New(Options{}, 0)
 		iterate := func(now sim.Time) *IterationResult {
 			track.now = now
-			return s.Iterate(now, rm) // read, so not recycled
+			return s.Iterate(now, rm)
 		}
 		if res := iterate(sim.Minute); len(res.Started) != 4 || s.table.fills != 1 || s.table.len() != 196 {
 			t.Fatalf("logged=%v: first iteration started %d jobs, %d fills, %d rows left", logged, len(res.Started), s.table.fills, s.table.len())

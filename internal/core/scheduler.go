@@ -117,16 +117,16 @@ type DynDecision struct {
 	AvailableAt sim.Time
 	// Delays are the measured per-job delays that informed the
 	// fairness decision (granted or not). The slice is owned by the
-	// IterationResult: observers that retain it past Recycle must
-	// copy it first.
+	// IterationResult: observers that retain it past the next Iterate
+	// must copy it first.
 	Delays []fairness.JobDelay
 }
 
-// IterationResult reports what one scheduling iteration did. Results
-// are pooled: drivers that consume a result synchronously should hand
-// it back via Scheduler.Recycle so steady-state iteration stops
-// generating per-tick garbage. A recycled result's slices (including
-// DynDecision.Delays) are reused; observers copy what they keep.
+// IterationResult reports what one scheduling iteration did. The
+// scheduler owns it: it stays valid until the next Iterate, which
+// reuses it and every slice it owns (DynDecision.Delays included), so
+// steady-state iteration generates no per-tick garbage. Observers copy
+// what they keep.
 type IterationResult struct {
 	Now          sim.Time
 	Started      []*job.Job // jobs started in priority order
@@ -140,11 +140,6 @@ type IterationResult struct {
 	// delayBuf is the arena the per-decision Delays slices are carved
 	// from; it lives and dies with the result.
 	delayBuf []fairness.JobDelay
-
-	// poolGen is the pool lifetime guard: odd while the result sits in
-	// the pool, even while a caller owns it. Checked (and advanced)
-	// only in race-detector builds; see poolcheck.go.
-	poolGen uint64
 }
 
 // GrantedCount returns how many dynamic requests were granted.
@@ -191,8 +186,8 @@ type Scheduler struct {
 	measuredBuf     []Planned
 	candMeasuredBuf []Planned
 
-	// Result pool (Recycle/takeResult).
-	resPool []*IterationResult
+	// res is the result Iterate returns, reset by the next Iterate.
+	res IterationResult
 
 	// Event-driven requeue state: the last iteration's RM identity and
 	// post-iteration epoch, whether any dynamic request was deferred,
@@ -308,29 +303,10 @@ func (s *Scheduler) selectEligible(queued []*job.Job) []*job.Job {
 	return out
 }
 
-// takeResult returns a pooled IterationResult or a fresh one.
-func (s *Scheduler) takeResult() *IterationResult {
-	if n := len(s.resPool); n > 0 {
-		res := s.resPool[n-1]
-		s.resPool = s.resPool[:n-1]
-		res.clearOnTake()
-		return res
-	}
-	return &IterationResult{}
-}
-
-// Recycle hands an IterationResult back to the scheduler's pool. The
-// result and every slice it owns (including DynDecision.Delays) are
-// reused by a later Iterate; callers must not touch them afterwards.
-// Recycling is optional — results that escape to long-lived observers
-// can simply be dropped to the garbage collector.
-//
-//schedlint:pool-release IterationResult
-func (s *Scheduler) Recycle(res *IterationResult) {
-	if res == nil {
-		return
-	}
-	res.poisonOnRecycle()
+// resetResult empties the scheduler's result for a new iteration at
+// now, keeping its backing arrays.
+func (s *Scheduler) resetResult(now sim.Time) *IterationResult {
+	res := &s.res
 	clear(res.Started)
 	clear(res.Backfilled)
 	clear(res.Reservations)
@@ -338,7 +314,6 @@ func (s *Scheduler) Recycle(res *IterationResult) {
 	clear(res.Preempted)
 	clear(res.Resizes)
 	clear(res.delayBuf)
-	res.Now = 0
 	res.Started = res.Started[:0]
 	res.Backfilled = res.Backfilled[:0]
 	res.Reservations = res.Reservations[:0]
@@ -346,10 +321,15 @@ func (s *Scheduler) Recycle(res *IterationResult) {
 	res.Preempted = res.Preempted[:0]
 	res.Resizes = res.Resizes[:0]
 	res.delayBuf = res.delayBuf[:0]
-	if len(s.resPool) < 4 {
-		s.resPool = append(s.resPool, res)
-	}
+	res.Now = now
+	return res
 }
+
+// Recycle does nothing. Iterate's result is owned by the scheduler and
+// reused by the next Iterate, so there is nothing to hand back. The
+// method is kept only because the benchmark probes under bench/ still
+// call it; it goes when they stop.
+func (s *Scheduler) Recycle(*IterationResult) {}
 
 // canSkip reports whether the iteration may short-circuit: the RM's
 // state epoch is unchanged since the last iteration against the same
@@ -502,11 +482,8 @@ func (s *Scheduler) startRow(rm ResourceManager, i int) bool {
 // Algorithm 2 of the paper; with an empty dynamic-request queue it is
 // exactly Algorithm 1.
 //
-// The returned result is pooled: the caller owns it until it calls
-// Recycle, after which the result and every slice it owns are reused
-// by a later iteration.
-//
-//schedlint:pool IterationResult
+// The returned result is owned by the scheduler and valid until the
+// next Iterate, which reuses it and every slice it owns.
 func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 	s.iterations.Add(1)
 
@@ -516,17 +493,14 @@ func (s *Scheduler) Iterate(now sim.Time, rm ResourceManager) *IterationResult {
 	s.fair.Advance(now)
 	s.fs.Advance(now)
 
+	res := s.resetResult(now)
+
 	// Event-driven requeue: when the RM tracks epochs and nothing has
 	// changed since the last iteration, the tick is a no-op — no queue
 	// scan, no sort, no planning.
 	if ct, ok := rm.(ChangeTracker); ok && s.canSkip(ct, rm, now) {
-		res := s.takeResult()
-		res.Now = now
 		return res
 	}
-
-	res := s.takeResult()
-	res.Now = now
 
 	// Steps 6–9: select and prioritize eligible static jobs and
 	// dynamic requests. Static jobs use the priority factors; dynamic

@@ -8,6 +8,7 @@ package job
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -243,10 +244,12 @@ func (r *DynRequest) Validate() error {
 		return fmt.Errorf("dynrequest: nil job")
 	case r.Nodes < 0 || r.PPN < 0 || r.Cores < 0:
 		return fmt.Errorf("dynrequest: negative size")
-	case r.TotalCores() == 0:
-		return fmt.Errorf("dynrequest: empty request")
+	case r.Nodes > 0 && r.PPN > math.MaxInt/r.Nodes:
+		return fmt.Errorf("dynrequest: %d nodes × %d ppn overflows", r.Nodes, r.PPN)
 	case r.Nodes > 0 && r.PPN == 0:
 		return fmt.Errorf("dynrequest: nodes without ppn")
+	case r.TotalCores() == 0:
+		return fmt.Errorf("dynrequest: empty request")
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -99,6 +100,9 @@ func TestDynRequestValidate(t *testing.T) {
 		{"empty", DynRequest{Job: j}, false},
 		{"negative", DynRequest{Job: j, Cores: -1}, false},
 		{"nodes no ppn", DynRequest{Job: j, Nodes: 2}, false},
+		{"nodes×ppn overflows", DynRequest{Job: j, Nodes: 3, PPN: 1 << 62}, false},
+		{"nodes×ppn wraps to 0", DynRequest{Job: j, Nodes: 4, PPN: 1 << 62}, false},
+		{"nodes×ppn at MaxInt", DynRequest{Job: j, Nodes: 1, PPN: math.MaxInt}, true},
 	}
 	for _, c := range cases {
 		err := c.r.Validate()

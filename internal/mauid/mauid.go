@@ -154,7 +154,7 @@ func (d *Daemon) RunOnce() (applied, skipped int, err error) {
 		return 0, 0, err
 	}
 	m := d.m
-	d.sched.Recycle(d.sched.Iterate(now, m))
+	d.sched.Iterate(now, m)
 	if len(m.actions) == 0 {
 		return 0, 0, nil
 	}

@@ -299,7 +299,7 @@ func oracleCycle(t *testing.T, d *Daemon, addr, when string) (applied, skipped i
 		}
 		break
 	}
-	d.sched.Recycle(d.sched.Iterate(now, d.m))
+	d.sched.Iterate(now, d.m)
 	if len(d.m.actions) == 0 {
 		return 0, 0
 	}

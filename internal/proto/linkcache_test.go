@@ -139,15 +139,19 @@ func TestLinkCacheRetriesOnceOnStaleLink(t *testing.T) {
 // for linkIdle, and never keeps more than linkCacheCap of them.
 func TestLinkCacheIdleSweepAndCap(t *testing.T) {
 	lc := NewLinkCache(ModeAuto, 0)
-	lc.idle = 50 * time.Millisecond
 	defer lc.Close()
 	peers := make([]*echoPeer, linkCacheCap+3)
 	for i := range peers {
 		peers[i] = newEchoPeer(t, ModeAuto)
 		mustRequest(t, lc, peers[i].addr())
 	}
+	// Filling the cache runs under the default linkIdle, so a slow
+	// machine cannot sweep links before the cap is counted; only then
+	// is the sweep shortened.
 	lc.mu.Lock()
 	n, oldest := len(lc.links), lc.links[peers[0].addr()]
+	lc.idle = 50 * time.Millisecond
+	lc.reaper.Reset(lc.idle)
 	lc.mu.Unlock()
 	if n != linkCacheCap || oldest != nil {
 		t.Fatalf("%d links cached (least recently used kept: %v), want %d without it", n, oldest != nil, linkCacheCap)

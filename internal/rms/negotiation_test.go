@@ -150,7 +150,7 @@ func TestNegotiationAvailabilityEstimate(t *testing.T) {
 	h := newHarness(2, 8, fairness.None, nil)
 	var decisions []core.DynDecision
 	h.srv.OnIteration = func(ir *core.IterationResult) {
-		// The result is recycled after this callback: copy the decisions
+		// The result is reused by the next iteration: copy the decisions
 		// and their Delays slices before retaining them.
 		for _, d := range ir.DynDecisions {
 			d.Delays = append([]fairness.JobDelay(nil), d.Delays...)

@@ -52,7 +52,8 @@ type Server struct {
 	iterPending bool
 
 	// OnIteration, when set, observes every scheduler iteration result
-	// (used by experiment harnesses and tests).
+	// (used by experiment harnesses and tests). The result is valid only
+	// during the call: observers copy what they keep.
 	OnIteration func(res *core.IterationResult)
 
 	// EnforceWalltime cancels jobs that exceed their requested
@@ -267,9 +268,6 @@ func (s *Server) requestIteration() {
 		if s.OnIteration != nil {
 			s.OnIteration(res)
 		}
-		// Results are consumed synchronously (observers copy what they
-		// keep); recycling stops steady-state iteration garbage.
-		s.sched.Recycle(res)
 	})
 }
 

@@ -2,13 +2,65 @@ package serverd
 
 import (
 	"fmt"
+	"math"
 	"repro/internal/testutil/leak"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/mom"
 	"repro/internal/proto"
+	"repro/internal/sim"
 )
+
+// TestQSubRefusesBadSizes: a spec whose walltime or node shape cannot
+// be represented is refused at submission instead of queuing a job with
+// a wrapped size; the largest representable values are accepted.
+func TestQSubRefusesBadSizes(t *testing.T) {
+	const maxWall = int64(sim.Forever / sim.Second)
+	for _, c := range []struct {
+		name  string
+		spec  proto.JobSpec
+		ok    bool
+		cores int
+	}{
+		{"cores", proto.JobSpec{Cores: 4, WallSecs: 60}, true, 4},
+		{"nodes", proto.JobSpec{Nodes: 2, PPN: 8, WallSecs: 60}, true, 16},
+		{"longest walltime", proto.JobSpec{Cores: 1, WallSecs: maxWall}, true, 1},
+		{"widest node", proto.JobSpec{Nodes: 1, PPN: cluster.MaxNodeCores, WallSecs: 60}, true, cluster.MaxNodeCores},
+		{"no resources", proto.JobSpec{WallSecs: 60}, false, 0},
+		{"no walltime", proto.JobSpec{Cores: 1}, false, 0},
+		{"walltime wraps", proto.JobSpec{Cores: 1, WallSecs: 1 << 54}, false, 0},
+		{"walltime past Forever", proto.JobSpec{Cores: 1, WallSecs: maxWall + 1}, false, 0},
+		{"nodes without ppn", proto.JobSpec{Nodes: 2, WallSecs: 60}, false, 0},
+		{"negative ppn", proto.JobSpec{Nodes: 2, PPN: -8, WallSecs: 60}, false, 0},
+		{"ppn past a node", proto.JobSpec{Nodes: 1, PPN: cluster.MaxNodeCores + 1, WallSecs: 60}, false, 0},
+		{"nodes×ppn wraps positive", proto.JobSpec{Nodes: 1<<62 + 1, PPN: 4, WallSecs: 60}, false, 0},
+		{"nodes×ppn overflows", proto.JobSpec{Nodes: math.MaxInt / 8, PPN: 16, WallSecs: 60}, false, 0},
+	} {
+		srv := New(Options{Sched: core.New(core.Options{}, 0)})
+		id, err := srv.QSub(c.spec)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: QSub = %d, %v; want ok=%v", c.name, id, err, c.ok)
+			continue
+		}
+		if !c.ok {
+			if n := srv.rm.Submitted(); n != 0 {
+				t.Errorf("%s: refused spec still submitted %d jobs", c.name, n)
+			}
+			continue
+		}
+		j := srv.jobs[id].j
+		if want := sim.Duration(c.spec.WallSecs) * sim.Second; j.Cores != c.cores || j.Walltime != want || j.Walltime <= 0 {
+			t.Errorf("%s: job has %d cores, walltime %d; want %d, %d", c.name, j.Cores, j.Walltime, c.cores, want)
+		}
+		if j.State != job.Queued {
+			t.Errorf("%s: accepted job is %v, want queued", c.name, j.State)
+		}
+	}
+}
 
 // TestStaleSchedCommitSkipped: a commit that references jobs in states
 // the server has moved past must be skipped gracefully, never applied.

@@ -13,6 +13,7 @@ package serverd
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"sort"
@@ -652,6 +653,12 @@ func (s *Server) replayVerdictsLocked(ni *nodeInfo) {
 func (s *Server) QSub(spec proto.JobSpec) (int, error) {
 	cores := spec.Cores
 	if spec.Nodes > 0 {
+		if !cluster.ValidNodeCores(spec.PPN) {
+			return 0, fmt.Errorf("serverd: ppn %d outside [1, %d]", spec.PPN, cluster.MaxNodeCores)
+		}
+		if spec.Nodes > math.MaxInt/spec.PPN {
+			return 0, fmt.Errorf("serverd: %d nodes × %d ppn overflows", spec.Nodes, spec.PPN)
+		}
 		cores = spec.Nodes * spec.PPN
 	}
 	if cores <= 0 {
@@ -659,6 +666,9 @@ func (s *Server) QSub(spec proto.JobSpec) (int, error) {
 	}
 	if spec.WallSecs <= 0 {
 		return 0, fmt.Errorf("serverd: job needs a walltime")
+	}
+	if spec.WallSecs > int64(sim.Forever/sim.Second) {
+		return 0, fmt.Errorf("serverd: walltime %ds too long", spec.WallSecs)
 	}
 	class := job.Rigid
 	if spec.Evolving {
@@ -1056,8 +1066,7 @@ func (s *Server) schedLoop() {
 		case <-t.C:
 		}
 		s.mu.Lock()
-		res := s.opts.Sched.Iterate(s.now(), &s.rm)
-		s.opts.Sched.Recycle(res)
+		s.opts.Sched.Iterate(s.now(), &s.rm)
 		s.mu.Unlock()
 	}
 }
