@@ -6,16 +6,16 @@
 package mom
 
 type momd struct {
-	done chan struct{} //schedlint:chan-owner Close
-	quit chan struct{}
-	away chan struct{} //schedlint:chan-owner Close
-	dbl  chan int      //schedlint:chan-owner reset
-	out  chan int      //schedlint:chan-owner flush
-	ind  chan int      //schedlint:chan-owner shutdown
-	re   chan int      //schedlint:chan-owner recycle
-	br   chan int      //schedlint:chan-owner branches
-	relay chan int     //schedlint:chan-owner pump
-	work chan int      //schedlint:chan-owner Start
+	done  chan struct{} //schedlint:chan-owner Close
+	quit  chan struct{}
+	away  chan struct{} //schedlint:chan-owner Close
+	dbl   chan int      //schedlint:chan-owner reset
+	out   chan int      //schedlint:chan-owner flush
+	ind   chan int      //schedlint:chan-owner shutdown
+	re    chan int      //schedlint:chan-owner recycle
+	br    chan int      //schedlint:chan-owner branches
+	relay chan int      //schedlint:chan-owner pump
+	work  chan int      //schedlint:chan-owner Start
 
 	stale chan int //schedlint:chan-owner Close // want `channel field stale declares closing owner Close but is never closed`
 	bogus chan int //schedlint:chan-owner nosuch // want `chan-owner "nosuch" on bogus: no such method on momd or package function`

@@ -16,6 +16,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -103,6 +104,7 @@ type Mom struct {
 	Proto proto.Mode
 
 	ln      net.Listener
+	addr    string // ln's address, set once by Start
 	srvAddr string
 
 	// sisters holds the links this mom dialled to sibling moms (join,
@@ -135,12 +137,7 @@ func New(name string, cores int) *Mom {
 func (m *Mom) Name() string { return m.name }
 
 // Addr returns the mom's listen address (valid after Start).
-func (m *Mom) Addr() string {
-	if m.ln == nil {
-		return ""
-	}
-	return m.ln.Addr().String()
-}
+func (m *Mom) Addr() string { return m.addr }
 
 // Start listens on listenAddr (use "127.0.0.1:0" for an ephemeral
 // port), registers with the server at srvAddr, and begins serving.
@@ -150,6 +147,7 @@ func (m *Mom) Start(listenAddr, srvAddr string) error {
 		return fmt.Errorf("mom %s: listen: %w", m.name, err)
 	}
 	m.ln = ln
+	m.addr = ln.Addr().String()
 	m.srvAddr = srvAddr
 	m.sisters = proto.NewLinkCache(m.Proto, m.HandshakeTimeout)
 	srv, err := m.dialRegister()
@@ -178,7 +176,7 @@ func (m *Mom) dialRegister() (*proto.Conn, error) {
 		return nil, fmt.Errorf("dial server: %w", err)
 	}
 	req := proto.RegisterReq{
-		Node: m.name, Addr: m.ln.Addr().String(), Cores: m.cores,
+		Node: m.name, Addr: m.addr, Cores: m.cores,
 		Jobs: m.knownJobs(),
 	}
 	if err := srv.Send(proto.TRegister, req); err != nil {
@@ -525,12 +523,7 @@ func (m *Mom) handleTMDynFree(c *proto.Conn, req proto.TMDynFreeReq) {
 	// Remove the slices from the local host view.
 	j.hosts = subtractHosts(j.hosts, req.Hosts)
 	m.mu.Unlock()
-	for _, h := range req.Hosts {
-		if h.Addr == m.Addr() {
-			continue
-		}
-		m.notifyMom(h.Addr, proto.TDynDisjoin, proto.JoinReq{JobID: req.JobID, Hosts: req.Hosts})
-	}
+	m.fanOut(proto.TDynDisjoin, proto.JoinReq{JobID: req.JobID, Hosts: req.Hosts})
 	srv := m.server()
 	if srv == nil {
 		m.tmFail(c, "server unreachable: link down")
@@ -608,10 +601,40 @@ func subtractHosts(have, remove []proto.HostSlice) []proto.HostSlice {
 
 // notifyMom performs one fire-and-confirm exchange with a sibling mom,
 // on the link kept for it.
-func (m *Mom) notifyMom(addr string, t proto.MsgType, payload any) {
-	if _, err := m.sisters.Request(addr, t, payload); err != nil {
+func (m *Mom) notifyMom(addr string, t proto.MsgType, req proto.JoinReq) {
+	if _, err := m.sisters.Request(addr, t, req); err != nil {
 		m.logf("notify %s %s: %v", addr, t, err)
 	}
+}
+
+// fanOut sends req as one t request to each distinct sister in
+// req.Hosts — this mom and repeated addresses excluded — all at once,
+// and returns when every one is answered or has failed. A node named
+// twice gets one request: the sister sums the node's slices from the
+// host list itself, so a second one would count them twice.
+func (m *Mom) fanOut(t proto.MsgType, req proto.JoinReq) {
+	addrs := make([]string, 0, 8)
+	for _, h := range req.Hosts {
+		if h.Addr != m.addr && !slices.Contains(addrs, h.Addr) {
+			addrs = append(addrs, h.Addr)
+		}
+	}
+	switch len(addrs) {
+	case 0:
+		return
+	case 1:
+		m.notifyMom(addrs[0], t, req)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(addrs))
+	for _, addr := range addrs {
+		go func() {
+			defer wg.Done()
+			m.notifyMom(addr, t, req)
+		}()
+	}
+	wg.Wait()
 }
 
 // serverLoop handles messages from the server, re-dialing on link loss
@@ -732,7 +755,9 @@ func (m *Mom) heartbeatLoop() {
 }
 
 // runJob makes this mom the job's mother superior: join the siblings,
-// then launch the application.
+// then launch the application. Only the record is made here, on the
+// server read loop; the joins and the launch run on the job's own
+// goroutine, so a slow sister holds up this job and no other message.
 func (m *Mom) runJob(req proto.RunJobReq) {
 	m.logf("run job=%d script=%q hosts=%d", req.JobID, req.Spec.Script, len(req.Hosts))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -742,20 +767,19 @@ func (m *Mom) runJob(req proto.RunJobReq) {
 	delete(m.sister, req.JobID) // a requeued job's earlier run may have left cores of it here
 	m.mu.Unlock()
 
-	// Initial join with the sibling moms (Fig. 2: the mother superior
-	// and the allocated nodes perform a join operation).
-	for _, h := range req.Hosts {
-		if h.Addr == m.Addr() {
-			continue
-		}
-		m.notifyMom(h.Addr, proto.TJoin, proto.JoinReq{JobID: req.JobID, Hosts: req.Hosts})
-	}
-
-	tmc := &tm.Context{JobID: req.JobID, MomAddr: m.Addr(), Proto: m.Proto}
+	tmc := &tm.Context{JobID: req.JobID, MomAddr: m.addr, Proto: m.Proto}
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		err := m.launch(ctx, req.Spec.Script, tmc)
+		// Initial join with the sibling moms (Fig. 2: the mother superior
+		// and the allocated nodes perform a join operation), confirmed
+		// before the application starts. A job killed meanwhile never
+		// starts: killJob has dropped its record, so nothing is reported.
+		m.fanOut(proto.TJoin, proto.JoinReq{JobID: req.JobID, Hosts: req.Hosts})
+		var err error
+		if ctx.Err() == nil {
+			err = m.launch(ctx, req.Spec.Script, tmc)
+		}
 		// The application controller finished (or was killed): report
 		// completion unless the kill already did.
 		m.mu.Lock()
@@ -847,12 +871,7 @@ func (m *Mom) handleDynGetResp(resp proto.DynGetResp) {
 	}
 	m.mu.Unlock()
 	if resp.Granted {
-		for _, h := range resp.Hosts {
-			if h.Addr == m.Addr() {
-				continue
-			}
-			m.notifyMom(h.Addr, proto.TDynJoin, proto.JoinReq{JobID: resp.JobID, Dynamic: true, Hosts: resp.Hosts})
-		}
+		m.fanOut(proto.TDynJoin, proto.JoinReq{JobID: resp.JobID, Dynamic: true, Hosts: resp.Hosts})
 	}
 	if parked == nil {
 		return

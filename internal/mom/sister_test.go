@@ -2,6 +2,7 @@ package mom
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,14 +12,24 @@ import (
 	"repro/internal/testutil/leak"
 )
 
-// sinkServer is the least server a mom can register with: it accepts
-// links and reads them dry.
-func sinkServer(t *testing.T) string {
+// headnode stands in for the server: it takes the moms' registrations,
+// lets a test send a mom server messages, and keeps the completions
+// they report.
+type headnode struct {
+	addr string
+
+	mu   sync.Mutex
+	moms map[string]*proto.Conn // guarded by mu: registered links by node name
+	done []int                  // guarded by mu: job ids of the completions reported
+}
+
+func newHeadnode(t *testing.T) *headnode {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	hn := &headnode{addr: ln.Addr().String(), moms: make(map[string]*proto.Conn)}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -37,9 +48,20 @@ func sinkServer(t *testing.T) string {
 					return
 				}
 				for {
-					if _, err := c.Recv(); err != nil {
+					env, err := c.Recv()
+					if err != nil {
 						return // the mom hung up: every mom closes before this server does
 					}
+					var reg proto.RegisterReq
+					var done proto.JobDoneReq
+					hn.mu.Lock()
+					switch {
+					case env.Type == proto.TRegister && env.Decode(&reg) == nil:
+						hn.moms[reg.Node] = c
+					case env.Type == proto.TJobDone && env.Decode(&done) == nil:
+						hn.done = append(hn.done, done.JobID)
+					}
+					hn.mu.Unlock()
 				}
 			}()
 		}
@@ -48,7 +70,33 @@ func sinkServer(t *testing.T) string {
 		_ = ln.Close()
 		wg.Wait()
 	})
-	return ln.Addr().String()
+	return hn
+}
+
+// send delivers one server message to the mom registered as node,
+// waiting for its registration first.
+func (hn *headnode) send(t *testing.T, node string, typ proto.MsgType, payload any) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		hn.mu.Lock()
+		c := hn.moms[node]
+		hn.mu.Unlock()
+		if c != nil {
+			if err := c.Send(typ, payload); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("mom %s never registered", node)
+		}
+	}
+}
+
+func (hn *headnode) doneJobs() []int {
+	hn.mu.Lock()
+	defer hn.mu.Unlock()
+	return slices.Clone(hn.done)
 }
 
 func startMom(t *testing.T, name, srv string, tune func(*Mom)) *Mom {
@@ -74,6 +122,16 @@ func frontOf(t *testing.T, m *Mom) *chaos.Proxy {
 	}
 	t.Cleanup(p.Close)
 	return p
+}
+
+// waitHole waits until front holds a connection in its black hole.
+func waitHole(t *testing.T, front *chaos.Proxy) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); front.Stats().Blackholed == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no join reached the hole")
+		}
+	}
 }
 
 func join(m *Mom, to string, id int, node string) {
@@ -107,7 +165,7 @@ func (m *Mom) inboundLinks() []*proto.Conn {
 // it sat in the cache costs the next join one fresh dial, not the join.
 func TestChaosSisterLinkReuse(t *testing.T) {
 	leak.Check(t)
-	srv := sinkServer(t)
+	srv := newHeadnode(t).addr
 	// v2 and not auto, so that a refused dial is one dial: auto would
 	// try the peer once more as a v1 peer.
 	a := startMom(t, "a", srv, func(m *Mom) { m.Proto = proto.ModeV2 })
@@ -147,7 +205,7 @@ func TestChaosSisterLinkReuse(t *testing.T) {
 // the codec each negotiated, on links that are reused side by side.
 func TestChaosSisterMixedVersions(t *testing.T) {
 	leak.Check(t)
-	srv := sinkServer(t)
+	srv := newHeadnode(t).addr
 	a := startMom(t, "a", srv, nil)
 	old := startMom(t, "old", srv, func(m *Mom) { m.Proto = proto.ModeV1 })
 	cur := startMom(t, "cur", srv, nil)
@@ -174,7 +232,7 @@ func TestChaosSisterMixedVersions(t *testing.T) {
 // for it.
 func TestChaosSisterBlackhole(t *testing.T) {
 	leak.Check(t)
-	srv := sinkServer(t)
+	srv := newHeadnode(t).addr
 	// v1, so that a fresh link exists — and Close can reach it — as soon
 	// as it is connected: there is no handshake to hang in first.
 	a := startMom(t, "a", srv, func(m *Mom) { m.Proto = proto.ModeV1 })
@@ -190,12 +248,7 @@ func TestChaosSisterBlackhole(t *testing.T) {
 		defer close(stuck)
 		join(a, front.Addr(), 2, "b")
 	}()
-	for deadline := time.Now().Add(5 * time.Second); front.Stats().Blackholed == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the join to b never reached the hole")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitHole(t, front)
 	start := time.Now()
 	join(a, c.Addr(), 3, "c")
 	waitJobs(t, c, 1)
