@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/mom"
@@ -26,7 +27,7 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:0", "TM/join listen address")
 		heartbeat = flag.Duration("heartbeat", 0, "liveness beacon interval on the server link (0 disables; pair with the server's -heartbeat)")
 		reconnect = flag.Bool("reconnect", true, "re-dial and re-register with backoff when the server link drops")
-		handshake = flag.Duration("handshake-timeout", 0, "deadline for an inbound connection's first message (0 disables)")
+		handshake = flag.Duration("handshake-timeout", 10*time.Second, "deadline for a link's handshake: an inbound connection's first message, and an outbound dial to the server or a sister; non-zero by default so that a peer that accepts and never answers cannot hold the mom (0 disables)")
 		protoFlag = flag.String("proto", "auto", "wire protocol: v1 (JSON), v2 (binary) or auto (negotiate v2, fall back to v1)")
 		verbose   = flag.Bool("v", false, "verbose logging")
 	)

@@ -80,12 +80,9 @@ func main() {
 			r.Type, sim.FormatTime(r.End), r.Cores, r.DynGranted)
 	}
 	fmt.Println("\nevent log:")
-	for _, e := range tr.Events() {
-		if e.Kind == trace.Shrink || e.Kind == trace.Grow ||
-			e.Kind == trace.DynGrant || e.Kind == trace.NodeDown {
-			fmt.Printf("  %s %-8s %-9s %d cores %s\n",
-				sim.FormatTime(e.At), e.Kind, e.Job, e.Cores, e.Note)
-		}
+	for _, e := range tr.Filter(trace.Shrink, trace.Grow, trace.DynGrant, trace.NodeDown) {
+		fmt.Printf("  %s %-8s %-9s %d cores %s\n",
+			sim.FormatTime(e.At), e.Kind, e.Job, e.Cores, e.Note)
 	}
 	fmt.Println("\nschedule:")
 	fmt.Print(tr.Gantt(60))

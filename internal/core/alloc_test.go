@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/job"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestIterateAllocs bounds the allocations of one scheduling iteration
@@ -78,5 +80,49 @@ func TestIterateAllocsBusyTick100k(t *testing.T) {
 	const maxAllocs = 24
 	if allocs > maxAllocs {
 		t.Errorf("busy tick allocates %.0f times, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// TestTraceAllocsNilSink guards the cost of the lifecycle's trace sink:
+// a cycle through every transition a dynamic job takes allocates no
+// more with the sink off than it did before the sink existed (the
+// placements' allocation slices and the pending request's bookkeeping),
+// and no more with a sink attached while the log's chunks have room.
+func TestTraceAllocsNilSink(t *testing.T) {
+	for _, sink := range []*trace.Log{nil, {}} {
+		l := NewLifecycle(cluster.New(4, 8), nil, nil)
+		l.Trace = sink
+		j := &job.Job{}
+		r := &job.DynRequest{}
+		var now sim.Time
+		cycle := func() {
+			now += sim.Minute
+			*j = job.Job{Name: "L.1", Cred: job.Credentials{User: "u"}, Cores: 8, Walltime: sim.Hour}
+			l.Submit(j, now)
+			if _, err := l.Start(j, 0, 0, now, nil); err != nil {
+				t.Fatal(err)
+			}
+			*r = job.DynRequest{Job: j, Cores: 4, IssuedAt: now}
+			if err := l.QueueDyn(r); err != nil {
+				t.Fatal(err)
+			}
+			l.Reject(r, "no", now)
+			*r = job.DynRequest{Job: j, Cores: 4, IssuedAt: now}
+			if err := l.QueueDyn(r); err != nil {
+				t.Fatal(err)
+			}
+			alloc, err := l.Grant(r, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Release(j, alloc, now); err != nil {
+				t.Fatal(err)
+			}
+			l.Complete(j, now)
+		}
+		const maxAllocs = 5 // measured before the sink was added
+		if allocs := testing.AllocsPerRun(100, cycle); allocs > maxAllocs {
+			t.Errorf("sink %v: one lifecycle cycle allocates %.0f times, want <= %d", sink != nil, allocs, maxAllocs)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Lifecycle is the job lifecycle of the paper's pbs_server, written
@@ -17,7 +18,8 @@ import (
 // caches key off, the usage recorder and the job counts, and performs
 // every transition among them with its epoch bump: submit, start (and
 // its rollback), dynamic request, grant, reject, partial release,
-// requeue, cancel, complete, and the loss of a failed node's cores.
+// requeue, cancel, complete, and the loss of a failed node's cores —
+// and records each in its trace, once, when it has one.
 //
 // An RM embeds it, which gives it the read half of ResourceManager,
 // ChangeTracker and QueueLogger, and wraps each transition in its own
@@ -49,6 +51,10 @@ type Lifecycle struct {
 	// was about (nil for a node-only change) and whether that job's
 	// queue membership changed.
 	OnBump func(j *job.Job, queueMove bool)
+
+	// Trace, when set, is the sink of the lifecycle's records: one per
+	// transition performed. Nil means off, at the cost of a nil check.
+	Trace *trace.Log
 }
 
 // NewLifecycle returns an empty lifecycle over cl that charges
@@ -128,6 +134,21 @@ func (l *Lifecycle) bumpQueue(j *job.Job) {
 	}
 }
 
+// emit records transition k of j, with cores cores, in the trace.
+func (l *Lifecycle) emit(now sim.Time, k trace.Kind, j *job.Job, cores int) {
+	if l.Trace != nil {
+		l.Trace.Append(now, k, j.ID, j.Name, cores)
+	}
+}
+
+// NodeEvent records node nodeID going down (trace.NodeDown) or coming
+// back (trace.NodeUp) in the trace.
+func (l *Lifecycle) NodeEvent(k trace.Kind, nodeID int, now sim.Time) {
+	if l.Trace != nil {
+		l.Trace.AppendNode(now, k, nodeID)
+	}
+}
+
 func (l *Lifecycle) observeUsage(now sim.Time) {
 	if l.rec != nil {
 		l.rec.ObserveUsage(now, l.cl.UsedCores())
@@ -158,6 +179,7 @@ func (l *Lifecycle) Submit(j *job.Job, now sim.Time) {
 		l.rec.ObserveSubmit(now)
 	}
 	l.bumpQueue(j)
+	l.emit(now, trace.Submit, j, j.Cores)
 }
 
 // Start places queued j — nodes×ppn cores when nodes > 0, else j.Cores
@@ -184,14 +206,19 @@ func (l *Lifecycle) Start(j *job.Job, nodes, ppn int, now sim.Time, admit func(c
 	l.active.Add(j)
 	l.observeUsage(now)
 	l.bumpQueue(j)
+	if j.Backfilled {
+		l.emit(now, trace.Backfill, j, j.Cores)
+	} else {
+		l.emit(now, trace.Start, j, j.Cores)
+	}
 	return alloc, nil
 }
 
 // Unstart takes back the Start of a job whose launch failed: it gives
-// up its cores and rejoins the queue at the tail. The rollback is a
-// second round of mutations after Start's, with its own bump — without
-// it a cache validated against Start's epoch would keep serving the job
-// as started.
+// up its cores and rejoins the queue at the tail, recorded as a
+// preemption. The rollback is a second round of mutations after
+// Start's, with its own bump — without it a cache validated against
+// Start's epoch would keep serving the job as started.
 func (l *Lifecycle) Unstart(j *job.Job, now sim.Time) {
 	l.cl.Release(j.ID)
 	l.active.Remove(j.ID)
@@ -200,6 +227,7 @@ func (l *Lifecycle) Unstart(j *job.Job, now sim.Time) {
 	l.queue.Push(j)
 	l.observeUsage(now)
 	l.bumpQueue(j)
+	l.emit(now, trace.Preempt, j, j.Cores)
 }
 
 // QueueDyn files r, a running job's tm_dynget, at the tail of the FIFO
@@ -219,6 +247,7 @@ func (l *Lifecycle) QueueDyn(r *job.DynRequest) error {
 	j.State = job.DynQueued
 	l.dyn = append(l.dyn, r)
 	l.Bump(j)
+	l.emit(r.IssuedAt, trace.DynRequest, j, r.TotalCores())
 	return nil
 }
 
@@ -238,14 +267,22 @@ func (l *Lifecycle) Grant(r *job.DynRequest, now sim.Time) (cluster.Alloc, error
 	l.dropDyn(j.ID)
 	l.observeUsage(now)
 	l.Bump(j)
+	if l.Trace != nil {
+		l.Trace.AppendGrant(now, j.ID, j.Name, r.TotalCores(), alloc)
+	}
 	return alloc, nil
 }
 
-// Reject resolves r without cores; its job runs on as it was.
-func (l *Lifecycle) Reject(r *job.DynRequest) {
-	r.Job.State = job.Running
-	l.dropDyn(r.Job.ID)
-	l.Bump(r.Job)
+// Reject resolves r without cores, for reason; its job runs on as it
+// was.
+func (l *Lifecycle) Reject(r *job.DynRequest, reason string, now sim.Time) {
+	j := r.Job
+	j.State = job.Running
+	l.dropDyn(j.ID)
+	l.Bump(j)
+	if l.Trace != nil {
+		l.Trace.AppendReject(now, j.ID, j.Name, r.TotalCores(), reason)
+	}
 }
 
 // Grow places cores more cores for running j (a malleable grow).
@@ -257,14 +294,33 @@ func (l *Lifecycle) Grow(j *job.Job, cores int, now sim.Time) (cluster.Alloc, er
 	j.DynCores += cores
 	l.observeUsage(now)
 	l.Bump(j)
+	l.emit(now, trace.Grow, j, cores)
 	return alloc, nil
 }
 
-// Release frees part of active j's allocation — tm_dynfree's
-// dyn_disjoin, which may give back any subset, a malleable shrink, or
-// a failed node's cores. The cores come off j's dynamic cores first
-// and then off its base request.
+// Release frees part of active j's allocation: tm_dynfree's
+// dyn_disjoin, which may give back any subset.
 func (l *Lifecycle) Release(j *job.Job, part cluster.Alloc, now sim.Time) error {
+	if err := l.release(j, part, now); err != nil {
+		return err
+	}
+	l.emit(now, trace.DynFree, j, part.TotalCores())
+	return nil
+}
+
+// Shrink frees part of active j's allocation: a malleable shrink.
+func (l *Lifecycle) Shrink(j *job.Job, part cluster.Alloc, now sim.Time) error {
+	if err := l.release(j, part, now); err != nil {
+		return err
+	}
+	l.emit(now, trace.Shrink, j, part.TotalCores())
+	return nil
+}
+
+// release frees part of active j's allocation, unrecorded: the loss of
+// a failed node's cores is recorded as the node's failure. The cores
+// come off j's dynamic cores first and then off its base request.
+func (l *Lifecycle) release(j *job.Job, part cluster.Alloc, now sim.Time) error {
 	if !j.Active() {
 		return fmt.Errorf("core: %s is not active", j.ID)
 	}
@@ -311,7 +367,7 @@ func (l *Lifecycle) JobsOn(nodeID int) []*job.Job {
 // node, and returns how many there were.
 func (l *Lifecycle) StripNode(j *job.Job, nodeID int, now sim.Time) int {
 	lost := l.CoresOn(j.ID, nodeID)
-	if lost == 0 || l.Release(j, cluster.Alloc{{NodeID: nodeID, Cores: lost}}, now) != nil {
+	if lost == 0 || l.release(j, cluster.Alloc{{NodeID: nodeID, Cores: lost}}, now) != nil {
 		return 0
 	}
 	return lost
@@ -331,6 +387,7 @@ func (l *Lifecycle) Requeue(j *job.Job, now sim.Time) error {
 	l.queue.Push(j)
 	l.observeUsage(now)
 	l.bumpQueue(j)
+	l.emit(now, trace.Preempt, j, j.Cores)
 	return nil
 }
 
@@ -352,6 +409,7 @@ func (l *Lifecycle) Cancel(j *job.Job, now sim.Time) bool {
 	default:
 		return false
 	}
+	l.emit(now, trace.Cancel, j, j.TotalCores())
 	return true
 }
 
@@ -386,6 +444,7 @@ func (l *Lifecycle) Complete(j *job.Job, now sim.Time) bool {
 	delete(l.grants, j.ID)
 	l.charge(j, now)
 	l.Bump(j)
+	l.emit(now, trace.Complete, j, j.TotalCores())
 	return true
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // lcWorld is the state a lifecycle conformance run drives: the
@@ -105,6 +107,7 @@ func (w *lcWorld) fingerprint() string {
 func TestLifecycleConformance(t *testing.T) {
 	w := &lcWorld{fs: NewFairshare(sim.Hour, 0.5), jobs: map[string]*job.Job{}}
 	w.l = NewLifecycle(cluster.New(4, 8), w.fs, metrics.NewRecorder(32))
+	w.l.Trace = &trace.Log{}
 	w.l.OnBump = func(_ *job.Job, queueMove bool) {
 		w.bumps++
 		if queueMove {
@@ -144,7 +147,7 @@ func TestLifecycleConformance(t *testing.T) {
 			_, err := w.l.Grant(w.l.PendingDyn(w.jobs["a"].ID), w.now)
 			return err
 		}, false},
-		{"reject b", func() error { w.l.Reject(w.l.PendingDyn(w.jobs["b"].ID)); return nil }, false},
+		{"reject b", func() error { w.l.Reject(w.l.PendingDyn(w.jobs["b"].ID), "refused", w.now); return nil }, false},
 		{"release dyn and base cores of a", func() error {
 			held := w.l.Cluster().AllocOf(w.jobs["a"].ID)
 			return w.l.Release(w.jobs["a"], cluster.Alloc{{NodeID: held[0].NodeID, Cores: 6}}, w.now)
@@ -190,9 +193,14 @@ func TestLifecycleConformance(t *testing.T) {
 			queuedBefore[j] = true
 		}
 		e0, q0, b0, qb0, fp0 := w.l.StateEpoch(), w.l.QueueEpoch(), w.bumps, w.queueBumps, w.fingerprint()
+		n0 := w.l.Trace.Len()
 
-		if err := st.do(); (err != nil) != st.wantErr {
+		err := st.do()
+		if (err != nil) != st.wantErr {
 			t.Fatalf("%s: error %v, want error %v", st.name, err, st.wantErr)
+		}
+		if err != nil && w.l.Trace.Len() != n0 {
+			t.Fatalf("%s: failed, yet recorded %v", st.name, w.l.Trace.Events()[n0:])
 		}
 
 		if err := w.l.Cluster().CheckInvariants(); err != nil {
@@ -255,5 +263,19 @@ func TestLifecycleConformance(t *testing.T) {
 	}
 	if recs := w.l.Recorder().Jobs(); len(recs) != 2 || !recs[0].DynGranted || recs[1].DynGranted {
 		t.Errorf("records = %+v, want a (granted) and b", recs)
+	}
+	// Every transition performed was recorded once: a stripped node's
+	// cores are not a release, and the two node failures are the RM's
+	// to record.
+	kinds := map[trace.Kind]int{}
+	for _, e := range w.l.Trace.Events() {
+		kinds[e.Kind]++
+	}
+	want := map[trace.Kind]int{
+		trace.Submit: 5, trace.Start: 7, trace.Preempt: 3, trace.DynRequest: 5, trace.DynGrant: 1,
+		trace.DynReject: 1, trace.DynFree: 1, trace.Grow: 1, trace.Cancel: 3, trace.Complete: 2,
+	}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Errorf("recorded kinds %v, want %v", kinds, want)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -44,6 +45,19 @@ func TestESPRunsAreBitIdentical(t *testing.T) {
 	ha, hb := sha256.Sum256([]byte(a.Trace.String())), sha256.Sum256([]byte(b.Trace.String()))
 	if ha != hb {
 		t.Errorf("trace logs differ: sha256 %x vs %x", ha, hb)
+	}
+	// Two same-seed runs agree with each other even when the log renders
+	// wrongly both times; these pins hold its bytes to the ones the
+	// string-keeping log rendered before records were resolved on read.
+	const (
+		wantLog   = "abdc991c737c02f1e363a110eac2046e7c029cbd8987a62da7e13a9bcae3e2f3"
+		wantGantt = "c0e717828898eacddee22751ce76207281520a68b6499cef6e664f33c6771956"
+	)
+	if got := fmt.Sprintf("%x", ha); got != wantLog {
+		t.Errorf("Dyn-500 event log sha256 = %s, want %s", got, wantLog)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(a.Trace.Gantt(120)))); got != wantGantt {
+		t.Errorf("Dyn-500 Gantt(120) sha256 = %s, want %s", got, wantGantt)
 	}
 }
 

@@ -53,10 +53,7 @@ func (m *Mom) sisterCores(id int) int {
 func TestChaosBlackholedSisterStallsOneJob(t *testing.T) {
 	leak.Check(t)
 	hn := newHeadnode(t)
-	// v1, so that the hung join's link is in the cache — and Close can
-	// end it — as soon as it is connected: there is no handshake to
-	// hang in first.
-	a := startMom(t, "a", hn.addr, func(m *Mom) { m.Proto = proto.ModeV1 })
+	a := startMom(t, "a", hn.addr, nil)
 	b := startMom(t, "b", hn.addr, nil)
 	c := startMom(t, "c", hn.addr, nil)
 	front := frontOf(t, b)
@@ -154,5 +151,31 @@ func TestDynJoinRepeatedNodeCountsOnce(t *testing.T) {
 	a.fanOut(proto.TDynDisjoin, proto.JoinReq{JobID: 7, Hosts: free})
 	if got := b.sisterCores(7); got != 3 {
 		t.Errorf("sister holds %d cores after the dyn_disjoin, want 3", got)
+	}
+}
+
+// TestChaosCloseEndsHungHandshake: a sister link that negotiates its
+// codec is in the cache from its connect on, before its handshake, so a
+// sister that accepts and then says nothing cannot hold Close: Close
+// ends the handshake, and the auto mode's fallback to a plain dial does
+// not start a fresh wait.
+func TestChaosCloseEndsHungHandshake(t *testing.T) {
+	leak.Check(t)
+	hn := newHeadnode(t)
+	a := startMom(t, "a", hn.addr, nil) // auto mode, no handshake timeout
+	b := startMom(t, "b", hn.addr, nil)
+	front := frontOf(t, b)
+	front.Blackhole(true)
+	hn.send(t, "a", proto.TRunJob, runReq(1, slot(a), proto.HostSlice{Node: "b", Addr: front.Addr(), Cores: 2}))
+	waitHole(t, front)
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		a.Close()
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung on a sister link held in its handshake")
 	}
 }

@@ -95,7 +95,8 @@ type Mom struct {
 	ReconnectBase time.Duration
 	ReconnectMax  time.Duration
 	// HandshakeTimeout bounds how long an inbound TM/join connection
-	// may take to deliver its first message. Zero disables it.
+	// may take to deliver its first message, and an outbound dial to the
+	// server or a sister with its handshake. Zero disables it.
 	HandshakeTimeout time.Duration
 	// Proto selects the wire codec (see proto.Mode): auto (the zero
 	// value) negotiates binary v2 with new peers and falls back to v1

@@ -233,9 +233,7 @@ func TestChaosSisterMixedVersions(t *testing.T) {
 func TestChaosSisterBlackhole(t *testing.T) {
 	leak.Check(t)
 	srv := newHeadnode(t).addr
-	// v1, so that a fresh link exists — and Close can reach it — as soon
-	// as it is connected: there is no handshake to hang in first.
-	a := startMom(t, "a", srv, func(m *Mom) { m.Proto = proto.ModeV1 })
+	a := startMom(t, "a", srv, nil)
 	b := startMom(t, "b", srv, nil)
 	c := startMom(t, "c", srv, nil)
 	front := frontOf(t, b)

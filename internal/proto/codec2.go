@@ -104,15 +104,27 @@ func DialMode(addr string, m Mode) (*Conn, error) {
 // an old v1-only peer reads the magic as a bogus frame length, errors
 // out, and drops the connection — is retried as a plain v1 dial.
 func DialModeTimeout(addr string, m Mode, d time.Duration) (*Conn, error) {
+	return dialModeTimeout(addr, m, d, nil)
+}
+
+// dialModeTimeout is DialModeTimeout that hands each connection to
+// connected, when set, as soon as it is connected — before its
+// handshake, so that the caller can end a handshake that hangs. An
+// error from connected ends the dial with it.
+func dialModeTimeout(addr string, m Mode, d time.Duration, connected func(*Conn) error) (*Conn, error) {
 	dial := func() (*Conn, error) {
-		if d <= 0 {
-			return Dial(addr)
-		}
-		nc, err := net.DialTimeout("tcp", addr, d)
+		nc, err := net.DialTimeout("tcp", addr, max(d, 0))
 		if err != nil {
 			return nil, err
 		}
-		return NewConn(nc), nil
+		c := NewConn(nc)
+		if connected != nil {
+			if err := connected(c); err != nil {
+				_ = c.Close()
+				return nil, err
+			}
+		}
+		return c, nil
 	}
 	c, err := dial()
 	if err != nil {

@@ -82,14 +82,19 @@ func (lc *LinkCache) roundTrip(l *cachedLink, addr string, t MsgType, payload an
 	c := l.conn.Load()
 	for reused := c != nil; ; reused = false {
 		if c == nil {
+			// The connection takes the slot before its handshake, so
+			// Close can end a handshake, or the auto mode's plain redial,
+			// that hangs.
 			var err error
-			if c, err = DialModeTimeout(addr, lc.mode, lc.dialTimeout); err != nil {
+			if c, err = dialModeTimeout(addr, lc.mode, lc.dialTimeout, func(c *Conn) error {
+				l.conn.Store(c)
+				if lc.closed.Load() { // Close ran meanwhile and may have missed c
+					return ErrLinkCacheClosed
+				}
+				return nil
+			}); err != nil {
+				l.conn.Store(nil)
 				return nil, err
-			}
-			l.conn.Store(c)
-			if lc.closed.Load() { // Close ran meanwhile and may have missed c
-				_ = c.Close()
-				return nil, ErrLinkCacheClosed
 			}
 		}
 		env, err := c.Request(t, payload)

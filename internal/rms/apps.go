@@ -45,10 +45,7 @@ func (a *FixedApp) OnPreempt(s *Server, j *job.Job, now sim.Time) {
 	if !a.Checkpointable {
 		return
 	}
-	a.remaining -= now - a.startedAt
-	if a.remaining < 0 {
-		a.remaining = 0
-	}
+	a.remaining = max(0, a.remaining-(now-a.startedAt))
 }
 
 // EvolvingApp models the paper's evolving-job behaviour (§IV-B,
@@ -97,10 +94,7 @@ func (a *EvolvingApp) armAttempt(s *Server, j *job.Job) {
 		return
 	}
 	frac := a.AttemptFracs[a.attempt]
-	at := a.startAt + sim.Duration(frac*float64(a.SET))
-	if at < s.Engine().Now() {
-		at = s.Engine().Now()
-	}
+	at := max(a.startAt+sim.Duration(frac*float64(a.SET)), s.eng.Now())
 	s.ScheduleAppEvent(j, at, "dynget attempt", func(now sim.Time) {
 		if j.State != job.Running || a.granted {
 			return
@@ -136,10 +130,7 @@ func (a *EvolvingApp) EndAfterGrant(t sim.Duration) sim.Duration {
 		return a.SET
 	}
 	s := float64(a.SET-a.DET) / float64(a.SET-t1)
-	rem := float64(a.SET-t) * (1 - s)
-	if rem < 0 {
-		rem = 0
-	}
+	rem := max(0, float64(a.SET-t)*(1-s))
 	return t + sim.Duration(rem)
 }
 

@@ -39,9 +39,7 @@ type FaultAwareApp interface {
 func (s *Server) FailNode(nodeID int) []job.ID {
 	now := s.eng.Now()
 	s.Cluster().SetNodeState(nodeID, cluster.Down)
-	if s.Trace != nil {
-		s.Trace.Addf(now, trace.NodeDown, "", 0, "node%d failed", nodeID)
-	}
+	s.NodeEvent(trace.NodeDown, nodeID, now)
 	var affected []job.ID
 	for _, j := range s.JobsOn(nodeID) {
 		affected = append(affected, j.ID)
@@ -72,9 +70,7 @@ func (s *Server) FailNode(nodeID int) []job.ID {
 // RepairNode returns a Down/Offline node to service.
 func (s *Server) RepairNode(nodeID int) {
 	s.Cluster().SetNodeState(nodeID, cluster.Up)
-	if s.Trace != nil {
-		s.Trace.Addf(s.eng.Now(), trace.NodeUp, "", 0, "node%d repaired", nodeID)
-	}
+	s.NodeEvent(trace.NodeUp, nodeID, s.eng.Now())
 	s.Bump(nil)
 	s.requestIteration()
 }

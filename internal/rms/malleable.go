@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/job"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ResizableApp is the optional application interface for malleable
@@ -37,10 +36,9 @@ func (s *Server) ShrinkJob(j *job.Job, cores int) error {
 		part = append(part, cluster.Slice{NodeID: held[i].NodeID, Cores: take})
 		remaining -= take
 	}
-	if err := s.Release(j, part, s.eng.Now()); err != nil {
+	if err := s.Shrink(j, part, s.eng.Now()); err != nil {
 		return err
 	}
-	s.traceEvent(trace.Shrink, j, cores, "")
 	s.notifyResize(j)
 	return nil
 }
@@ -61,7 +59,6 @@ func (s *Server) GrowJob(j *job.Job, cores int) (cluster.Alloc, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.traceEvent(trace.Grow, j, cores, "")
 	s.notifyResize(j)
 	return alloc, nil
 }
@@ -84,15 +81,6 @@ type MalleableWorkApp struct {
 	coresThen int
 }
 
-// Progress returns the fraction of work completed so far (0..1),
-// valid between events.
-func (a *MalleableWorkApp) Progress() float64 {
-	if a.Work <= 0 {
-		return 1
-	}
-	return 1 - a.remaining/a.Work
-}
-
 // OnStart begins computing on the initial allocation.
 func (a *MalleableWorkApp) OnStart(s *Server, j *job.Job, now sim.Time) {
 	a.remaining = a.Work
@@ -104,10 +92,7 @@ func (a *MalleableWorkApp) OnStart(s *Server, j *job.Job, now sim.Time) {
 // advance accounts the work done since the last event.
 func (a *MalleableWorkApp) advance(now sim.Time) {
 	done := sim.SecondsOf(now-a.lastT) * float64(a.coresThen)
-	a.remaining -= done
-	if a.remaining < 0 {
-		a.remaining = 0
-	}
+	a.remaining = max(0, a.remaining-done)
 	a.lastT = now
 }
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // App models the runtime behaviour of a job's application: when the
@@ -36,9 +35,9 @@ type App interface {
 }
 
 // Server is the simulated resource manager: the shared job lifecycle
-// (core.Lifecycle) with the simulator's side effects — engine events,
-// application callbacks, trace events and scheduling cycles — around
-// each transition.
+// (core.Lifecycle, whose Trace field records the schedule) with the
+// simulator's side effects — engine events, application callbacks and
+// scheduling cycles — around each transition.
 type Server struct {
 	core.Lifecycle
 
@@ -62,10 +61,6 @@ type Server struct {
 	// expires"). Enabled by default in NewServer.
 	EnforceWalltime bool
 
-	// Trace, when set, records every lifecycle event for rendering
-	// with the trace package (event log / ASCII Gantt).
-	Trace *trace.Log
-
 	// FailurePolicy selects the fallback for jobs hit by node
 	// failures whose application is not fault-aware (see failure.go).
 	FailurePolicy FailurePolicy
@@ -86,9 +81,6 @@ func NewServer(eng *sim.Engine, cl *cluster.Cluster, sched *core.Scheduler, rec 
 	}
 }
 
-// Engine returns the simulation engine driving this server.
-func (s *Server) Engine() *sim.Engine { return s.eng }
-
 // Scheduler returns the attached scheduler.
 func (s *Server) Scheduler() *core.Scheduler { return s.sched }
 
@@ -98,7 +90,6 @@ func (s *Server) Scheduler() *core.Scheduler { return s.sched }
 func (s *Server) Submit(j *job.Job, app App) {
 	s.Lifecycle.Submit(j, s.eng.Now())
 	s.apps[j.ID] = app
-	s.traceEvent(trace.Submit, j, j.Cores, "")
 	s.requestIteration()
 }
 
@@ -119,7 +110,6 @@ func (s *Server) SubmitAt(at sim.Time, j *job.Job, app App) {
 func (s *Server) SubmitBatch(items []SubmitItem) {
 	batch := make([]sim.Timed, 0, len(items))
 	for _, it := range items {
-		it := it
 		if it.At <= s.eng.Now() {
 			s.Submit(it.Job, it.App)
 			continue
@@ -144,11 +134,6 @@ type SubmitItem struct {
 // is triggered.
 func (s *Server) RequestDyn(j *job.Job, cores int) error {
 	return s.requestDyn(&job.DynRequest{Job: j, Cores: cores, IssuedAt: s.eng.Now()})
-}
-
-// RequestDynNodes files a node-granular dynamic request (nodes × ppn).
-func (s *Server) RequestDynNodes(j *job.Job, nodes, ppn int) error {
-	return s.requestDyn(&job.DynRequest{Job: j, Nodes: nodes, PPN: ppn, IssuedAt: s.eng.Now()})
 }
 
 // RequestDynTimeout files a negotiable dynamic request (§III-C's
@@ -178,7 +163,6 @@ func (s *Server) requestDyn(r *job.DynRequest) error {
 	if err := s.QueueDyn(r); err != nil {
 		return err
 	}
-	s.traceEvent(trace.DynRequest, r.Job, r.TotalCores(), "")
 	s.requestIteration()
 	return nil
 }
@@ -190,7 +174,6 @@ func (s *Server) DynFree(j *job.Job, part cluster.Alloc) error {
 	if err := s.Release(j, part, s.eng.Now()); err != nil {
 		return err
 	}
-	s.traceEvent(trace.DynFree, j, part.TotalCores(), "")
 	s.requestIteration()
 	return nil
 }
@@ -201,9 +184,7 @@ func (s *Server) ScheduleCompletion(j *job.Job, at sim.Time) {
 	if ev, ok := s.endEvents[j.ID]; ok {
 		ev.Cancel()
 	}
-	if at < s.eng.Now() {
-		at = s.eng.Now()
-	}
+	at = max(at, s.eng.Now())
 	s.endEvents[j.ID] = s.eng.At(at, "complete", func(sim.Time) {
 		s.CompleteJob(j)
 	})
@@ -235,23 +216,7 @@ func (s *Server) CompleteJob(j *job.Job) {
 		return
 	}
 	s.dropEvents(j.ID)
-	s.traceEvent(trace.Complete, j, j.TotalCores(), "")
 	s.requestIteration()
-}
-
-// traceEvent records a lifecycle event when tracing is enabled.
-func (s *Server) traceEvent(k trace.Kind, j *job.Job, cores int, note string) {
-	if s.Trace == nil {
-		return
-	}
-	name := ""
-	if j != nil {
-		name = j.Name
-		if name == "" {
-			name = j.ID.String()
-		}
-	}
-	s.Trace.Add(trace.Event{At: s.eng.Now(), Kind: k, Job: name, Cores: cores, Note: note})
 }
 
 // requestIteration schedules a scheduling cycle at the current virtual
@@ -280,11 +245,6 @@ func (s *Server) StartJob(j *job.Job) (cluster.Alloc, error) {
 	if err != nil {
 		return nil, err
 	}
-	if j.Backfilled {
-		s.traceEvent(trace.Backfill, j, j.Cores, "")
-	} else {
-		s.traceEvent(trace.Start, j, j.Cores, "")
-	}
 	if app := s.apps[j.ID]; app != nil {
 		app.OnStart(s, j, now)
 	} else {
@@ -309,7 +269,6 @@ func (s *Server) CancelJob(j *job.Job) {
 		return
 	}
 	s.dropEvents(j.ID)
-	s.traceEvent(trace.Cancel, j, j.TotalCores(), "")
 	s.requestIteration()
 }
 
@@ -322,7 +281,6 @@ func (s *Server) GrantDyn(r *job.DynRequest) (cluster.Alloc, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.traceEvent(trace.DynGrant, r.Job, r.TotalCores(), alloc.String())
 	if app := s.apps[r.Job.ID]; app != nil {
 		app.OnDynResult(s, r.Job, true, now)
 	}
@@ -332,8 +290,7 @@ func (s *Server) GrantDyn(r *job.DynRequest) (cluster.Alloc, error) {
 // RejectDyn declines a request; the application continues on its
 // current allocation and may retry later.
 func (s *Server) RejectDyn(r *job.DynRequest, reason string) {
-	s.Reject(r)
-	s.traceEvent(trace.DynReject, r.Job, r.TotalCores(), reason)
+	s.Reject(r, reason, s.eng.Now())
 	if app := s.apps[r.Job.ID]; app != nil {
 		app.OnDynResult(s, r.Job, false, s.eng.Now())
 	}
@@ -347,7 +304,6 @@ func (s *Server) Preempt(j *job.Job) error {
 		return err
 	}
 	s.dropEvents(j.ID)
-	s.traceEvent(trace.Preempt, j, j.Cores, "")
 	if app := s.apps[j.ID]; app != nil {
 		app.OnPreempt(s, j, now)
 	}

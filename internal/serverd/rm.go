@@ -113,7 +113,7 @@ func (r *serverRM) GrantDyn(req *job.DynRequest) (cluster.Alloc, error) {
 //lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
 func (r *serverRM) RejectDyn(req *job.DynRequest, reason string) {
 	s := r.s
-	r.Reject(req)
+	r.Reject(req, reason, s.now())
 	if ji := s.jobs[int(req.Job.ID)]; ji != nil {
 		stopTimer(&ji.negTimer)
 		s.deliverVerdictLocked(ji, proto.DynGetResp{
