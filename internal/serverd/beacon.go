@@ -17,12 +17,11 @@ type beacon struct {
 
 // beaconRing is a bounded lock-free multi-producer single-consumer
 // queue (the Vyukov bounded-queue sequence scheme) carrying beacons
-// from the mom read goroutines to the monitor sweep. The seed stamped
-// ni.lastSeen under s.mu on every message, which serialized every mom
-// reader against the scheduler's own lock; at 10k moms beating each
-// interval that lock becomes the whole daemon's bottleneck. Producers
-// here contend only on a CAS over the head counter, and the monitor
-// applies the batch under one lock acquisition per sweep.
+// from the mom read goroutines to the loop's monitor sweep. Stamping
+// ni.lastSeen once per message would cost the loop one inbox event per
+// heartbeat, 10k a second at 10k moms; producers here contend only on
+// a CAS over the head counter, and the sweep applies the batch at
+// once.
 //
 // Each slot carries a sequence number: seq == pos means free for the
 // producer claiming pos, seq == pos+1 means published and ready for
@@ -31,7 +30,7 @@ type beaconRing struct {
 	slots   []beaconSlot
 	mask    uint64
 	head    atomic.Uint64
-	tail    uint64 // consumer cursor; monitor goroutine only
+	tail    uint64 // consumer cursor; the loop only
 	dropped atomic.Uint64
 }
 
@@ -54,8 +53,8 @@ func newBeaconRing(size int) *beaconRing {
 }
 
 // push publishes one beacon; false means the ring is full (the
-// consumer has not freed the slot yet) and the caller must fall back
-// to the locked stamp so no liveness evidence is lost.
+// consumer has not freed the slot yet) and the caller must post the
+// stamp to the loop so no liveness evidence is lost.
 func (r *beaconRing) push(b beacon) bool {
 	pos := r.head.Load()
 	for {
@@ -78,18 +77,16 @@ func (r *beaconRing) push(b beacon) bool {
 }
 
 // drain consumes every published beacon in order. Single consumer
-// only (the monitor goroutine); returns how many were applied.
-func (r *beaconRing) drain(fn func(beacon)) int {
-	n := 0
+// only (the loop).
+func (r *beaconRing) drain(fn func(beacon)) {
 	for {
 		slot := &r.slots[r.tail&r.mask]
 		if slot.seq.Load() != r.tail+1 {
-			return n
+			return
 		}
 		b := slot.b
 		slot.seq.Store(r.tail + uint64(len(r.slots)))
 		r.tail++
 		fn(b)
-		n++
 	}
 }

@@ -2,9 +2,13 @@ package serverd
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"repro/internal/testutil/leak"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,22 +47,23 @@ func failoverCluster(t *testing.T, n, coresPerNode int, opts Options, tune func(
 		t.Cleanup(m.Close)
 	}
 	waitFor(t, time.Second, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.nodes) == n
+		return loopRead(t, srv, func() int { return len(srv.nodes) }) == n
 	}, "moms registered")
 	return srv, moms
 }
 
 func msNodeOf(t *testing.T, srv *Server, id int) string {
 	t.Helper()
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	ji := srv.jobs[id]
-	if ji == nil {
+	ms, known := "", false
+	onLoop(t, srv, func() {
+		if ji := srv.jobs[id]; ji != nil {
+			ms, known = ji.msNode, true
+		}
+	})
+	if !known {
 		t.Fatalf("job %d unknown", id)
 	}
-	return ji.msNode
+	return ms
 }
 
 func momByName(t *testing.T, moms []*mom.Mom, name string) *mom.Mom {
@@ -106,12 +111,9 @@ func TestChaosMomKilledMidJobCancel(t *testing.T) {
 			t.Errorf("node %s leaked %d cores after failure", n.Name, n.Used)
 		}
 	}
-	srv.mu.Lock()
-	ji := srv.jobs[id]
-	if ji.negTimer != nil {
-		t.Error("cancelled job still holds a negotiation timer")
+	if wall, neg := deadlinesOf(t, srv, id); wall+neg != 0 {
+		t.Errorf("cancelled job still holds %d walltime and %d negotiation deadlines", wall, neg)
 	}
-	srv.mu.Unlock()
 }
 
 // TestChaosMomKilledMidJobRequeue: with FailRequeue the job must
@@ -135,9 +137,7 @@ func TestChaosMomKilledMidJobRequeue(t *testing.T) {
 	if st := nodeState(srv, first); st != "down" {
 		t.Errorf("failed node state = %s, want down", st)
 	}
-	srv.mu.Lock()
-	second := srv.jobs[id].msNode
-	srv.mu.Unlock()
+	second := msNodeOf(t, srv, id)
 	if second == first {
 		t.Errorf("job restarted on the dead node %s", first)
 	}
@@ -171,23 +171,18 @@ func TestChaosMomKilledWithPendingDyn(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.rm.DynRequests()) == 1
+		return loopRead(t, srv, func() int { return len(srv.rm.DynRequests()) }) == 1
 	}, "dyn request parked")
 	ms := msNodeOf(t, srv, id)
 	momByName(t, moms, ms).Close()
 
 	waitFor(t, 5*time.Second, func() bool { return jobState(srv, id) == "cancelled" }, "job cancelled")
-	srv.mu.Lock()
-	pending := len(srv.rm.DynRequests())
-	leaked := srv.jobs[id].negTimer != nil
-	srv.mu.Unlock()
+	pending := loopRead(t, srv, func() int { return len(srv.rm.DynRequests()) })
 	if pending != 0 {
 		t.Errorf("%d dyn requests survived the node failure", pending)
 	}
-	if leaked {
-		t.Error("negotiation timer leaked past node failure")
+	if _, neg := deadlinesOf(t, srv, id); neg != 0 {
+		t.Error("negotiation deadline leaked past node failure")
 	}
 	select {
 	case err := <-verdict:
@@ -278,29 +273,22 @@ func TestChaosVerdictBufferedAndReplayed(t *testing.T) {
 	}, "job start")
 	ms := msNodeOf(t, srv, id)
 	waitFor(t, 5*time.Second, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.rm.DynRequests()) == 1
+		return loopRead(t, srv, func() int { return len(srv.rm.DynRequests()) }) == 1
 	}, "dyn request parked")
 
 	// Cut the mother superior's link server-side (the mom will notice
 	// the EOF and start its reconnect loop), then free capacity so the
 	// grant is decided while the link is down.
-	srv.mu.Lock()
-	ni := srv.nodes[ms]
-	link := ni.conn
-	srv.mu.Unlock()
+	var ni *nodeInfo
+	var link *proto.Conn
+	onLoop(t, srv, func() { ni = srv.nodes[ms]; link = ni.conn })
 	_ = link.Close()
 	waitFor(t, 3*time.Second, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return ni.conn == nil || ni.conn != link
+		return loopRead(t, srv, func() bool { return ni.conn == nil || ni.conn != link })
 	}, "server noticed the dead link")
 	srv.QDel(blocker)
 	waitFor(t, 3*time.Second, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(ni.verdicts) == 1
+		return loopRead(t, srv, func() int { return len(ni.verdicts) }) == 1
 	}, "verdict buffered while link down")
 
 	select {
@@ -317,9 +305,7 @@ func TestChaosVerdictBufferedAndReplayed(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("verdict never replayed after reconnect")
 	}
-	srv.mu.Lock()
-	left := len(ni.verdicts)
-	srv.mu.Unlock()
+	left := loopRead(t, srv, func() int { return len(ni.verdicts) })
 	if left != 0 {
 		t.Errorf("%d verdicts still buffered after replay", left)
 	}
@@ -368,8 +354,8 @@ func TestChaosTMRetryAcrossMomRestart(t *testing.T) {
 }
 
 // TestDynNegotiationTimerReleased is the regression test for the
-// leaked negotiation-deadline timer: once a negotiable request is
-// granted, the AfterFunc must be stopped and dropped so no late
+// leaked negotiation deadline: once a negotiable request is granted,
+// its deadline must leave the heap so no late
 // rejection can fire at the original deadline.
 func TestDynNegotiationTimerReleased(t *testing.T) {
 	leak.Check(t)
@@ -408,11 +394,8 @@ func TestDynNegotiationTimerReleased(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("grant timed out")
 	}
-	srv.mu.Lock()
-	leaked := srv.jobs[id].negTimer != nil
-	srv.mu.Unlock()
-	if leaked {
-		t.Fatal("negotiation timer still armed after the request was granted")
+	if _, neg := deadlinesOf(t, srv, id); neg != 0 {
+		t.Fatal("negotiation deadline still armed after the request was granted")
 	}
 	// Ride past the original 1s deadline: the job must complete
 	// normally, not get clipped by a late rejection.
@@ -437,5 +420,240 @@ func TestChaosHeartbeatKeepsIdleNodeAlive(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	if st := nodeState(srv, "fnode0"); st != "up" {
 		t.Errorf("heartbeating idle node state = %s, want up", st)
+	}
+}
+
+// TestEarlierRunWalltimeSparesRequeuedRun: a job requeued off a failed
+// node takes its first run's walltime deadline out of the heap. Its
+// restart on the other node must still be running when that deadline
+// would have fired, and end at its own.
+func TestEarlierRunWalltimeSparesRequeuedRun(t *testing.T) {
+	leak.Check(t)
+	srv, moms := failoverCluster(t, 2, 8,
+		Options{HeartbeatInterval: 25 * time.Millisecond, FailurePolicy: rms.FailRequeue},
+		func(m *mom.Mom) { m.HeartbeatInterval = 10 * time.Millisecond })
+	id, err := srv.QSub(proto.JobSpec{Name: "twice", User: "u", Cores: 8, WallSecs: 1, Script: "sleep:10m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 3*time.Second, func() bool { return jobState(srv, id) == "running" }, "job start")
+	started := time.Now()
+	first := msNodeOf(t, srv, id)
+	time.Sleep(500*time.Millisecond - time.Since(started))
+	momByName(t, moms, first).Close()
+	waitFor(t, 3*time.Second, func() bool {
+		ms := msNodeOf(t, srv, id)
+		return jobState(srv, id) == "running" && ms != "" && ms != first
+	}, "restart on the other node")
+	if since := time.Since(started); since > 900*time.Millisecond {
+		t.Fatalf("the restart came %v after the first start, too late to tell the two walltimes apart", since)
+	}
+	time.Sleep(1200*time.Millisecond - time.Since(started))
+	if st := jobState(srv, id); st != "running" {
+		t.Fatalf("restarted job is %s 1.2 s after its first start; the first run's walltime ended the second", st)
+	}
+	if wall, neg := deadlinesOf(t, srv, id); wall != 1 || neg != 0 {
+		t.Errorf("restarted job holds %d walltime and %d negotiation deadlines, want 1 and 0", wall, neg)
+	}
+	waitFor(t, 3*time.Second, func() bool { return jobState(srv, id) == "cancelled" }, "the restart's own walltime")
+}
+
+// TestNegotiationDeadlineFires: with no scheduler to decide, a
+// negotiable request still pending at its deadline is rejected by the
+// server's deadline heap, and its entry leaves the heap.
+func TestNegotiationDeadlineFires(t *testing.T) {
+	leak.Check(t)
+	srv := New(Options{}) // external-scheduler mode, and no scheduler connects
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	m := mom.New("solo", 8)
+	if err := m.Start("127.0.0.1:0", srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	waitFor(t, time.Second, func() bool {
+		return loopRead(t, srv, func() int { return len(srv.nodes) }) == 1
+	}, "mom registered")
+	type result struct {
+		err  error
+		took time.Duration
+	}
+	verdict := make(chan result, 1)
+	mom.RegisterGoApp("deadline-expiry", func(ctx context.Context, tmc *tm.Context) error {
+		t0 := time.Now()
+		_, err := tmc.DynGetTimeout(4, time.Second)
+		verdict <- result{err, time.Since(t0)}
+		<-ctx.Done() // keep running, so the walltime entry stays
+		return nil
+	})
+	id, err := srv.QSub(proto.JobSpec{Name: "neg", User: "u", Cores: 4, WallSecs: 60, Script: "go:deadline-expiry", Evolving: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := loopRead(t, srv, func() proto.SchedCommitResp {
+		return srv.applyCommit(proto.SchedCommit{Actions: []proto.SchedAction{{Kind: "start", JobID: id}}})
+	})
+	if resp.Applied != 1 {
+		t.Fatalf("start commit = %+v, want one applied", resp)
+	}
+	select {
+	case r := <-verdict:
+		var rej *tm.Rejected
+		if !errors.As(r.err, &rej) || rej.Reason != "negotiation deadline expired" {
+			t.Fatalf("verdict = %v, want the deadline's rejection", r.err)
+		}
+		if r.took < 900*time.Millisecond {
+			t.Errorf("rejected after %v, before the 1 s deadline", r.took)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the negotiation deadline never fired")
+	}
+	if wall, neg := deadlinesOf(t, srv, id); wall != 1 || neg != 0 {
+		t.Errorf("after expiry the job holds %d walltime and %d negotiation deadlines, want 1 and 0", wall, neg)
+	}
+}
+
+// TestChaosCommitRacesMutation: sched commits race qdels and mom
+// completions that name the same jobs. Every commit action re-validates
+// on the loop, so no job starts twice, no action applies to a job that
+// has moved on, and every submitted job is accounted for.
+func TestChaosCommitRacesMutation(t *testing.T) {
+	leak.Check(t)
+	srv := New(Options{})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	for i := 0; i < 4; i++ {
+		m := mom.New(fmt.Sprintf("rnode%d", i), 2)
+		if err := m.Start("127.0.0.1:0", srv.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+	}
+	waitFor(t, time.Second, func() bool {
+		return loopRead(t, srv, func() int { return len(srv.nodes) }) == 4
+	}, "moms registered")
+	var mu sync.Mutex
+	launches := map[int]int{}
+	mom.RegisterGoApp("commit-race", func(ctx context.Context, tmc *tm.Context) error {
+		mu.Lock()
+		launches[tmc.JobID]++
+		mu.Unlock()
+		select {
+		case <-time.After(3 * time.Millisecond):
+		case <-ctx.Done():
+		}
+		return nil
+	})
+	const n = 60
+	ids := make([]int, n)
+	for i := range ids {
+		id, err := srv.QSub(proto.JobSpec{Name: "race", User: "u", Cores: 1, WallSecs: 60, Script: "go:commit-race"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	settled := func() bool {
+		for _, j := range srv.QStat().Jobs {
+			if j.State != "completed" && j.State != "cancelled" {
+				return false
+			}
+		}
+		return true
+	}
+
+	var applied atomic.Int64
+	errs := make(chan error, 3)
+	for w := 0; w < 2; w++ {
+		go func(w int) {
+			c, err := proto.DialMode(srv.Addr(), proto.ModeAuto)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for deadline := time.Now().Add(20 * time.Second); !settled(); {
+				if time.Now().After(deadline) {
+					errs <- fmt.Errorf("committer %d: jobs never settled", w)
+					return
+				}
+				if _, err := c.Request(proto.TSchedPull, nil); err != nil {
+					errs <- err
+					return
+				}
+				var commit proto.SchedCommit
+				for _, i := range rng.Perm(n) {
+					kind := []string{"start", "start", "grant", "reject"}[rng.Intn(4)]
+					commit.Actions = append(commit.Actions, proto.SchedAction{Kind: kind, JobID: ids[i], Reason: "race"})
+				}
+				env, err := c.Request(proto.TSchedCommit, commit)
+				if err != nil {
+					errs <- err
+					return
+				}
+				var resp proto.SchedCommitResp
+				if err := env.Decode(&resp); err != nil {
+					errs <- err
+					return
+				}
+				if resp.Applied+resp.Skipped != n {
+					errs <- fmt.Errorf("commit of %d actions answered %+v", n, resp)
+					return
+				}
+				applied.Add(int64(resp.Applied))
+			}
+			errs <- nil
+		}(w)
+	}
+	go func() {
+		rng := rand.New(rand.NewSource(7))
+		for _, i := range rng.Perm(n)[:n/3] {
+			srv.QDel(ids[i])
+			time.Sleep(time.Millisecond)
+		}
+		errs <- nil
+	}()
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Only "start" can apply: no job has a dyn request to grant or
+	// reject. So the applied count is the number of jobs started.
+	var started, submitted, queued, active, done, cancelled, used int
+	startedJob := map[int]bool{}
+	onLoop(t, srv, func() {
+		for _, id := range ids {
+			if srv.jobs[id].j.StartTime > 0 {
+				startedJob[id] = true
+				started++
+			}
+		}
+		rm := &srv.rm
+		submitted, queued, active = rm.Submitted(), len(rm.QueuedJobs()), len(rm.ActiveJobs())
+		done, cancelled, used = rm.Completed(), rm.Cancelled(), rm.Cluster().UsedCores()
+	})
+	if int(applied.Load()) != started {
+		t.Errorf("commits applied %d actions, but %d jobs started", applied.Load(), started)
+	}
+	mu.Lock()
+	t.Logf("%d jobs: %d started by commits, %d cancelled, %d launched", n, started, cancelled, len(launches))
+	for id, k := range launches {
+		if k > 1 || !startedJob[id] {
+			t.Errorf("job %d launched %d times; started by the server: %v", id, k, startedJob[id])
+		}
+	}
+	mu.Unlock()
+	if submitted != n || submitted != queued+active+done+cancelled {
+		t.Errorf("submitted %d, want %d = queued %d + active %d + done %d + cancelled %d", submitted, n, queued, active, done, cancelled)
+	}
+	if queued != 0 || active != 0 || used != 0 {
+		t.Errorf("settled server has %d queued, %d active, %d cores in use", queued, active, used)
 	}
 }

@@ -41,18 +41,23 @@ func TestQSubRefusesBadSizes(t *testing.T) {
 		{"nodes×ppn overflows", proto.JobSpec{Nodes: math.MaxInt / 8, PPN: 16, WallSecs: 60}, false, 0},
 	} {
 		srv := New(Options{Sched: core.New(core.Options{}, 0)})
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
 		id, err := srv.QSub(c.spec)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: QSub = %d, %v; want ok=%v", c.name, id, err, c.ok)
 			continue
 		}
 		if !c.ok {
-			if n := srv.rm.Submitted(); n != 0 {
+			if n := loopRead(t, srv, srv.rm.Submitted); n != 0 {
 				t.Errorf("%s: refused spec still submitted %d jobs", c.name, n)
 			}
 			continue
 		}
-		j := srv.jobs[id].j
+		var j job.Job
+		onLoop(t, srv, func() { j = *srv.jobs[id].j })
 		if want := sim.Duration(c.spec.WallSecs) * sim.Second; j.Cores != c.cores || j.Walltime != want || j.Walltime <= 0 {
 			t.Errorf("%s: job has %d cores, walltime %d; want %d, %d", c.name, j.Cores, j.Walltime, c.cores, want)
 		}
@@ -77,13 +82,15 @@ func TestStaleSchedCommitSkipped(t *testing.T) {
 
 	// "start" for a completed job, "grant"/"reject" with no pending
 	// request, and an unknown job id: all skipped.
-	resp := srv.applyCommit(proto.SchedCommit{Actions: []proto.SchedAction{
-		{Kind: "start", JobID: id},
-		{Kind: "grant", JobID: id},
-		{Kind: "reject", JobID: id},
-		{Kind: "start", JobID: 999},
-		{Kind: "bogus", JobID: id},
-	}})
+	resp := loopRead(t, srv, func() proto.SchedCommitResp {
+		return srv.applyCommit(proto.SchedCommit{Actions: []proto.SchedAction{
+			{Kind: "start", JobID: id},
+			{Kind: "grant", JobID: id},
+			{Kind: "reject", JobID: id},
+			{Kind: "start", JobID: 999},
+			{Kind: "bogus", JobID: id},
+		}})
+	})
 	if resp.Applied != 0 || resp.Skipped != 5 {
 		t.Errorf("applied=%d skipped=%d, want 0/5", resp.Applied, resp.Skipped)
 	}
@@ -132,9 +139,7 @@ func TestSchedPullSnapshotContents(t *testing.T) {
 	waitFor(t, 3*time.Second, func() bool { return jobState(srv, runID) == "running" }, "runner up")
 	qID, _ := srv.QSub(proto.JobSpec{Name: "q", User: "v", Cores: 99, WallSecs: 60, Script: "sleep:1m"})
 
-	srv.mu.Lock()
-	st := srv.snapshotLocked()
-	srv.mu.Unlock()
+	st := loopRead(t, srv, srv.snapshot)
 	if len(st.Nodes) != 2 {
 		t.Errorf("nodes = %d", len(st.Nodes))
 	}
@@ -377,9 +382,8 @@ func TestChangeLogOffWithoutSession(t *testing.T) {
 	}
 	t.Cleanup(srv.Close)
 	logLen := func() (n, links int) {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.touched), srv.schedLinks
+		onLoop(t, srv, func() { n, links = len(srv.touched), srv.schedLinks })
+		return n, links
 	}
 	if _, err := srv.QSub(proto.JobSpec{Name: "s", User: "u", Cores: 1, WallSecs: 60, Script: "sleep:1m"}); err != nil {
 		t.Fatal(err)

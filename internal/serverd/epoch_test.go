@@ -25,44 +25,63 @@ import (
 func TestDispatchRollbackAdvancesEpochs(t *testing.T) {
 	leak.Check(t)
 	srv := New(Options{Sched: core.New(core.Options{}, 0)})
-	srv.start = time.Now() // anchor the virtual clock; the daemon is never Started
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
 	// One registered node whose mom link is already dead, so the
 	// RunJob dispatch fails after the allocation succeeded.
 	local, remote := net.Pipe()
 	remote.Close()
 	defer local.Close()
-	n := srv.rm.Cluster().AddNode("deadmom", 8)
-	ni := &nodeInfo{node: n, addr: "dead:0", conn: proto.NewConn(local)}
-	srv.nodes["deadmom"] = ni
-	srv.nodeByID[n.ID] = ni
+	onLoop(t, srv, func() {
+		n := srv.rm.Cluster().AddNode("deadmom", 8)
+		ni := &nodeInfo{node: n, addr: "dead:0", conn: proto.NewConn(local)}
+		srv.nodes["deadmom"] = ni
+		srv.nodeByID[n.ID] = ni
+	})
 
 	id, err := srv.QSub(proto.JobSpec{Name: "rollback", User: "u", Cores: 4, WallSecs: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	rm := &srv.rm
-	j := srv.jobs[id].j
-	e0, q0 := rm.StateEpoch(), rm.QueueEpoch()
-	if _, err := rm.StartJob(j); err == nil {
+	// The dispatch and everything read of it run on the loop, between
+	// two of its events; the checks run here.
+	var (
+		startErr       error
+		state          job.State
+		q              []*job.Job
+		j              *job.Job
+		active, used   int
+		e0, q0, e1, q1 uint64
+	)
+	onLoop(t, srv, func() {
+		rm := &srv.rm
+		j = srv.jobs[id].j
+		e0, q0 = rm.StateEpoch(), rm.QueueEpoch()
+		_, startErr = rm.StartJob(j)
+		state, q = j.State, append(q, rm.QueuedJobs()...)
+		active, used = len(rm.ActiveJobs()), rm.Cluster().UsedCores()
+		e1, q1 = rm.StateEpoch(), rm.QueueEpoch()
+	})
+	if startErr == nil {
 		t.Fatal("dispatch over a dead mom link must fail")
 	}
-	if q := rm.QueuedJobs(); j.State != job.Queued || len(q) != 1 || q[0] != j || len(rm.ActiveJobs()) != 0 {
+	if state != job.Queued || len(q) != 1 || q[0] != j || active != 0 {
 		t.Fatalf("rollback incomplete: state=%v queued=%d active=%d",
-			j.State, len(q), len(rm.ActiveJobs()))
+			state, len(q), active)
 	}
-	if rm.Cluster().UsedCores() != 0 {
-		t.Fatalf("rollback leaked %d cores", rm.Cluster().UsedCores())
+	if used != 0 {
+		t.Fatalf("rollback leaked %d cores", used)
 	}
 	// Two mutation rounds (dispatch, rollback) → at least two bumps of
 	// each epoch. One bump would mean the rollback mutated the queue
 	// behind an unchanged epoch.
-	if e1 := rm.StateEpoch(); e1 < e0+2 {
+	if e1 < e0+2 {
 		t.Errorf("StateEpoch advanced %d→%d; the rollback must bump again", e0, e1)
 	}
-	if q1 := rm.QueueEpoch(); q1 < q0+2 {
+	if q1 < q0+2 {
 		t.Errorf("QueueEpoch advanced %d→%d; the rollback must bump again", q0, q1)
 	}
 }
@@ -97,7 +116,7 @@ func TestSubmitAfterIdleTicksIsScheduled(t *testing.T) {
 }
 
 // TestRequeueAfterIdleTicksIsRescheduled is the differential for the
-// node-down requeue path (failNodeLocked → Preempt): the preempted
+// node-down requeue path (failNode → Preempt): the preempted
 // job re-enters the queue after idle ticks cached an empty sorted
 // order, so Preempt must advance the queue epoch or the requeued job
 // is invisible to every later iteration and never restarts.
@@ -129,9 +148,7 @@ func TestRequeueAfterIdleTicksIsRescheduled(t *testing.T) {
 	first := msNodeOf(t, srv, id)
 	momByName(t, moms, first).Close()
 	waitFor(t, 10*time.Second, func() bool { return jobState(srv, id) == "completed" }, "requeued job completion")
-	srv.mu.Lock()
-	second := srv.jobs[id].msNode
-	srv.mu.Unlock()
+	second := msNodeOf(t, srv, id)
 	if second == first {
 		t.Errorf("job restarted on the dead node %s", first)
 	}

@@ -32,11 +32,53 @@ func liveCluster(t *testing.T, n, coresPerNode int) *Server {
 		t.Cleanup(m.Close)
 	}
 	waitFor(t, time.Second, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.nodes) == n
+		return loopRead(t, srv, func() int { return len(srv.nodes) }) == n
 	}, "moms registered")
 	return srv
+}
+
+// onLoop runs fn on srv's loop, where it may read and write what the
+// loop owns, and waits for it. fn must not call t.Fatal.
+func onLoop(t *testing.T, srv *Server, fn func()) {
+	t.Helper()
+	if !srv.call(fn) {
+		t.Fatal("the server's loop has stopped")
+	}
+}
+
+// loopRead returns what read computes on srv's loop.
+func loopRead[T any](t *testing.T, srv *Server, read func() T) T {
+	t.Helper()
+	var v T
+	onLoop(t, srv, func() { v = read() })
+	return v
+}
+
+// deadlinesOf counts job id's walltime and negotiation entries in the
+// loop's deadline heap, and checks that they are the job's own.
+func deadlinesOf(t *testing.T, srv *Server, id int) (wall, neg int) {
+	t.Helper()
+	slots := 0
+	onLoop(t, srv, func() {
+		for _, d := range srv.deadlines {
+			switch {
+			case int(d.ji.j.ID) != id:
+			case d.dyn == nil:
+				wall++
+			default:
+				neg++
+			}
+		}
+		for _, d := range []*deadline{srv.jobs[id].wall, srv.jobs[id].neg} {
+			if d != nil {
+				slots++
+			}
+		}
+	})
+	if slots != wall+neg {
+		t.Errorf("job %d: %d deadline slots set, %d heap entries", id, slots, wall+neg)
+	}
+	return wall, neg
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string) {
@@ -115,9 +157,8 @@ func TestRegisterRefusesImpossibleCoreCounts(t *testing.T) {
 			t.Fatalf("a mom with %d cores got an answer instead of a hang-up", cores)
 		}
 	}
-	srv.mu.Lock()
-	nodes, clNodes := len(srv.nodes), srv.rm.Cluster().NumNodes()
-	srv.mu.Unlock()
+	var nodes, clNodes int
+	onLoop(t, srv, func() { nodes, clNodes = len(srv.nodes), srv.rm.Cluster().NumNodes() })
 	if nodes != 1 || clNodes != 1 {
 		t.Fatalf("%d nodes registered, %d in the cluster; want only the real mom", nodes, clNodes)
 	}
@@ -326,9 +367,7 @@ func TestLiveWalltimeKillChargesFairshare(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return jobState(srv, id) == "cancelled" }, "walltime kill")
-	srv.mu.Lock()
-	usage := srv.opts.Sched.Fairshare().Usage("hog")
-	srv.mu.Unlock()
+	usage := loopRead(t, srv, func() float64 { return srv.opts.Sched.Fairshare().Usage("hog") })
 	if usage < 7 { // 8 cores for ~1 s
 		t.Errorf("fairshare usage after a walltime kill = %.2f core-seconds, want about 8", usage)
 	}

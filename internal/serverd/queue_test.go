@@ -14,15 +14,18 @@ import (
 // without disturbing the submission order of the rest, through any
 // number of compactions, and the snapshot lists the same queue.
 func TestQueueIndexKeepsOrder(t *testing.T) {
-	srv := New(Options{})
-	srv.start = time.Now() // the daemon is never Started: no moms, nothing runs
+	srv := New(Options{}) // no moms, no scheduler: nothing runs
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
 	rng := rand.New(rand.NewSource(1))
 	var want []int
 	check := func(when string) {
 		t.Helper()
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		got := srv.rm.QueuedJobs()
+		var got []*job.Job
+		var st proto.SchedState
+		onLoop(t, srv, func() { got, st = append(got, srv.rm.QueuedJobs()...), srv.snapshot() })
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d queued, want %d", when, len(got), len(want))
 		}
@@ -31,7 +34,7 @@ func TestQueueIndexKeepsOrder(t *testing.T) {
 				t.Fatalf("%s: queue[%d] = %v, want job %d", when, i, j.ID, want[i])
 			}
 		}
-		if st := srv.snapshotLocked(); len(st.Queued) != len(want) || (len(want) > 0 && st.Queued[0].ID != want[0]) {
+		if len(st.Queued) != len(want) || (len(want) > 0 && st.Queued[0].ID != want[0]) {
 			t.Fatalf("%s: snapshot lists %d queued jobs", when, len(st.Queued))
 		}
 	}
@@ -58,7 +61,7 @@ func TestQueueIndexKeepsOrder(t *testing.T) {
 }
 
 // TestFinishedJobsDropTheirTimers: the records of finished jobs stay in
-// the server for qstat; their stopped walltime timers must not stay
+// the server for qstat; their walltime deadlines must not stay
 // with them.
 func TestFinishedJobsDropTheirTimers(t *testing.T) {
 	leak.Check(t)
@@ -74,18 +77,13 @@ func TestFinishedJobsDropTheirTimers(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool {
 		return jobState(srv, done) == job.Completed.String() && jobState(srv, killed) == job.Running.String()
 	}, "one job done, one running")
-	srv.mu.Lock()
-	armed := srv.jobs[killed].killTimer != nil
-	srv.mu.Unlock()
-	if !armed {
-		t.Fatal("a running job must have its walltime timer")
+	if wall, _ := deadlinesOf(t, srv, killed); wall != 1 {
+		t.Fatal("a running job must have its walltime deadline")
 	}
 	srv.QDel(killed)
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
 	for _, id := range []int{done, killed} {
-		if ji := srv.jobs[id]; ji.killTimer != nil || ji.negTimer != nil {
-			t.Errorf("job %d (%s) still holds a timer", id, ji.j.State)
+		if wall, neg := deadlinesOf(t, srv, id); wall+neg != 0 {
+			t.Errorf("job %d (%s) still holds a deadline", id, jobState(srv, id))
 		}
 	}
 }

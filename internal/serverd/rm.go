@@ -2,7 +2,6 @@ package serverd
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -12,18 +11,16 @@ import (
 )
 
 // serverRM is the live server's job lifecycle: core.Lifecycle, with
-// the daemon's side effects — walltime and negotiation timers, RunJob
+// the daemon's side effects — walltime and negotiation deadlines, RunJob
 // and KillJob messages to moms, dyn verdict delivery, host slices — around
 // each transition. It is the core.ResourceManager of the embedded
-// scheduler and of applyCommit. All methods are invoked with s.mu held.
+// scheduler and of applyCommit, and runs on the server's loop.
 type serverRM struct {
 	core.Lifecycle
 	s *Server
 }
 
 // hostsOf renders an allocation as host slices with mom addresses.
-//
-//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
 func (r *serverRM) hostsOf(alloc cluster.Alloc) []proto.HostSlice {
 	out := make([]proto.HostSlice, 0, len(alloc))
 	for _, sl := range alloc {
@@ -38,8 +35,6 @@ func (r *serverRM) hostsOf(alloc cluster.Alloc) []proto.HostSlice {
 
 // StartJob allocates resources and dispatches the job to its mother
 // superior (the first allocated host).
-//
-//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
 func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 	s := r.s
 	ji, ok := s.jobs[int(j.ID)]
@@ -60,34 +55,21 @@ func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 	if err != nil {
 		return nil, err
 	}
-	ji.hosts = hosts
-	ji.msNode = hosts[0].Node
-	// Walltime enforcement.
-	wall := sim.ToReal(j.Walltime)
 	id := int(j.ID)
-	//lint:wallclock walltime limits are enforced in real time on the live daemon
-	ji.killTimer = time.AfterFunc(wall, func() {
-		s.mu.Lock()
-		if info, ok := s.jobs[id]; ok && info.j.Active() {
-			s.killLocked(info, "walltime")
-		}
-		s.mu.Unlock()
-		s.Kick()
-	})
 	if err := ms.conn.Send(proto.TRunJob, proto.RunJobReq{JobID: id, Spec: ji.spec, Hosts: hosts}); err != nil {
 		// Mom link failed mid-dispatch: roll back.
-		stopTimer(&ji.killTimer)
 		r.Unstart(j, s.now())
 		return nil, fmt.Errorf("serverd: dispatch to %s: %w", hosts[0].Node, err)
 	}
+	ji.hosts = hosts
+	ji.msNode = hosts[0].Node
+	s.arm(&ji.wall, &deadline{at: s.now() + j.Walltime, ji: ji})
 	s.logf("job %d started on %s (ms=%s)", id, alloc, ji.msNode)
 	return alloc, nil
 }
 
 // GrantDyn expands the job and answers the parked tm_dynget through
 // the mother superior (Fig. 3 steps 5–7).
-//
-//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
 func (r *serverRM) GrantDyn(req *job.DynRequest) (cluster.Alloc, error) {
 	s := r.s
 	ji, ok := s.jobs[int(req.Job.ID)]
@@ -98,10 +80,10 @@ func (r *serverRM) GrantDyn(req *job.DynRequest) (cluster.Alloc, error) {
 	if err != nil {
 		return nil, err
 	}
-	stopTimer(&ji.negTimer)
+	s.disarm(&ji.neg)
 	hosts := r.hostsOf(alloc)
 	ji.hosts = append(ji.hosts, hosts...)
-	s.deliverVerdictLocked(ji, proto.DynGetResp{
+	s.deliverVerdict(ji, proto.DynGetResp{
 		JobID: int(req.Job.ID), Granted: true, Hosts: hosts,
 	})
 	s.logf("dyn grant job=%d +%d cores", req.Job.ID, req.TotalCores())
@@ -109,14 +91,12 @@ func (r *serverRM) GrantDyn(req *job.DynRequest) (cluster.Alloc, error) {
 }
 
 // RejectDyn answers the parked tm_dynget negatively.
-//
-//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
 func (r *serverRM) RejectDyn(req *job.DynRequest, reason string) {
 	s := r.s
 	r.Reject(req, reason, s.now())
 	if ji := s.jobs[int(req.Job.ID)]; ji != nil {
-		stopTimer(&ji.negTimer)
-		s.deliverVerdictLocked(ji, proto.DynGetResp{
+		s.disarm(&ji.neg)
+		s.deliverVerdict(ji, proto.DynGetResp{
 			JobID: int(req.Job.ID), Granted: false, Reason: reason,
 		})
 	}
@@ -124,8 +104,6 @@ func (r *serverRM) RejectDyn(req *job.DynRequest, reason string) {
 }
 
 // Preempt kills a running job on its mom and requeues it.
-//
-//lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
 func (r *serverRM) Preempt(j *job.Job) error {
 	s := r.s
 	ji, ok := s.jobs[int(j.ID)]
@@ -135,8 +113,8 @@ func (r *serverRM) Preempt(j *job.Job) error {
 	if err := r.Requeue(j, s.now()); err != nil {
 		return err
 	}
-	ji.stopTimersLocked()
-	s.sendMomLocked(s.nodes[ji.msNode], proto.TKillJob, proto.KillJobReq{JobID: int(j.ID)})
+	s.disarm(&ji.wall, &ji.neg)
+	s.sendMom(s.nodes[ji.msNode], proto.TKillJob, proto.KillJobReq{JobID: int(j.ID)})
 	ji.hosts = nil
 	ji.msNode = ""
 	s.logf("job %d preempted and requeued", j.ID)
@@ -147,19 +125,21 @@ func (r *serverRM) Preempt(j *job.Job) error {
 
 // schedSession serves one external scheduler's link until it fails or
 // the peer hangs up, starting with env, the message that classified it.
-// handleConn keeps the connection tracked, so Close ends the session.
+// handleConn closes the connection when the server closes, so Close
+// ends the session.
 func (s *Server) schedSession(c *proto.Conn, env *proto.Envelope) {
-	s.mu.Lock()
-	s.schedLinks++
-	s.mu.Unlock()
+	if !s.call(func() { s.schedLinks++ }) {
+		_ = c.Close()
+		return
+	}
 	defer func() {
-		s.mu.Lock()
-		if s.schedLinks--; s.schedLinks == 0 {
-			// Nobody is left to read the log; positions stay monotone.
-			s.touchBase += uint64(len(s.touched))
-			s.touched = nil
-		}
-		s.mu.Unlock()
+		s.call(func() {
+			if s.schedLinks--; s.schedLinks == 0 {
+				// Nobody is left to read the log; positions stay monotone.
+				s.touchBase += uint64(len(s.touched))
+				s.touched = nil
+			}
+		})
 		_ = c.Close()
 	}()
 	var cursor uint64
@@ -169,19 +149,24 @@ func (s *Server) schedSession(c *proto.Conn, env *proto.Envelope) {
 		//schedlint:dispatch server.sched
 		switch env.Type {
 		case proto.TSchedPull:
-			s.mu.Lock()
-			t, state := s.pullLocked(&cursor, synced)
-			s.mu.Unlock()
+			var t proto.MsgType
+			var state any
+			if !s.call(func() { t, state = s.pull(&cursor, synced) }) {
+				return
+			}
 			synced = true
 			err = c.Send(t, state)
 		case proto.TSchedCommit:
 			var commit proto.SchedCommit
+			var resp proto.SchedCommitResp
 			if derr := env.Decode(&commit); derr != nil {
 				// Not a zero SchedCommitResp under TOK: that reads as "nothing
 				// applied" and the scheduler would keep its normal cadence.
 				err = c.Send(proto.TError, proto.ErrorResp{Error: fmt.Sprintf("bad %s: %v", env.Type, derr)})
+			} else if s.call(func() { resp = s.applyCommit(commit) }) {
+				err = c.Send(proto.TOK, resp)
 			} else {
-				err = c.Send(proto.TOK, s.applyCommit(commit))
+				return
 			}
 		default:
 			err = c.Send(proto.TError, proto.ErrorResp{Error: fmt.Sprintf("unexpected %s", env.Type)})
@@ -195,25 +180,25 @@ func (s *Server) schedSession(c *proto.Conn, env *proto.Envelope) {
 	}
 }
 
-// pullLocked answers one sched.pull of a session whose last answer
-// covered the change log up to *cursor, and advances the cursor: the
-// full snapshot when the session has none yet or the log no longer
-// reaches back to the cursor, else the delta. Caller holds s.mu.
-func (s *Server) pullLocked(cursor *uint64, synced bool) (proto.MsgType, any) {
+// pull answers one sched.pull of a session whose last answer covered
+// the change log up to *cursor, and advances the cursor: the full
+// snapshot when the session has none yet or the log no longer reaches
+// back to the cursor, else the delta.
+func (s *Server) pull(cursor *uint64, synced bool) (proto.MsgType, any) {
 	from := *cursor
 	*cursor = s.touchBase + uint64(len(s.touched))
 	if !synced || from < s.touchBase {
-		return proto.TSchedState, s.snapshotLocked()
+		return proto.TSchedState, s.snapshot()
 	}
-	return proto.TSchedDelta, s.deltaLocked(s.touched[from-s.touchBase:])
+	return proto.TSchedDelta, s.delta(s.touched[from-s.touchBase:])
 }
 
-// snapshotLocked renders the full scheduler state. The lists are sized
-// once up front: the copy runs under s.mu, and growing a deep queue's
-// list by doubling would hold every other handler off for the
-// reallocations too. Caller holds s.mu.
-func (s *Server) snapshotLocked() proto.SchedState {
-	st := proto.SchedState{NowMS: int64(s.now()), Serial: s.rm.StateEpoch(), Nodes: s.nodeStatusLocked(), Dyn: s.schedDynLocked()}
+// snapshot renders the full scheduler state. The lists are sized once
+// up front: the copy runs on the loop, and growing a deep queue's list
+// by doubling would hold every other event off for the reallocations
+// too.
+func (s *Server) snapshot() proto.SchedState {
+	st := proto.SchedState{NowMS: int64(s.now()), Serial: s.rm.StateEpoch(), Nodes: s.nodeStatus(), Dyn: s.schedDyn()}
 	queued, active := s.rm.QueuedJobs(), s.rm.ActiveJobs()
 	st.Queued = sized[proto.SchedJob](len(queued))
 	for _, j := range queued {
@@ -226,13 +211,13 @@ func (s *Server) snapshotLocked() proto.SchedState {
 	return st
 }
 
-// deltaLocked renders what the log entries in window changed: one
+// delta renders what the log entries in window changed: one
 // record per job, in the order of its last queue-membership change (of
 // its first mention when it had none), so that the jobs now queued
 // whose membership changed — each was appended to the queue by that
-// change — come out in queue order. Caller holds s.mu.
-func (s *Server) deltaLocked(window []int) proto.SchedDelta {
-	d := proto.SchedDelta{NowMS: int64(s.now()), Serial: s.rm.StateEpoch(), Nodes: s.nodeStatusLocked(), Dyn: s.schedDynLocked()}
+// change — come out in queue order.
+func (s *Server) delta(window []int) proto.SchedDelta {
+	d := proto.SchedDelta{NowMS: int64(s.now()), Serial: s.rm.StateEpoch(), Nodes: s.nodeStatus(), Dyn: s.schedDyn()}
 	if len(window) == 0 {
 		return d
 	}
@@ -273,9 +258,8 @@ func schedJob(j *job.Job) proto.SchedJob {
 	}
 }
 
-// schedDynLocked renders the pending dynamic requests in FIFO order.
-// Caller holds s.mu.
-func (s *Server) schedDynLocked() []proto.SchedDynReq {
+// schedDyn renders the pending dynamic requests in FIFO order.
+func (s *Server) schedDyn() []proto.SchedDynReq {
 	dyn := s.rm.DynRequests()
 	out := sized[proto.SchedDynReq](len(dyn))
 	for _, r := range dyn {
@@ -301,53 +285,46 @@ func sized[T any](n int) []T {
 // on a stale snapshot degrades gracefully (stale actions are skipped
 // and will be re-planned on the next pull).
 func (s *Server) applyCommit(c proto.SchedCommit) proto.SchedCommitResp {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rm := &s.rm
 	var resp proto.SchedCommitResp
 	for _, a := range c.Actions {
-		ji, ok := s.jobs[a.JobID]
-		if !ok {
-			resp.Skipped++
-			continue
-		}
-		s.touchLocked(ji.j, false)
-		switch a.Kind {
-		case "start":
-			if ji.j.State != job.Queued {
-				resp.Skipped++
-				continue
-			}
-			if _, err := rm.StartJob(ji.j); err != nil {
-				resp.Skipped++
-				continue
-			}
+		if s.applyAction(a) {
 			resp.Applied++
-		case "grant":
-			req := rm.PendingDyn(job.ID(a.JobID))
-			if req == nil {
-				resp.Skipped++
-				continue
-			}
-			if _, err := rm.GrantDyn(req); err != nil {
-				// Placement failed after a stale plan: reject so the
-				// application is not left blocked.
-				rm.RejectDyn(req, "resources changed; retry")
-				resp.Skipped++
-				continue
-			}
-			resp.Applied++
-		case "reject":
-			req := rm.PendingDyn(job.ID(a.JobID))
-			if req == nil {
-				resp.Skipped++
-				continue
-			}
-			rm.RejectDyn(req, a.Reason)
-			resp.Applied++
-		default:
+		} else {
 			resp.Skipped++
 		}
 	}
 	return resp
+}
+
+// applyAction applies one action of a commit if it still holds; false
+// means it was skipped.
+func (s *Server) applyAction(a proto.SchedAction) bool {
+	ji, ok := s.jobs[a.JobID]
+	if !ok {
+		return false
+	}
+	s.touch(ji.j, false)
+	req := s.rm.PendingDyn(ji.j.ID)
+	switch {
+	case a.Kind == "start":
+		if ji.j.State != job.Queued {
+			return false
+		}
+		_, err := s.rm.StartJob(ji.j)
+		return err == nil
+	case req == nil:
+		return false
+	case a.Kind == "grant":
+		if _, err := s.rm.GrantDyn(req); err != nil {
+			// Placement failed after a stale plan: reject so the
+			// application is not left blocked.
+			s.rm.RejectDyn(req, "resources changed; retry")
+			return false
+		}
+		return true
+	case a.Kind == "reject":
+		s.rm.RejectDyn(req, a.Reason)
+		return true
+	}
+	return false
 }

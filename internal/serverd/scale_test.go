@@ -84,9 +84,7 @@ func TestCloseUnsticksPendingHandshakes(t *testing.T) {
 	}
 	// Wait until all four occupy the handshake stage.
 	waitFor(t, 2*time.Second, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.pending) == 4
+		return len(srv.handshakes) == 4
 	}, "handshake slots filled")
 	done := make(chan struct{})
 	go func() {
@@ -132,17 +130,16 @@ func TestChaosMixedVersionMoms(t *testing.T) {
 		t.Cleanup(m.Close)
 		return m
 	}
-	mkMom("v1node", proto.ModeV1)
-	mkMom("v2node", proto.ModeAuto)
+	moms := []*mom.Mom{mkMom("v1node", proto.ModeV1), mkMom("v2node", proto.ModeAuto)}
 
 	version := func(name string) int {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		ni := srv.nodes[name]
-		if ni == nil || ni.conn == nil {
-			return 0
-		}
-		return ni.conn.Version()
+		return loopRead(t, srv, func() int {
+			ni := srv.nodes[name]
+			if ni == nil || ni.conn == nil {
+				return 0
+			}
+			return ni.conn.Version()
+		})
 	}
 	waitFor(t, 5*time.Second, func() bool {
 		return version("v1node") != 0 && version("v2node") != 0
@@ -168,6 +165,13 @@ func TestChaosMixedVersionMoms(t *testing.T) {
 		id := id
 		waitFor(t, 5*time.Second, func() bool { return jobState(srv, id) == "running" }, "job running")
 	}
+
+	// The server calls a job running once its RunJob is written; the
+	// bytes may still sit in the proxy, and a severance would lose them
+	// and the job with them. So cut only once each mom runs its job.
+	waitFor(t, 5*time.Second, func() bool {
+		return len(moms[0].Jobs()) == 1 && len(moms[1].Jobs()) == 1
+	}, "each mom running its job")
 
 	// Cut every link. The moms reconnect through the proxy — completion
 	// reports ride the outbox replay — and each must come back speaking

@@ -9,15 +9,24 @@
 // code the simulator runs; only the side effects differ (serverRM):
 // StartJob sends RunJob to the job's mother superior, GrantDyn answers
 // the forwarded tm_dynget with the new hostlist.
+//
+// Like the simulator, the server applies one change at a time: a
+// single goroutine, the loop, owns all of its state. Connection
+// goroutines only decode frames and hand the loop closures through a
+// bounded inbox; whoever needs an answer from the loop waits for it
+// (call) and writes its own reply.
 package serverd
 
 import (
+	"container/heap"
+	"context"
 	"fmt"
 	"math"
 	"net"
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -71,67 +80,49 @@ type Options struct {
 	// OnBeacon, when set, is called by the monitor sweep with the
 	// sender-to-stamp latency of every heartbeat carrying a SentMS
 	// wall clock — the soak test's measurement hook. Keep it cheap; it
-	// runs on the monitor goroutine.
+	// runs on the server's loop.
 	OnBeacon func(lag time.Duration)
 	// Verbose enables stderr logging.
 	Verbose bool
 }
 
 const (
-	// ingestWorkers sizes the shared pool that applies mom messages
-	// (job completions, dynamic requests) to server state. Per-mom
-	// ordering is preserved by sharding on node id, so lock contention
-	// scales with the pool size rather than the mom count.
-	ingestWorkers = 4
+	// inboxSize bounds the loop's inbox; a full inbox blocks the
+	// poster (a mom read loop, a client) until the loop catches up.
+	// 256 lets a burst (a preload of submits, a wave of completions)
+	// queue while the loop is in Iterate, and is applied as one round.
+	inboxSize = 256
 	// beaconRingSize is the capacity of the lock-free heartbeat ring the
-	// monitor sweep drains in batch. A full ring falls back to locked
-	// stamping, so undersizing costs throughput, never liveness.
+	// monitor sweep drains in batch. A full ring falls back to posting
+	// the stamp to the loop, so undersizing costs throughput, never
+	// liveness.
 	beaconRingSize = 1 << 16
 )
 
-// jobInfo is the server-side record of one job. The record lives in
-// the jobs map and shares its lock: every mutable field is guarded by
-// the server mutex, written from the scheduler loop, the ingest
-// shards, and the walltime/negotiation timer callbacks.
+// jobInfo is the server-side record of one job, owned by the loop.
 type jobInfo struct {
-	j         *job.Job
-	spec      proto.JobSpec
-	hosts     []proto.HostSlice // guarded by s.mu
-	msNode    string            // guarded by s.mu: mother superior node name
-	killTimer *time.Timer       // guarded by s.mu
-	negTimer  *time.Timer       // guarded by s.mu: negotiation deadline; stopped when the dyn request resolves
+	j      *job.Job
+	spec   proto.JobSpec
+	hosts  []proto.HostSlice //schedlint:confined loop written only by closures the loop runs
+	msNode string            //schedlint:confined loop mother superior node name
+	// wall and neg are the job's entries in the deadline heap: its
+	// walltime while it runs, and its pending dyn request's
+	// negotiation deadline.
+	wall, neg *deadline
 }
 
-// stopTimersLocked disarms the job's walltime and negotiation timers
-// and lets go of them: s.jobs keeps every record for qstat, and a
-// stopped timer kept with it is ~80 bytes per finished job for nothing.
-// Caller holds s.mu.
-func (ji *jobInfo) stopTimersLocked() {
-	stopTimer(&ji.killTimer)
-	stopTimer(&ji.negTimer)
-}
-
-// stopTimer disarms *t, if armed, and clears it.
-func stopTimer(t **time.Timer) {
-	if *t != nil {
-		(*t).Stop()
-		*t = nil
-	}
-}
-
-// nodeInfo mirrors one registered mom. Like jobInfo, the record is
-// reached through an s.mu-guarded map and inherits that lock.
+// nodeInfo mirrors one registered mom, owned by the loop. node is set
+// once, before the record reaches the mom's read loop.
 type nodeInfo struct {
 	node     *cluster.Node
-	addr     string      // guarded by s.mu
-	conn     *proto.Conn // guarded by s.mu
-	shard    int         // ingest worker index; fixed at first registration
-	lastSeen sim.Time    // guarded by s.mu: server-virtual time of the last message from this mom
+	addr     string
+	conn     *proto.Conn //schedlint:confined loop written only by closures the loop runs
+	lastSeen sim.Time    // server-virtual time of the last message from this mom
 	// verdicts buffers dyn grant/reject answers that could not be
 	// delivered (link down, send failure); they replay in order on
 	// the mom's re-registration so a blocked tm_dynget always
 	// resolves.
-	verdicts []proto.DynGetResp // guarded by s.mu
+	verdicts []proto.DynGetResp //schedlint:confined loop written only by closures the loop runs
 }
 
 // Server is the live daemon.
@@ -145,36 +136,40 @@ type Server struct {
 	// from accept until the connection's first message is dispatched.
 	handshakes chan struct{}
 	// beacons carries liveness observations from mom read loops to the
-	// monitor sweep without touching s.mu. Nil when monitoring is off.
+	// monitor sweep without a trip through the inbox. Nil when
+	// monitoring is off.
 	beacons *beaconRing
-	// ingest is the sharded work queue feeding the ingestLoop pool;
-	// moms map to a fixed shard so their messages apply in order.
-	ingest []chan func()
+	// inbox carries work to the loop, in the order it was posted.
+	inbox chan func()
+	// lastID is the id QSub gave the latest job. Ids are taken here,
+	// not on the loop, so that a submit need not wait for the loop.
+	lastID atomic.Int64
 
-	mu       sync.Mutex
-	rm       serverRM                 // guarded by mu: the cluster and the job lifecycle
-	nodes    map[string]*nodeInfo     // by node name; guarded by mu
-	nodeByID map[int]*nodeInfo        // guarded by mu
-	pending  map[*proto.Conn]struct{} // pre-classification conns; guarded by mu
-	jobs     map[int]*jobInfo         // guarded by mu
+	// The fields below, and those of every jobInfo and nodeInfo, are
+	// read and written only on the loop goroutine.
+	rm        serverRM             // the cluster and the job lifecycle
+	nodes     map[string]*nodeInfo // by node name
+	nodeByID  map[int]*nodeInfo    // by node id
+	jobs      map[int]*jobInfo     // by job id
+	deadlines deadlineHeap         // earliest first
 
 	// touched is the sched sessions' change log, kept while one is open:
 	// per lifecycle bump (and per job a commit names) the job's id shifted
 	// left one bit, the low bit set for a queue-membership bump; oldest
 	// first.
 	// Sessions remember log positions; touched[0] is at touchBase.
-	touched    []int  // guarded by mu
-	touchBase  uint64 // guarded by mu
-	schedLinks int    // guarded by mu: open sched sessions
+	touched    []int
+	touchBase  uint64
+	schedLinks int // open sched sessions
 
-	kick   chan struct{}
-	closed chan struct{} //schedlint:chan-owner Close
-	wg     sync.WaitGroup
+	// ctx ends with Close, and every connection is closed with it.
+	ctx     context.Context
+	cancel  context.CancelFunc
+	stopped chan struct{} //schedlint:chan-owner loop
+	wg      sync.WaitGroup
 }
 
 // New creates a server daemon.
-//
-//lint:locked the server is not shared until New returns
 func New(opts Options) *Server {
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 2 * time.Second
@@ -194,17 +189,19 @@ func New(opts Options) *Server {
 		nodes:      make(map[string]*nodeInfo),
 		nodeByID:   make(map[int]*nodeInfo),
 		jobs:       make(map[int]*jobInfo),
-		pending:    make(map[*proto.Conn]struct{}),
 		handshakes: make(chan struct{}, opts.MaxHandshakes),
-		kick:       make(chan struct{}, 1),
-		closed:     make(chan struct{}),
+		inbox:      make(chan func(), inboxSize),
+		stopped:    make(chan struct{}),
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.rm = serverRM{Lifecycle: core.NewLifecycle(cluster.New(0, 0), fs, metrics.NewRecorder(0)), s: s}
-	s.rm.OnBump = s.touchLocked
+	s.rm.OnBump = s.touch
 	return s
 }
 
-// Start listens on addr ("127.0.0.1:0" for an ephemeral port).
+// Start listens on addr ("127.0.0.1:0" for an ephemeral port) and
+// starts the loop. QSub, QStat, QDel and Recorder are answered by the
+// loop, so they may be called only after Start.
 func (s *Server) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -212,23 +209,12 @@ func (s *Server) Start(addr string) error {
 	}
 	s.ln = ln
 	s.start = time.Now() //lint:wallclock anchors the daemon's virtual clock at startup
-	s.ingest = make([]chan func(), ingestWorkers)
-	for i := range s.ingest {
-		s.ingest[i] = make(chan func(), 64)
-		s.wg.Add(1)
-		go s.ingestLoop(s.ingest[i])
-	}
 	if s.opts.HeartbeatInterval > 0 {
 		s.beacons = newBeaconRing(beaconRingSize)
-		s.wg.Add(1)
-		go s.monitorLoop()
 	}
-	s.wg.Add(1)
+	s.wg.Add(2)
+	go s.loop()
 	go s.acceptLoop()
-	if s.opts.Sched != nil {
-		s.wg.Add(1)
-		go s.schedLoop()
-	}
 	return nil
 }
 
@@ -240,34 +226,99 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close shuts the daemon down.
+// Close shuts the daemon down and waits for the loop and every
+// connection goroutine to end.
 func (s *Server) Close() {
-	select {
-	case <-s.closed:
-		return
-	default:
-		close(s.closed)
-	}
+	s.cancel()
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	s.mu.Lock()
-	for _, n := range s.nodes {
-		if n.conn != nil {
-			_ = n.conn.Close()
+	s.wg.Wait()
+}
+
+// post hands fn to the loop; false means the server is shutting down
+// and fn may never run.
+func (s *Server) post(fn func()) bool {
+	select {
+	case s.inbox <- fn:
+		return true
+	case <-s.ctx.Done():
+		return false
+	}
+}
+
+// call runs fn on the loop and waits for it to finish; false means the
+// loop stopped, and fn may not have run.
+func (s *Server) call(fn func()) bool {
+	done := make(chan struct{})
+	if !s.post(func() { fn(); close(done) }) {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	case <-s.stopped:
+		return false
+	}
+}
+
+// loop owns the server's state and applies one change at a time. A
+// round applies every event already waiting in the inbox, fires the
+// deadlines that are due, and then runs the embedded scheduler once if
+// any of that changed the lifecycle's state — or when the poll
+// interval's idle backstop ticks (Maui's timer-driven wakeup).
+func (s *Server) loop() {
+	defer s.wg.Done()
+	defer close(s.stopped)
+	var poll, sweep <-chan time.Time
+	if s.opts.Sched != nil {
+		t := time.NewTicker(s.opts.PollInterval) //lint:wallclock idle backstop for the event-driven scheduler
+		defer t.Stop()
+		poll = t.C
+	}
+	// The monitor sweep drains the beacon ring every quarter interval
+	// and checks for silent moms once per whole interval.
+	every, detectEvery := s.opts.HeartbeatInterval/4, 4
+	if every <= 0 {
+		every, detectEvery = s.opts.HeartbeatInterval, 1
+	}
+	if s.beacons != nil {
+		t := time.NewTicker(every) //lint:wallclock heartbeat monitoring is a real-time liveness protocol
+		defer t.Stop()
+		sweep = t.C
+	}
+	// wake fires at armed, the earliest deadline when it was set. A
+	// stale or early wake costs one empty round, never a missed deadline.
+	wake := time.NewTimer(math.MaxInt64) //lint:wallclock walltime and negotiation deadlines are real protocol timeouts
+	defer wake.Stop()
+	armed := sim.Forever
+	for ticks := 0; ; {
+		epoch, iterate := s.rm.StateEpoch(), false
+		select {
+		case <-s.ctx.Done():
+			return
+		case fn := <-s.inbox:
+			fn()
+		case <-wake.C:
+			armed = sim.Forever
+		case <-poll:
+			iterate = true
+		case <-sweep:
+			ticks++
+			s.sweep(ticks%detectEvery == 0)
+		}
+		for n := len(s.inbox); n > 0; n-- {
+			(<-s.inbox)()
+		}
+		s.fireDeadlines()
+		if s.opts.Sched != nil && (iterate || s.rm.StateEpoch() != epoch) {
+			s.opts.Sched.Iterate(s.now(), &s.rm)
+		}
+		if len(s.deadlines) > 0 && s.deadlines[0].at != armed {
+			armed = s.deadlines[0].at
+			wake.Reset(sim.ToReal(armed - s.now()))
 		}
 	}
-	// Connections still in the handshake stage (a flood that never
-	// spoke, a peer mid-negotiation) would otherwise keep their read
-	// loops — and wg.Wait — alive past HandshakeTimeout.
-	for c := range s.pending {
-		_ = c.Close()
-	}
-	for _, ji := range s.jobs {
-		ji.stopTimersLocked()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
 }
 
 // now returns the virtual-time view of the wall clock: milliseconds
@@ -282,21 +333,13 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Kick requests a scheduling cycle (state changed).
-func (s *Server) Kick() {
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
-}
-
 // touchLogKeep is how many entries of the change log survive a trim;
 // the log is trimmed when it holds twice as many.
 const touchLogKeep = 1 << 14
 
-// touchLocked appends j to the change log, if a sched session is open
-// to read it; it is also the lifecycle's bump hook. Caller holds s.mu.
-func (s *Server) touchLocked(j *job.Job, queueMove bool) {
+// touch appends j to the change log, if a sched session is open to
+// read it; it is also the lifecycle's bump hook.
+func (s *Server) touch(j *job.Job, queueMove bool) {
 	if s.schedLinks == 0 || j == nil {
 		return
 	}
@@ -323,10 +366,9 @@ func (s *Server) reply(c *proto.Conn, t proto.MsgType, payload any) {
 	}
 }
 
-// sendMomLocked ships one message to a registered mom's persistent
-// link, logging failures; the registerMom Recv loop owns link teardown.
-// Caller holds s.mu.
-func (s *Server) sendMomLocked(ni *nodeInfo, t proto.MsgType, payload any) {
+// sendMom ships one message to a registered mom's persistent link,
+// logging failures; the mom's read loop owns link teardown.
+func (s *Server) sendMom(ni *nodeInfo, t proto.MsgType, payload any) {
 	if ni == nil || ni.conn == nil {
 		return
 	}
@@ -348,7 +390,7 @@ func (s *Server) acceptLoop() {
 		}
 		select {
 		case s.handshakes <- struct{}{}:
-		case <-s.closed:
+		case <-s.ctx.Done():
 			_ = c.Close()
 			return
 		}
@@ -369,11 +411,11 @@ func (s *Server) handleConn(c *proto.Conn) {
 		}
 	}
 	defer release()
-	if !s.trackConn(c) {
-		_ = c.Close() // raced shutdown
-		return
-	}
-	defer s.untrackConn(c)
+	// Closing the connection with the server ends whatever waits on it:
+	// a mom link, a sched session, or a peer still in the handshake
+	// stage (a flood that never spoke, a peer mid-negotiation), whose
+	// read would otherwise keep wg.Wait alive past HandshakeTimeout.
+	defer context.AfterFunc(s.ctx, func() { _ = c.Close() })()
 	// A peer that connects and then stalls must not pin this goroutine:
 	// the version handshake and first message both have to arrive
 	// within the handshake window.
@@ -400,7 +442,7 @@ func (s *Server) handleConn(c *proto.Conn) {
 		// frees up before the long-lived read loop starts.
 		c.SetReadTimeout(0)
 		release()
-		s.registerMom(c, req) // takes ownership, runs the mom read loop
+		s.serveMom(c, req) // takes ownership, runs the mom read loop
 	case proto.TQSub:
 		var spec proto.JobSpec
 		if err := env.Decode(&spec); err != nil {
@@ -432,84 +474,34 @@ func (s *Server) handleConn(c *proto.Conn) {
 	}
 }
 
-// trackConn records a not-yet-classified connection so Close can tear
-// it down; false means the server is already shutting down. Without
-// this, flood connections that never speak would outlive Close and
-// wedge wg.Wait on their read loops until HandshakeTimeout fired.
-func (s *Server) trackConn(c *proto.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	select {
-	case <-s.closed:
-		return false
-	default:
-	}
-	s.pending[c] = struct{}{}
-	return true
-}
-
-func (s *Server) untrackConn(c *proto.Conn) {
-	s.mu.Lock()
-	delete(s.pending, c)
-	s.mu.Unlock()
-}
-
-// registerMom adds the node and serves the mom's persistent link. A
-// mom claiming no cores, or more than a node may have, is hung up on.
-func (s *Server) registerMom(c *proto.Conn, req proto.RegisterReq) {
+// serveMom registers the mom on the loop and then pumps its persistent
+// link. A mom claiming no cores, or more than a node may have, is hung
+// up on.
+func (s *Server) serveMom(c *proto.Conn, req proto.RegisterReq) {
 	if !cluster.ValidNodeCores(req.Cores) {
 		s.logf("mom %s refused: %d cores, outside [1, %d]", req.Node, req.Cores, cluster.MaxNodeCores)
 		_ = c.Close()
 		return
 	}
-	s.mu.Lock()
-	ni, dup := s.nodes[req.Node]
-	if dup {
-		// Re-registration (mom restart or reconnection): reuse the
-		// node record, repair the node if it had been declared down,
-		// reconcile job state and replay any undelivered verdicts.
-		if ni.conn != nil && ni.conn != c {
-			_ = ni.conn.Close() // stale link; its read loop will exit
-		}
-		ni.addr = req.Addr
-		ni.conn = c
-		ni.lastSeen = s.now()
-		if ni.node.State != cluster.Up {
-			s.rm.Cluster().SetNodeState(ni.node.ID, cluster.Up)
-			s.logf("node %s repaired by re-registration", req.Node)
-		}
-		s.reconcileMomLocked(ni, req.Jobs)
-		s.replayVerdictsLocked(ni)
-		s.rm.Bump(nil)
-		s.mu.Unlock()
-		s.logf("mom %s re-registered at %s (%d jobs reported)", req.Node, req.Addr, len(req.Jobs))
-	} else {
-		n := s.rm.Cluster().AddNode(req.Node, req.Cores)
-		ni = &nodeInfo{node: n, addr: req.Addr, conn: c, shard: n.ID % len(s.ingest), lastSeen: s.now()}
-		s.nodes[req.Node] = ni
-		s.nodeByID[n.ID] = ni
-		s.rm.SetRecorder(metrics.NewRecorder(s.rm.Cluster().TotalCores()))
-		s.rm.Bump(nil)
-		s.mu.Unlock()
-		s.logf("mom %s registered: %d cores at %s", req.Node, req.Cores, req.Addr)
+	var ni *nodeInfo
+	if !s.call(func() { ni = s.register(c, req) }) {
+		_ = c.Close()
+		return
 	}
-	s.Kick()
 	// The read loop is a frame pump: it decodes, notes liveness via the
-	// lock-free beacon ring, and hands state mutation to the mom's
-	// ingest shard. The seed took s.mu here for every message — at 10k
-	// moms heartbeating each interval, that serialized every reader
-	// against the scheduler's own lock.
+	// lock-free beacon ring, and posts state changes to the loop in the
+	// mom's order.
 	for {
 		env, err := c.Recv()
 		if err != nil {
 			// Link lost. Detach the connection (unless a newer
 			// registration already replaced it) and let the heartbeat
 			// monitor decide when silence becomes node death.
-			s.mu.Lock()
-			if ni.conn == c {
-				ni.conn = nil
-			}
-			s.mu.Unlock()
+			s.post(func() {
+				if ni.conn == c {
+					ni.conn = nil
+				}
+			})
 			return
 		}
 		var work func()
@@ -537,39 +529,61 @@ func (s *Server) registerMom(c *proto.Conn, req proto.RegisterReq) {
 			}
 		}
 		s.noteBeacon(ni, sent)
-		if work == nil {
-			continue
-		}
-		select {
-		case s.ingest[ni.shard] <- work:
-		case <-s.closed:
+		if work != nil && !s.post(work) {
 			return
 		}
 	}
 }
 
-// noteBeacon records mom liveness without taking s.mu: the beacon
-// lands in a lock-free ring the monitor sweep drains in batch. Ring
-// overflow (a pathological burst outpacing the sweep) falls back to
-// the locked stamp so liveness evidence is never dropped. No-op when
-// monitoring is disabled.
+// register adds the node, or takes a re-registering mom (restart or
+// reconnection) back: the record is reused, the node repaired if it
+// had been declared down, job state reconciled and undelivered
+// verdicts replayed.
+func (s *Server) register(c *proto.Conn, req proto.RegisterReq) *nodeInfo {
+	defer s.rm.Bump(nil)
+	ni, dup := s.nodes[req.Node]
+	if !dup {
+		n := s.rm.Cluster().AddNode(req.Node, req.Cores)
+		ni = &nodeInfo{node: n, addr: req.Addr, conn: c, lastSeen: s.now()}
+		s.nodes[req.Node] = ni
+		s.nodeByID[n.ID] = ni
+		s.rm.SetRecorder(metrics.NewRecorder(s.rm.Cluster().TotalCores()))
+		s.logf("mom %s registered: %d cores at %s", req.Node, req.Cores, req.Addr)
+		return ni
+	}
+	if ni.conn != nil && ni.conn != c {
+		_ = ni.conn.Close() // stale link; its read loop will exit
+	}
+	ni.addr = req.Addr
+	ni.conn = c
+	ni.lastSeen = s.now()
+	if ni.node.State != cluster.Up {
+		s.rm.Cluster().SetNodeState(ni.node.ID, cluster.Up)
+		s.logf("node %s repaired by re-registration", req.Node)
+	}
+	s.reconcileMom(ni, req.Jobs)
+	s.replayVerdicts(ni)
+	s.logf("mom %s re-registered at %s (%d jobs reported)", req.Node, req.Addr, len(req.Jobs))
+	return ni
+}
+
+// noteBeacon records mom liveness without a trip through the inbox:
+// the beacon lands in a lock-free ring the monitor sweep drains in
+// batch. Ring overflow (a pathological burst outpacing the sweep)
+// falls back to posting the stamp, so liveness evidence is never
+// dropped. No-op when monitoring is disabled.
 func (s *Server) noteBeacon(ni *nodeInfo, sentMS int64) {
 	if s.beacons == nil {
 		return
 	}
 	b := beacon{node: int32(ni.node.ID), sent: sentMS, at: s.now()}
-	if s.beacons.push(b) {
-		return
+	if !s.beacons.push(b) {
+		s.post(func() { ni.lastSeen = max(ni.lastSeen, b.at) })
 	}
-	s.mu.Lock()
-	if b.at > ni.lastSeen {
-		ni.lastSeen = b.at
-	}
-	s.mu.Unlock()
 }
 
 // BeaconDrops reports how many liveness beacons overflowed the ring
-// and took the locked fallback path. A healthy deployment stays at
+// and were posted to the loop instead. A healthy deployment stays at
 // zero; the soak test asserts it.
 func (s *Server) BeaconDrops() uint64 {
 	if s.beacons == nil {
@@ -578,22 +592,7 @@ func (s *Server) BeaconDrops() uint64 {
 	return s.beacons.dropped.Load()
 }
 
-// ingestLoop applies queued mom work. A fixed pool replaces the
-// seed's state mutation inside every per-mom read goroutine, so
-// contention on s.mu is bounded by the pool size, not the mom count.
-func (s *Server) ingestLoop(ch chan func()) {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case fn := <-ch:
-			fn()
-		}
-	}
-}
-
-// reconcileMomLocked aligns server and mom job state after a
+// reconcileMom aligns server and mom job state after a
 // re-registration. reported is the mom's view (ids it still hosts or
 // has an undelivered completion for). Two directions:
 //
@@ -604,9 +603,7 @@ func (s *Server) ingestLoop(ch chan func()) {
 //   - a job the mom reports but the server has moved past (cancelled,
 //     requeued elsewhere, completed) is killed on the mom so no
 //     zombie keeps burning cores.
-//
-// Caller holds s.mu.
-func (s *Server) reconcileMomLocked(ni *nodeInfo, reported []int) {
+func (s *Server) reconcileMom(ni *nodeInfo, reported []int) {
 	known := make(map[int]bool, len(reported))
 	for _, id := range reported {
 		known[id] = true
@@ -616,7 +613,7 @@ func (s *Server) reconcileMomLocked(ni *nodeInfo, reported []int) {
 			continue
 		}
 		s.logf("job %d lost on restarted mom %s", j.ID, ni.node.Name)
-		s.failJobSliceLocked(ni.node, j, "mom restarted without the job")
+		s.failJobSlice(ni.node, j, "mom restarted without the job")
 	}
 	ids := append([]int(nil), reported...)
 	sort.Ints(ids)
@@ -627,15 +624,15 @@ func (s *Server) reconcileMomLocked(ni *nodeInfo, reported []int) {
 		}
 		// Unknown to the server (or no longer placed here): kill the
 		// mom-side remnant. Harmless if the mom races a completion.
-		s.sendMomLocked(ni, proto.TKillJob, proto.KillJobReq{JobID: id})
+		s.sendMom(ni, proto.TKillJob, proto.KillJobReq{JobID: id})
 	}
 }
 
-// replayVerdictsLocked re-delivers buffered dyn verdicts to a freshly
+// replayVerdicts re-delivers buffered dyn verdicts to a freshly
 // re-registered mom. Verdicts for jobs that are no longer active on
 // this node are dropped (the job's fate was already settled and the
-// kill path answered its parked TM connection). Caller holds s.mu.
-func (s *Server) replayVerdictsLocked(ni *nodeInfo) {
+// kill path answered its parked TM connection).
+func (s *Server) replayVerdicts(ni *nodeInfo) {
 	pending := ni.verdicts
 	ni.verdicts = nil
 	for _, v := range pending {
@@ -645,11 +642,12 @@ func (s *Server) replayVerdictsLocked(ni *nodeInfo) {
 			continue
 		}
 		s.logf("replaying dyn verdict for job %d (granted=%v)", v.JobID, v.Granted)
-		s.deliverVerdictLocked(ji, v)
+		s.deliverVerdict(ji, v)
 	}
 }
 
-// QSub enqueues a job and returns its id.
+// QSub enqueues a job and returns its id. The job is filed by the
+// loop after QSub returns, before anything posted later.
 func (s *Server) QSub(spec proto.JobSpec) (int, error) {
 	cores := spec.Cores
 	if spec.Nodes > 0 {
@@ -684,46 +682,48 @@ func (s *Server) QSub(spec proto.JobSpec) (int, error) {
 		Walltime:       sim.Duration(spec.WallSecs) * sim.Second,
 		SystemPriority: spec.SystemPriority,
 	}
-	s.mu.Lock()
-	s.rm.Submit(j, s.now())
-	id := int(j.ID)
-	s.jobs[id] = &jobInfo{j: j, spec: spec}
-	s.mu.Unlock()
+	id := int(s.lastID.Add(1))
+	j.ID = job.ID(id)
+	if !s.post(func() {
+		s.rm.Submit(j, s.now())
+		s.jobs[id] = &jobInfo{j: j, spec: spec}
+	}) {
+		return 0, fmt.Errorf("serverd: server stopped")
+	}
 	s.logf("qsub job=%d user=%s cores=%d wall=%ds", id, spec.User, cores, spec.WallSecs)
-	s.Kick()
 	return id, nil
 }
 
 // QStat reports queue and node state.
 func (s *Server) QStat() proto.QStatResp {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.now()
 	var resp proto.QStatResp
-	for id := 1; id <= s.rm.Submitted(); id++ {
-		ji, ok := s.jobs[id]
-		if !ok {
-			continue
+	s.call(func() {
+		now := s.now()
+		for id := 1; id <= int(s.lastID.Load()); id++ {
+			ji, ok := s.jobs[id]
+			if !ok {
+				continue
+			}
+			j := ji.j
+			wait := float64(0)
+			if j.StartTime > 0 || j.State != job.Queued {
+				wait = sim.SecondsOf(j.StartTime - j.SubmitTime)
+			} else {
+				wait = sim.SecondsOf(now - j.SubmitTime)
+			}
+			resp.Jobs = append(resp.Jobs, proto.JobStatus{
+				ID: id, Name: j.Name, User: j.Cred.User, State: j.State.String(),
+				Cores: j.Cores, DynCores: j.DynCores, WaitSecs: wait, Hosts: ji.hosts,
+			})
 		}
-		j := ji.j
-		wait := float64(0)
-		if j.StartTime > 0 || j.State != job.Queued {
-			wait = sim.SecondsOf(j.StartTime - j.SubmitTime)
-		} else {
-			wait = sim.SecondsOf(now - j.SubmitTime)
-		}
-		resp.Jobs = append(resp.Jobs, proto.JobStatus{
-			ID: id, Name: j.Name, User: j.Cred.User, State: j.State.String(),
-			Cores: j.Cores, DynCores: j.DynCores, WaitSecs: wait, Hosts: ji.hosts,
-		})
-	}
-	resp.Nodes = s.nodeStatusLocked()
+		resp.Nodes = s.nodeStatus()
+	})
 	return resp
 }
 
-// nodeStatusLocked renders the node table of qstat and of a sched.pull
-// answer. Caller holds s.mu.
-func (s *Server) nodeStatusLocked() []proto.NodeStatus {
+// nodeStatus renders the node table of qstat and of a sched.pull
+// answer.
+func (s *Server) nodeStatus() []proto.NodeStatus {
 	nodes := s.rm.Cluster().Nodes()
 	out := sized[proto.NodeStatus](len(nodes))
 	for _, n := range nodes {
@@ -736,124 +736,69 @@ func (s *Server) nodeStatusLocked() []proto.NodeStatus {
 
 // QDel cancels a job.
 func (s *Server) QDel(id int) {
-	s.mu.Lock()
-	ji, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	s.killLocked(ji, "qdel")
-	s.mu.Unlock()
-	s.Kick()
+	s.call(func() {
+		if ji, ok := s.jobs[id]; ok {
+			s.kill(ji, "qdel")
+		}
+	})
 }
 
-// killLocked terminates a job in any state; a running one is charged
-// for what it used. Caller holds s.mu.
-func (s *Server) killLocked(ji *jobInfo, why string) {
+// kill terminates a job in any state; a running one is charged for
+// what it used.
+func (s *Server) kill(ji *jobInfo, why string) {
 	running := ji.j.Active()
 	if !s.rm.Cancel(ji.j, s.now()) {
 		return
 	}
 	if running {
-		s.sendMomLocked(s.nodes[ji.msNode], proto.TKillJob, proto.KillJobReq{JobID: int(ji.j.ID)})
+		s.sendMom(s.nodes[ji.msNode], proto.TKillJob, proto.KillJobReq{JobID: int(ji.j.ID)})
 	}
-	ji.stopTimersLocked()
+	s.disarm(&ji.wall, &ji.neg)
 	s.logf("job %d killed (%s)", ji.j.ID, why)
 }
 
-// monitorLoop is the failure detector and the heartbeat sink: it
-// drains the beacon ring every quarter interval (batched stamping —
-// one lock acquisition per sweep instead of one per message) and, once
-// per whole interval, declares any node down whose mom has been silent
-// for HeartbeatMisses intervals, routing every affected job through
+// sweep is the heartbeat sink and, when detect is set, the failure
+// detector. Every drained beacon advances its node's lastSeen
+// (monotonically — a ring entry can be older than a posted stamp), and
+// heartbeats carrying a sender wall clock feed the OnBeacon latency
+// hook. Detection declares down every node whose mom has been silent
+// for HeartbeatMisses intervals and routes each affected job through
 // the failure policy — the live mirror of the simulator's rms.FailNode.
-func (s *Server) monitorLoop() {
-	defer s.wg.Done()
-	sweep := s.opts.HeartbeatInterval / 4
-	detectEvery := 4
-	if sweep <= 0 {
-		sweep = s.opts.HeartbeatInterval
-		detectEvery = 1
-	}
-	t := time.NewTicker(sweep) //lint:wallclock heartbeat monitoring is a real-time liveness protocol
-	defer t.Stop()
-	window := sim.FromReal(s.opts.HeartbeatInterval) * sim.Duration(s.opts.HeartbeatMisses)
-	ticks := 0
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-t.C:
-		}
-		s.sweepBeacons()
-		ticks++
-		if ticks%detectEvery != 0 {
-			continue
-		}
-		s.mu.Lock()
-		now := s.now()
-		names := make([]string, 0, len(s.nodes))
-		for name := range s.nodes {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		changed := false
-		for _, name := range names {
-			ni := s.nodes[name]
-			if ni.node.State != cluster.Up {
-				continue
-			}
-			if now-ni.lastSeen <= window {
-				continue
-			}
-			s.logf("node %s declared down: silent for %s (window %s)",
-				name, sim.FormatTime(now-ni.lastSeen), sim.FormatTime(window))
-			s.failNodeLocked(ni, "heartbeat timeout")
-			changed = true
-		}
-		s.mu.Unlock()
-		if changed {
-			s.Kick()
-		}
-	}
-}
-
-// sweepBeacons applies the batched liveness observations: every
-// beacon advances its node's lastSeen (monotonically — a ring entry
-// can be older than a locked-fallback stamp), and heartbeats carrying
-// a sender wall clock feed the OnBeacon latency hook.
-func (s *Server) sweepBeacons() {
-	var lags []time.Duration
+func (s *Server) sweep(detect bool) {
 	var nowMS int64
 	if s.opts.OnBeacon != nil {
 		nowMS = time.Now().UnixMilli() //lint:wallclock beacon latency compares sender wall clocks carried in heartbeats
 	}
-	s.mu.Lock()
 	s.beacons.drain(func(b beacon) {
-		ni := s.nodeByID[int(b.node)] //lint:locked the drain callback runs synchronously under the s.mu.Lock above
+		ni := s.nodeByID[int(b.node)]
 		if ni == nil {
 			return
 		}
-		if b.at > ni.lastSeen { //lint:locked the drain callback runs synchronously under the s.mu.Lock above
-			ni.lastSeen = b.at //lint:locked the drain callback runs synchronously under the s.mu.Lock above
-		}
+		ni.lastSeen = max(ni.lastSeen, b.at)
 		if s.opts.OnBeacon != nil && b.sent > 0 {
-			lags = append(lags, time.Duration(nowMS-b.sent)*time.Millisecond)
+			s.opts.OnBeacon(time.Duration(nowMS-b.sent) * time.Millisecond)
 		}
 	})
-	s.mu.Unlock()
-	for _, lag := range lags {
-		s.opts.OnBeacon(lag)
+	if !detect {
+		return
+	}
+	now := s.now()
+	window := sim.FromReal(s.opts.HeartbeatInterval) * sim.Duration(s.opts.HeartbeatMisses)
+	for _, n := range s.rm.Cluster().Nodes() {
+		if ni := s.nodeByID[n.ID]; n.State == cluster.Up && now-ni.lastSeen > window {
+			s.logf("node %s declared down: silent for %s (window %s)",
+				n.Name, sim.FormatTime(now-ni.lastSeen), sim.FormatTime(window))
+			s.failNode(ni, "heartbeat timeout")
+		}
 	}
 }
 
-// failNodeLocked marks a node Down and handles every affected job per
-// the failure policy, mirroring rms.FailNode: the dead cores are
-// stripped from each allocation, then the job is requeued (restarting
-// on spare nodes) or cancelled. Undelivered verdicts for the node are
-// dropped — the applications they were meant for died with it.
-// Caller holds s.mu.
-func (s *Server) failNodeLocked(ni *nodeInfo, why string) {
+// failNode marks a node Down and handles every affected job per the
+// failure policy, mirroring rms.FailNode: the dead cores are stripped
+// from each allocation, then the job is requeued (restarting on spare
+// nodes) or cancelled. Undelivered verdicts for the node are dropped —
+// the applications they were meant for died with it.
+func (s *Server) failNode(ni *nodeInfo, why string) {
 	s.rm.Cluster().SetNodeState(ni.node.ID, cluster.Down)
 	if ni.conn != nil {
 		_ = ni.conn.Close()
@@ -861,48 +806,37 @@ func (s *Server) failNodeLocked(ni *nodeInfo, why string) {
 	}
 	ni.verdicts = nil
 	for _, j := range s.rm.JobsOn(ni.node.ID) {
-		s.failJobSliceLocked(ni.node, j, why)
+		s.failJobSlice(ni.node, j, why)
 	}
 	s.rm.Bump(nil)
 }
 
-// failJobSliceLocked strips a job's cores on one dead node and applies
-// the failure policy: requeue restarts the job from scratch (the
-// scheduler will place it on spare capacity), cancel kills it. The
-// original request size is restored first so a requeued job asks for
-// what it was submitted with. Caller holds s.mu.
-func (s *Server) failJobSliceLocked(node *cluster.Node, j *job.Job, why string) {
+// failJobSlice strips a job's cores on one dead node and applies the
+// failure policy: requeue restarts the job from scratch (the scheduler
+// will place it on spare capacity), cancel kills it. The original
+// request size is restored first so a requeued job asks for what it
+// was submitted with.
+func (s *Server) failJobSlice(node *cluster.Node, j *job.Job, why string) {
 	ji := s.jobs[int(j.ID)]
 	if ji == nil || !j.Active() {
 		return
 	}
 	origCores := j.Cores
-	if s.rm.StripNode(j, node.ID, s.now()) > 0 {
-		ji.hosts = removeNodeSlices(ji.hosts, node.Name)
+	if lost := s.rm.StripNode(j, node.ID, s.now()); lost > 0 {
+		ji.hosts = subtractHostSlices(ji.hosts, []proto.HostSlice{{Node: node.Name, Cores: lost}})
 		j.Cores = origCores
 	}
 	switch s.opts.FailurePolicy {
 	case rms.FailRequeue:
 		if err := s.rm.Preempt(j); err != nil {
 			s.logf("requeue job %d after %s: %v", j.ID, why, err)
-			s.killLocked(ji, why)
+			s.kill(ji, why)
 			return
 		}
 		s.logf("job %d requeued (%s)", j.ID, why)
 	default:
-		s.killLocked(ji, why)
+		s.kill(ji, why)
 	}
-}
-
-// removeNodeSlices drops every host slice on the named node.
-func removeNodeSlices(hosts []proto.HostSlice, node string) []proto.HostSlice {
-	out := hosts[:0:0]
-	for _, h := range hosts {
-		if h.Node != node {
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 // jobDone handles a completion report from a mother superior. from
@@ -910,38 +844,33 @@ func removeNodeSlices(hosts []proto.HostSlice, node string) []proto.HostSlice {
 // the job was failed away from (requeued and restarted elsewhere) must
 // not complete the new incarnation.
 func (s *Server) jobDone(from *nodeInfo, done proto.JobDoneReq) {
-	s.mu.Lock()
 	ji, ok := s.jobs[done.JobID]
 	if !ok || !ji.j.Active() {
-		s.mu.Unlock()
 		return
 	}
 	if from != nil && ji.msNode != from.node.Name {
-		s.mu.Unlock()
 		s.logf("ignoring stale jobdone for %d from %s (ms is %s)", done.JobID, from.node.Name, ji.msNode)
 		return
 	}
 	s.rm.Complete(ji.j, s.now())
-	ji.stopTimersLocked()
-	s.mu.Unlock()
+	s.disarm(&ji.wall, &ji.neg)
 	s.logf("job %d done", done.JobID)
-	s.Kick()
 }
 
 // dynGet queues a forwarded tm_dynget: the job enters DynQueued and a
-// scheduling cycle is triggered (Fig. 3 step 3-4). from is the mom
-// that forwarded the request — it must be the job's mother superior.
+// scheduling cycle follows (Fig. 3 step 3-4). from is the mom that
+// forwarded the request — it must be the job's mother superior.
 func (s *Server) dynGet(from *nodeInfo, req proto.DynGetReq) {
-	s.mu.Lock()
+	refuse := func(reason string) {
+		s.sendMom(from, proto.TDynGetResp, proto.DynGetResp{JobID: req.JobID, Granted: false, Reason: reason})
+	}
 	ji, ok := s.jobs[req.JobID]
 	if !ok || ji.j.State != job.Running {
-		s.mu.Unlock()
-		s.answerDynTo(from, proto.DynGetResp{JobID: req.JobID, Granted: false, Reason: "job not running"})
+		refuse("job not running")
 		return
 	}
 	if from != nil && ji.msNode != from.node.Name {
-		s.mu.Unlock()
-		s.answerDynTo(from, proto.DynGetResp{JobID: req.JobID, Granted: false, Reason: "not the mother superior"})
+		refuse("not the mother superior")
 		return
 	}
 	r := &job.DynRequest{Job: ji.j, Cores: req.Cores, Nodes: req.Nodes, PPN: req.PPN, IssuedAt: s.now()}
@@ -949,43 +878,23 @@ func (s *Server) dynGet(from *nodeInfo, req proto.DynGetReq) {
 		r.Deadline = r.IssuedAt + sim.Duration(req.TimeoutSecs)*sim.Second
 	}
 	if err := s.rm.QueueDyn(r); err != nil {
-		s.mu.Unlock()
-		s.answerDynTo(from, proto.DynGetResp{JobID: req.JobID, Granted: false, Reason: err.Error()})
+		refuse(err.Error())
 		return
 	}
-	if req.TimeoutSecs > 0 {
-		// Negotiation deadline: if the request is still pending when
-		// it expires, deliver the final rejection ourselves. The timer
-		// is stored on the job record and stopped when the request
-		// resolves early (grant, reject, kill), so no resolved
-		// negotiation leaves a timer behind.
-		//lint:wallclock negotiation deadlines are real protocol timeouts
-		ji.negTimer = time.AfterFunc(time.Duration(req.TimeoutSecs)*time.Second, func() {
-			s.mu.Lock()
-			if s.rm.PendingDyn(r.Job.ID) == r {
-				s.rm.RejectDyn(r, "negotiation deadline expired")
-			}
-			s.mu.Unlock()
-		})
+	if r.Negotiable() {
+		// If the request is still pending at its deadline, the loop
+		// delivers the final rejection itself; the entry goes when the
+		// request resolves early (grant, reject, kill).
+		s.arm(&ji.neg, &deadline{at: r.Deadline, ji: ji, dyn: r})
 	}
-	s.mu.Unlock()
 	s.logf("dynget queued job=%d timeout=%ds", req.JobID, req.TimeoutSecs)
-	s.Kick()
 }
 
-// answerDynTo delivers an immediate error verdict to the mom that
-// forwarded a dyn request.
-func (s *Server) answerDynTo(ni *nodeInfo, resp proto.DynGetResp) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sendMomLocked(ni, proto.TDynGetResp, resp)
-}
-
-// deliverVerdictLocked ships a dyn verdict to the job's mother
-// superior, buffering it for replay on re-registration when the link
-// is down or the send fails — a granted or rejected tm_dynget must
-// never leave the application parked forever. Caller holds s.mu.
-func (s *Server) deliverVerdictLocked(ji *jobInfo, resp proto.DynGetResp) {
+// deliverVerdict ships a dyn verdict to the job's mother superior,
+// buffering it for replay on re-registration when the link is down or
+// the send fails — a granted or rejected tm_dynget must never leave
+// the application parked forever.
+func (s *Server) deliverVerdict(ji *jobInfo, resp proto.DynGetResp) {
 	ni := s.nodes[ji.msNode]
 	if ni == nil {
 		s.logf("dyn verdict for job %d has no mother superior; dropped", resp.JobID)
@@ -1004,14 +913,11 @@ func (s *Server) deliverVerdictLocked(ji *jobInfo, resp proto.DynGetResp) {
 // dynFree releases part of an allocation (Fig. 4 step 3-4). from must
 // be the job's mother superior.
 func (s *Server) dynFree(from *nodeInfo, req proto.DynFreeReq) {
-	s.mu.Lock()
 	ji, ok := s.jobs[req.JobID]
 	if !ok || !ji.j.Active() {
-		s.mu.Unlock()
 		return
 	}
 	if from != nil && ji.msNode != from.node.Name {
-		s.mu.Unlock()
 		s.logf("ignoring dynfree for %d from %s (ms is %s)", req.JobID, from.node.Name, ji.msNode)
 		return
 	}
@@ -1022,14 +928,11 @@ func (s *Server) dynFree(from *nodeInfo, req proto.DynFreeReq) {
 		}
 	}
 	if err := s.rm.Release(ji.j, part, s.now()); err != nil {
-		s.mu.Unlock()
 		s.logf("dynfree job=%d rejected: %v", req.JobID, err)
 		return
 	}
 	ji.hosts = subtractHostSlices(ji.hosts, req.Hosts)
-	s.mu.Unlock()
 	s.logf("dynfree job=%d released %d cores", req.JobID, part.TotalCores())
-	s.Kick()
 }
 
 func subtractHostSlices(have, remove []proto.HostSlice) []proto.HostSlice {
@@ -1052,28 +955,78 @@ func subtractHostSlices(have, remove []proto.HostSlice) []proto.HostSlice {
 	return out
 }
 
-// schedLoop runs the embedded scheduler: iterate on every kick, with
-// the poll interval as an idle backstop (Maui's timer-driven wakeup).
-func (s *Server) schedLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.opts.PollInterval) //lint:wallclock idle backstop for the kick-driven scheduler
-	defer t.Stop()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-s.kick:
-		case <-t.C:
+// deadline is a job's walltime, or its pending dyn request's
+// negotiation deadline, in the loop's heap.
+type deadline struct {
+	at  sim.Time
+	ji  *jobInfo
+	dyn *job.DynRequest // the negotiated request; nil for a walltime
+	i   int             // index in the heap
+}
+
+// deadlineHeap is a container/heap of deadlines, earliest first.
+type deadlineHeap []*deadline
+
+func (h deadlineHeap) Len() int           { return len(h) }
+func (h deadlineHeap) Less(a, b int) bool { return h[a].at < h[b].at }
+func (h deadlineHeap) Swap(a, b int) {
+	h[a], h[b] = h[b], h[a]
+	h[a].i, h[b].i = a, b
+}
+func (h *deadlineHeap) Push(x any) {
+	d := x.(*deadline)
+	d.i = len(*h)
+	*h = append(*h, d)
+}
+func (h *deadlineHeap) Pop() any {
+	old := *h
+	d := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return d
+}
+
+// arm puts d into the heap as *slot, replacing the deadline there.
+func (s *Server) arm(slot **deadline, d *deadline) {
+	s.disarm(slot)
+	*slot = d
+	heap.Push(&s.deadlines, d)
+}
+
+// disarm takes each slot's deadline, if any, out of the heap, so an
+// ended, requeued or resolved job never fires a stale one.
+func (s *Server) disarm(slots ...**deadline) {
+	for _, slot := range slots {
+		if d := *slot; d != nil {
+			heap.Remove(&s.deadlines, d.i)
+			*slot = nil
 		}
-		s.mu.Lock()
-		s.opts.Sched.Iterate(s.now(), &s.rm)
-		s.mu.Unlock()
 	}
 }
 
-// Recorder exposes live metrics (waiting times, utilization).
+// fireDeadlines applies every deadline that is due: a walltime kills
+// its job, a negotiation deadline rejects the request if it is still
+// pending.
+func (s *Server) fireDeadlines() {
+	for now := s.now(); len(s.deadlines) > 0 && s.deadlines[0].at <= now; {
+		d := s.deadlines[0]
+		if d.dyn == nil {
+			s.disarm(&d.ji.wall)
+			s.kill(d.ji, "walltime")
+			continue
+		}
+		s.disarm(&d.ji.neg)
+		if s.rm.PendingDyn(d.dyn.Job.ID) == d.dyn {
+			s.rm.RejectDyn(d.dyn, "negotiation deadline expired")
+		}
+	}
+}
+
+// Recorder exposes live metrics (waiting times, utilization); nil once
+// the server has stopped. The recorder itself is the loop's: read it
+// only while the server is quiescent, with no job moving.
 func (s *Server) Recorder() *metrics.Recorder {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rm.Recorder()
+	var rec *metrics.Recorder
+	s.call(func() { rec = s.rm.Recorder() })
+	return rec
 }

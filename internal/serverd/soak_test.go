@@ -138,9 +138,7 @@ func TestSoakManyMoms(t *testing.T) {
 
 	regDeadline := 60*time.Second + time.Duration(n)*5*time.Millisecond
 	waitFor(t, regDeadline, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.nodes) == n
+		return loopRead(t, srv, func() int { return len(srv.nodes) }) == n
 	}, fmt.Sprintf("%d moms registered", n))
 
 	// Measure over whole intervals with the full fleet beating.
@@ -167,16 +165,17 @@ func TestSoakManyMoms(t *testing.T) {
 		t.Errorf("p99 heartbeat-to-stamp latency %v >= heartbeat interval %v", p99, interval)
 	}
 	if drops := srv.BeaconDrops(); drops != 0 {
-		t.Errorf("%d beacons overflowed the ring onto the locked fallback path", drops)
+		t.Errorf("%d beacons overflowed the ring onto the inbox fallback path", drops)
 	}
-	srv.mu.Lock()
-	down := 0
-	for _, ni := range srv.nodes {
-		if ni.node.State != cluster.Up {
-			down++
+	down := loopRead(t, srv, func() int {
+		down := 0
+		for _, ni := range srv.nodes {
+			if ni.node.State != cluster.Up {
+				down++
+			}
 		}
-	}
-	srv.mu.Unlock()
+		return down
+	})
 	if down != 0 {
 		t.Errorf("%d nodes falsely declared down during the soak", down)
 	}
