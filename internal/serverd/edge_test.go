@@ -67,6 +67,47 @@ func TestQSubRefusesBadSizes(t *testing.T) {
 	}
 }
 
+// TestCallsWithoutLoopReturn: with no loop to answer them — before
+// Start, after a Close that never started it, after an ordinary Close —
+// QSub, QStat, QDel and Recorder return at once instead of waiting on
+// an inbox nobody drains.
+func TestCallsWithoutLoopReturn(t *testing.T) {
+	leak.Check(t)
+	check := func(what string, srv *Server) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if id, err := srv.QSub(proto.JobSpec{Cores: 1, WallSecs: 60}); err == nil {
+				t.Errorf("%s: QSub = %d, want an error", what, id)
+			}
+			if st := srv.QStat(); len(st.Jobs) != 0 || len(st.Nodes) != 0 {
+				t.Errorf("%s: QStat = %+v, want empty", what, st)
+			}
+			srv.QDel(1)
+			if rec := srv.Recorder(); rec != nil {
+				t.Errorf("%s: Recorder = %p, want nil", what, rec)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: a call is still waiting after 5 s", what)
+		}
+	}
+	idle := New(Options{Sched: core.New(core.Options{}, 0)})
+	check("never started", idle)
+	idle.Close()
+	check("closed without a start", idle)
+
+	srv := New(Options{Sched: core.New(core.Options{}, 0)})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	check("closed", srv)
+}
+
 // TestStaleSchedCommitSkipped: a commit that references jobs in states
 // the server has moved past must be skipped gracefully, never applied.
 func TestStaleSchedCommitSkipped(t *testing.T) {

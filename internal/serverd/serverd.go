@@ -144,6 +144,9 @@ type Server struct {
 	// lastID is the id QSub gave the latest job. Ids are taken here,
 	// not on the loop, so that a submit need not wait for the loop.
 	lastID atomic.Int64
+	// running is set by Start and cleared by Close; while it is unset
+	// nothing drains the inbox, so post refuses.
+	running atomic.Bool
 
 	// The fields below, and those of every jobInfo and nodeInfo, are
 	// read and written only on the loop goroutine.
@@ -201,7 +204,8 @@ func New(opts Options) *Server {
 
 // Start listens on addr ("127.0.0.1:0" for an ephemeral port) and
 // starts the loop. QSub, QStat, QDel and Recorder are answered by the
-// loop, so they may be called only after Start.
+// loop; before Start and from Close on they return at once, QSub with
+// an error, QStat empty and Recorder nil.
 func (s *Server) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -212,6 +216,7 @@ func (s *Server) Start(addr string) error {
 	if s.opts.HeartbeatInterval > 0 {
 		s.beacons = newBeaconRing(beaconRingSize)
 	}
+	s.running.Store(true)
 	s.wg.Add(2)
 	go s.loop()
 	go s.acceptLoop()
@@ -229,6 +234,7 @@ func (s *Server) Addr() string {
 // Close shuts the daemon down and waits for the loop and every
 // connection goroutine to end.
 func (s *Server) Close() {
+	s.running.Store(false)
 	s.cancel()
 	if s.ln != nil {
 		s.ln.Close()
@@ -236,9 +242,12 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// post hands fn to the loop; false means the server is shutting down
-// and fn may never run.
+// post hands fn to the loop; false means the loop is not running (the
+// server was never started, or is closing) and fn may never run.
 func (s *Server) post(fn func()) bool {
+	if !s.running.Load() {
+		return false
+	}
 	select {
 	case s.inbox <- fn:
 		return true
@@ -647,7 +656,8 @@ func (s *Server) replayVerdicts(ni *nodeInfo) {
 }
 
 // QSub enqueues a job and returns its id. The job is filed by the
-// loop after QSub returns, before anything posted later.
+// loop after QSub returns, before anything posted later; a QSub that
+// races Close may return an id the stopping loop never files.
 func (s *Server) QSub(spec proto.JobSpec) (int, error) {
 	cores := spec.Cores
 	if spec.Nodes > 0 {
@@ -688,7 +698,7 @@ func (s *Server) QSub(spec proto.JobSpec) (int, error) {
 		s.rm.Submit(j, s.now())
 		s.jobs[id] = &jobInfo{j: j, spec: spec}
 	}) {
-		return 0, fmt.Errorf("serverd: server stopped")
+		return 0, fmt.Errorf("serverd: server not running")
 	}
 	s.logf("qsub job=%d user=%s cores=%d wall=%ds", id, spec.User, cores, spec.WallSecs)
 	return id, nil
@@ -1022,8 +1032,8 @@ func (s *Server) fireDeadlines() {
 	}
 }
 
-// Recorder exposes live metrics (waiting times, utilization); nil once
-// the server has stopped. The recorder itself is the loop's: read it
+// Recorder exposes live metrics (waiting times, utilization); nil when
+// the server is not running. The recorder itself is the loop's: read it
 // only while the server is quiescent, with no job moving.
 func (s *Server) Recorder() *metrics.Recorder {
 	var rec *metrics.Recorder
