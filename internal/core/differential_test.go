@@ -14,9 +14,8 @@ import (
 	"repro/internal/sim"
 )
 
-// trackedRM wraps testRM with core.ChangeTracker/QueueSnapshotter so
-// tests can exercise the kept job table, the QueueRef fast path and the
-// event-driven skip. Scheduler-driven mutations bump epochs here;
+// trackedRM wraps testRM with core.ChangeTracker so tests can exercise
+// the kept job table and the event-driven skip. Scheduler-driven mutations bump epochs here;
 // test-driver mutations must call bump/bumpQueue/bumpQueueFor
 // themselves. It keeps a queue change log but does not hand it out:
 // loggedRM does. It is a MalleableManager, which only matters to a
@@ -27,10 +26,9 @@ type trackedRM struct {
 	qlog  QueueLog
 }
 
-func (r *trackedRM) StateEpoch() uint64   { return r.epoch }
-func (r *trackedRM) QueueEpoch() uint64   { return r.qlog.Epoch() }
-func (r *trackedRM) QueueRef() []*job.Job { return r.queued }
-func (r *trackedRM) bump()                { r.epoch++ }
+func (r *trackedRM) StateEpoch() uint64 { return r.epoch }
+func (r *trackedRM) QueueEpoch() uint64 { return r.qlog.Epoch() }
+func (r *trackedRM) bump()              { r.epoch++ }
 
 // bumpQueue is a queue change the log cannot name; bumpQueueFor names
 // the job.
@@ -806,8 +804,7 @@ func compareResults(t *testing.T, step int, got, want *IterationResult, full boo
 // covered: the logged one has the table patched from the change log (and
 // refilled when the log cannot be read), the tracked one has it follow
 // its own starts and refilled on any other change, the plain one
-// refilled every time; with them the QueueRef path and the event-driven
-// skip. The scenarios vary what the pruned walks depend on: reservation
+// refilled every time; with them the event-driven skip. The scenarios vary what the pruned walks depend on: reservation
 // and delay depths (0, 1, 5, … each, equal or not), backfill off, strict
 // system priority with Z jobs leaving the queue by start and by
 // cancellation, moldable rows, rows of no cores, queues deep enough that

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
@@ -12,20 +14,23 @@ import (
 )
 
 // Lifecycle is the job lifecycle of the paper's pbs_server, written
-// once for both resource managers — the simulator's rms.Server and the
-// live daemon's serverd. It owns the cluster, the queue, the running
-// set, the FIFO dynamic-request queue, the epochs the scheduler's
-// caches key off, the usage recorder and the job counts, and performs
-// every transition among them with its epoch bump: submit, start (and
-// its rollback), dynamic request, grant, reject, partial release,
-// requeue, cancel, complete, and the loss of a failed node's cores —
-// and records each in its trace, once, when it has one.
+// once for the three resource managers — the simulator's rms.Server,
+// the live daemon's serverd and the external scheduler's mirror of it
+// in mauid. It owns the cluster, the queue, the running set, the FIFO
+// dynamic-request queue, the epochs the scheduler's caches key off, the
+// usage recorder and the job counts, and performs every transition
+// among them with its epoch bump: submit, start (and its rollback),
+// dynamic request, grant, reject, partial release, requeue, cancel,
+// complete, and the loss of a failed node's cores — and records each in
+// its trace, once, when it has one. A mirror files the server's records
+// of its jobs instead of submitting them (File, Forget, SetDyn).
 //
 // An RM embeds it, which gives it the read half of ResourceManager,
 // ChangeTracker and QueueLogger, and wraps each transition in its own
 // side effects only: engine events and application callbacks in the
-// simulator, timers and mom messages in the daemon. Not safe for
-// concurrent use; it shares the RM's own synchronisation.
+// simulator, timers and mom messages in the daemon, commit actions in
+// the mirror. Not safe for concurrent use; it shares the RM's own
+// synchronisation.
 type Lifecycle struct {
 	cl  *cluster.Cluster
 	fs  *Fairshare        // charged for the core-seconds of every ended run; may be nil
@@ -470,6 +475,50 @@ func (l *Lifecycle) dropDyn(id job.ID) {
 			return
 		}
 	}
+}
+
+// File files j, a job record the server sent, under its state with the
+// epoch bump of that change, and reports whether the state has a list:
+// a queued j goes to the tail when tail is set, else back where its
+// queue key puts it (job.Queue.Reseat); an active one joins the running
+// set. It places no cores and records nothing.
+func (l *Lifecycle) File(j *job.Job, tail bool) bool {
+	switch {
+	case j.State == job.Queued && tail:
+		l.queue.Push(j)
+	case j.State == job.Queued:
+		l.queue.Reseat(j)
+	case j.Active():
+		l.active.Add(j)
+		l.Bump(j)
+		return true
+	default:
+		return false
+	}
+	l.bumpQueue(j)
+	return true
+}
+
+// Forget takes j off the list its state files it under, with the epoch
+// bump of that change, and drops its grant time: the server's next
+// record of j supersedes it. It releases no cores and records nothing.
+func (l *Lifecycle) Forget(j *job.Job) {
+	switch {
+	case j.State == job.Queued:
+		l.queue.Remove(j)
+		l.bumpQueue(j)
+	case j.Active():
+		l.active.Remove(j.ID)
+		l.Bump(j)
+	}
+	delete(l.grants, j.ID)
+}
+
+// SetDyn replaces the pending dynamic requests with reqs, FIFO by Seq.
+func (l *Lifecycle) SetDyn(reqs []*job.DynRequest) {
+	l.dyn = append(l.dyn[:0], reqs...)
+	slices.SortStableFunc(l.dyn, func(a, b *job.DynRequest) int { return cmp.Compare(a.Seq, b.Seq) })
+	l.Bump(nil)
 }
 
 // jobType derives the workload type tag from a job name ("L.12" → "L").

@@ -67,15 +67,6 @@ type QueueLogger interface {
 	QueueChanges(since uint64) (changed []*job.Job, ok bool)
 }
 
-// QueueSnapshotter is an optional ResourceManager fast path: QueueRef
-// returns the RM's own queued-job slice in submission order, valid
-// until the RM next mutates. The scheduler only reads it during
-// Iterate and copies what it keeps, so RMs whose queue is quiescent
-// during an iteration can skip the O(n) defensive copy of QueuedJobs.
-type QueueSnapshotter interface {
-	QueueRef() []*job.Job
-}
-
 // Options bundles the scheduler configuration.
 type Options struct {
 	Config  *config.SchedConfig
@@ -400,13 +391,7 @@ func (s *Scheduler) ensureTable(now sim.Time, rm ResourceManager) {
 	if cacheable && t.valid && rm == s.lastRM && s.patchTable(now, rm, ct) {
 		return
 	}
-	var queued []*job.Job
-	if qs, ok := rm.(QueueSnapshotter); ok {
-		queued = qs.QueueRef()
-	} else {
-		queued = rm.QueuedJobs()
-	}
-	t.fill(s.selectEligible(queued), now, w, s.fs)
+	t.fill(s.selectEligible(rm.QueuedJobs()), now, w, s.fs)
 	t.valid = cacheable
 	if fsOrder {
 		t.fsSerial = s.fs.tree.ChangeSerial()

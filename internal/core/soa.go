@@ -158,8 +158,7 @@ func (t *jobTable) permBuf(n int) []int32 {
 
 // fill loads the eligible jobs, computes priority keys, sorts a
 // permutation, and gathers the hot fields into priority order. The
-// input slice is read only — never retained or reordered (it may be
-// the RM's own queue storage via QueueSnapshotter).
+// input slice is read only — never retained or reordered.
 func (t *jobTable) fill(eligible []*job.Job, now sim.Time, w PriorityWeights, fs *Fairshare) {
 	n, end := len(eligible), t.head+t.len() // rows not refilled are cleared
 	t.fills++

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -25,8 +24,6 @@ type OverheadPoint struct {
 	IdleMS   float64
 	LoadedMS float64
 }
-
-var fig12Seq atomic.Int64
 
 // Fig12Opts parameterizes the overhead measurement.
 type Fig12Opts struct {
@@ -156,7 +153,7 @@ func fig12Sample(opts Fig12Opts, n, backlog int) (time.Duration, error) {
 		return 0, err
 	}
 
-	name := fmt.Sprintf("fig12-probe-%d", fig12Seq.Add(1))
+	name := "fig12-probe-" + srv.Addr() // unique among the samples running at once
 	type result struct {
 		lat time.Duration
 		err error
@@ -164,7 +161,7 @@ func fig12Sample(opts Fig12Opts, n, backlog int) (time.Duration, error) {
 	started := make(chan struct{}, 1)
 	proceed := make(chan struct{})
 	resCh := make(chan result, 1)
-	mom.RegisterGoApp(name, func(ctx context.Context, tmc *tm.Context) error {
+	unregister := mom.RegisterGoApp(name, func(ctx context.Context, tmc *tm.Context) error {
 		started <- struct{}{}
 		select {
 		case <-proceed:
@@ -182,6 +179,7 @@ func fig12Sample(opts Fig12Opts, n, backlog int) (time.Duration, error) {
 		resCh <- result{lat, nil}
 		return nil
 	})
+	defer unregister()
 	if _, err := srv.QSub(proto.JobSpec{
 		Name: name, User: "prober", Nodes: 1, PPN: opts.CoresPerNode, WallSecs: 600,
 		Script: "go:" + name, Evolving: true,

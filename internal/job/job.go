@@ -119,6 +119,11 @@ type Job struct {
 	// Preemptible marks jobs the site allows to be preempted.
 	Preemptible bool
 
+	// qslot is the job's slot in the Queue holding it. An int32 fits in
+	// the two flags' padding (a queue never nears 2^31 slots), which
+	// keeps a Job in its allocation size class.
+	qslot int32
+
 	// SystemPriority is an administrative boost; the ESP Z-jobs use it
 	// to claim the head of the queue.
 	SystemPriority int64
@@ -131,8 +136,8 @@ type Job struct {
 	MinCores int
 	MaxCores int
 
-	// qslot is the job's slot in the Queue holding it.
-	qslot int
+	// qkey is the key the Queue last pushed the job under.
+	qkey uint64
 }
 
 // ShrinkableBy returns how many cores a malleable job can give up.
@@ -201,6 +206,14 @@ func (j *Job) RemainingWalltime(now sim.Time) sim.Duration {
 func (j *Job) Clone() *Job {
 	c := *j
 	return &c
+}
+
+// Overwrite replaces j's record with r but keeps j's place in its
+// Queue, so that a record refreshed while j was out of the queue can be
+// re-seated (Queue.Reseat).
+func (j *Job) Overwrite(r Job) {
+	r.qslot, r.qkey = j.qslot, j.qkey
+	*j = r
 }
 
 // DynRequest is a dynamic allocation request from a running evolving

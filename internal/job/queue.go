@@ -5,34 +5,65 @@ import (
 	"slices"
 )
 
-// Queue is a batch queue in submission order, as both resource managers
-// (the simulated one and the live daemon) keep it. A job taken out
-// leaves its slot empty, so that taking one out is not a search and a
-// shift of everything behind it; once the empty slots outnumber the
-// rest the queue is closed up, so a removal costs O(1) amortised
-// wherever in the queue it happens. The job remembers its slot, which
-// is why a job is in at most one Queue at a time.
+// Queue is a batch queue in submission order, as the resource managers
+// (the simulated one, the live daemon and the external scheduler's
+// mirror) keep it. A job taken out leaves its slot empty, so that
+// taking one out is not a search and a shift of everything behind it;
+// once the empty slots outnumber the rest the queue is closed up, so a
+// removal costs O(1) amortised wherever in the queue it happens. The job
+// remembers its slot and the key it was pushed under, which is why a job
+// is in at most one Queue at a time.
 //
 // Methods that change a Queue take a pointer receiver and those that
 // only read it a value receiver: schedlint's epochguard counts a
 // pointer-receiver call on an epoch-guarded field as a write to it.
 type Queue struct {
 	slots []*Job
-	head  int // the first slot that may be in use
-	live  int // the slots in use
+	keys  []uint64 // keys[i] is the key slots[i] was pushed under, ascending; an empty slot keeps its key
+	head  int      // the first slot that may be in use
+	live  int      // the slots in use
+	last  uint64   // the newest key handed out
 }
 
-// Push appends j at the tail.
+// Push appends j at the tail under a new key.
 func (q *Queue) Push(j *Job) {
-	j.qslot = len(q.slots)
+	q.last++
+	j.qslot, j.qkey = int32(len(q.slots)), q.last
 	q.slots = append(q.slots, j)
+	q.keys = append(q.keys, q.last)
 	q.live++
+}
+
+// Reseat puts j, taken out of this queue earlier, back where its key
+// puts it: into the slot it left while that slot is kept, else — once
+// a close-up has dropped the slot — by ordered insert. A job never
+// pushed goes to the tail.
+func (q *Queue) Reseat(j *Job) {
+	if j.qkey == 0 {
+		q.Push(j)
+		return
+	}
+	i, kept := slices.BinarySearch(q.keys, j.qkey)
+	if kept {
+		q.slots[i] = j
+	} else {
+		q.slots = slices.Insert(q.slots, i, j)
+		q.keys = slices.Insert(q.keys, i, j.qkey)
+		for _, x := range q.slots[i+1:] {
+			if x != nil {
+				x.qslot++
+			}
+		}
+	}
+	j.qslot = int32(i)
+	q.live++
+	q.head = min(q.head, i)
 }
 
 // Remove takes j out of the queue where it stands, reporting whether it
 // was there.
 func (q *Queue) Remove(j *Job) bool {
-	i := j.qslot
+	i := int(j.qslot)
 	if i >= len(q.slots) || q.slots[i] != j {
 		return false
 	}
@@ -45,15 +76,15 @@ func (q *Queue) Remove(j *Job) bool {
 		return true
 	}
 	w := 0
-	for _, x := range q.slots[q.head:] {
+	for k, x := range q.slots[q.head:] {
 		if x != nil {
-			q.slots[w] = x
-			x.qslot = w
+			q.slots[w], q.keys[w] = x, q.keys[q.head+k]
+			x.qslot = int32(w)
 			w++
 		}
 	}
 	clear(q.slots[w:])
-	q.slots, q.head = q.slots[:w], 0
+	q.slots, q.keys, q.head = q.slots[:w], q.keys[:w], 0
 	return true
 }
 

@@ -128,14 +128,6 @@ func momSet(t *testing.T, srv *serverd.Server, n, cores int) []string {
 	return nil
 }
 
-// chaosApp counts application starts per job id for
-// TestChaosSchedLinkSevered.
-var chaosApp struct {
-	once   sync.Once
-	mu     sync.Mutex
-	starts map[int]int // guarded by mu
-}
-
 // TestChaosSchedLinkSevered: the one link mauid keeps to the server is
 // cut again and again — every connection through the proxy is severed
 // after a seeded delay of at most 8 ms, so cuts land inside pulls,
@@ -147,18 +139,15 @@ var chaosApp struct {
 func TestChaosSchedLinkSevered(t *testing.T) {
 	leak.Check(t)
 	srv, _ := externalClusterNoSched(t, 2, 8)
-	chaosApp.once.Do(func() { // the app registry is per process: -count=N registers once
-		mom.RegisterGoApp("chaos-sched-link", func(_ context.Context, tmc *tm.Context) error {
-			chaosApp.mu.Lock()
-			chaosApp.starts[tmc.JobID]++
-			chaosApp.mu.Unlock()
-			time.Sleep(10 * time.Millisecond) // long enough a run for many cuts
-			return nil
-		})
-	})
-	chaosApp.mu.Lock()
-	chaosApp.starts = map[int]int{}
-	chaosApp.mu.Unlock()
+	var mu sync.Mutex
+	starts := map[int]int{} // application starts per job id, guarded by mu
+	t.Cleanup(mom.RegisterGoApp("chaos-sched-link", func(_ context.Context, tmc *tm.Context) error {
+		mu.Lock()
+		starts[tmc.JobID]++
+		mu.Unlock()
+		time.Sleep(10 * time.Millisecond) // long enough a run for many cuts
+		return nil
+	}))
 	p := chaos.New(srv.Addr(), chaos.Options{Seed: 7, FailRate: 1, MaxDelay: 8 * time.Millisecond})
 	if err := p.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -209,10 +198,10 @@ func TestChaosSchedLinkSevered(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	chaosApp.mu.Lock()
-	defer chaosApp.mu.Unlock()
+	mu.Lock()
+	defer mu.Unlock()
 	for _, id := range ids {
-		if n := chaosApp.starts[id]; n != 1 {
+		if n := starts[id]; n != 1 {
 			t.Errorf("job %d started %d times", id, n)
 		}
 	}

@@ -11,10 +11,8 @@
 package mauid
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -240,81 +238,39 @@ func (d *Daemon) dropLink() {
 }
 
 // mirror implements core.ResourceManager over the daemon's copy of the
-// server's workload: decisions mutate only the mirror and are recorded
-// as commit actions. One mirror lives as long as its link — the full
-// snapshot builds it, every delta after that is applied in place — so
-// jobs keep their *job.Job and the mirror its identity across cycles,
-// and its core.ChangeTracker epochs (seeded from the snapshot serial,
-// advanced by applied deltas and by its own actions) let the scheduler
-// skip a cycle in which nothing happened and keep its sorted order over
-// one that left the queue alone.
+// server's workload: a core.Lifecycle, as the server's own, into which
+// every pull files the server's records and whose transitions the cycle
+// performs on them, recording each as a commit action. One mirror lives
+// as long as its link — the full snapshot builds it, every delta after
+// that is applied in place — so jobs keep their *job.Job and the mirror
+// its identity across cycles, and its epochs (advanced by applied
+// deltas and by its own actions) let the scheduler skip a cycle in
+// which nothing happened and keep its sorted order over one that left
+// the queue alone.
 //
 // The mirror is never trusted. What a cycle did to it is a guess at
 // what the server will do with the commit; the server names every job
 // of a commit in the next delta, applied or not, and the record there
-// overwrites the guess. Used cores per node are re-seated from the
-// server's node table on every change.
+// overwrites the guess. A job's queue key is taken when the server
+// appends it to its queue and kept while a start of ours is
+// unconfirmed, so that a start the server skipped puts the job back
+// where the server still has it. Used cores per node are re-seated from
+// the server's node table on every change.
 //
-// Every field is confined to the cycle: RunOnce holds Daemon.cycle
-// around each use of the mirror, core.Iterate's calls into it included.
+// What only the mirror has is confined to the cycle: RunOnce holds
+// Daemon.cycle around each use of the mirror, core.Iterate's calls into
+// it included.
 type mirror struct {
-	cl   *cluster.Cluster
-	jobs map[job.ID]*entry //schedlint:confined cycle see the type's comment
-	//schedlint:confined cycle see the type's comment
-	queued []*job.Job //schedlint:epoch-guarded by bumpQueue
-	qkeys  []uint64   //schedlint:confined cycle qkeys[i] is the entry.qkey of queued[i]; ascending
-	// live counts the filled slots of queued: a job taken out of the
-	// queue leaves its slot empty and its key in qkeys (see dequeue).
-	live int //schedlint:confined cycle see the type's comment
-	// view is QueueRef's copy of the filled slots while some are empty.
-	view []*job.Job //schedlint:confined cycle see the type's comment
-	//schedlint:confined cycle see the type's comment
-	active job.RunSet //schedlint:epoch-guarded by bump
-	//schedlint:confined cycle see the type's comment
-	dyn []*job.DynRequest //schedlint:epoch-guarded by bump
-
-	// The mirror's own state epoch, the Serial of the last pull, and the
-	// newest queue key handed out.
-	serial, srvSerial, lastKey uint64 //schedlint:confined cycle see the type's comment
-	// now is the server's clock at the last pull: a job the cycle starts
-	// starts then.
-	now sim.Time //schedlint:confined cycle see the type's comment
-	// qlog is the mirror's queue epoch and the jobs behind it.
-	qlog core.QueueLog //schedlint:confined cycle see the type's comment
+	core.Lifecycle
+	jobs map[job.ID]*job.Job //schedlint:confined cycle see the type's comment
+	// srvSerial is the Serial of the last pull, and now the server's
+	// clock then: a job the cycle starts starts at now.
+	srvSerial uint64   //schedlint:confined cycle see the type's comment
+	now       sim.Time //schedlint:confined cycle see the type's comment
 	// actions are this cycle's decisions; they stay until the next
-	// delta, which undoes their placements in cl.
+	// delta, which undoes their placements in the cluster.
 	actions []proto.SchedAction //schedlint:confined cycle see the type's comment
 }
-
-// entry is one mirrored job. qkey orders the queue as the server's is
-// ordered: it is taken when the server appends the job to its queue and
-// kept while a start of ours is unconfirmed, so that a start the server
-// skipped puts the job back where the server still has it.
-type entry struct {
-	job.Job
-	qkey uint64 //schedlint:confined cycle part of the mirror
-}
-
-// bump advances the state epoch.
-func (m *mirror) bump() { m.serial++ }
-
-// bumpQueue advances both epochs for a change of j's queue membership,
-// which also invalidates state-level caches.
-//
-//schedlint:epoch-bump subsumes bump
-func (m *mirror) bumpQueue(j *job.Job) {
-	m.serial++
-	m.qlog.Bump(j)
-}
-
-// StateEpoch implements core.ChangeTracker.
-func (m *mirror) StateEpoch() uint64 { return m.serial }
-
-// QueueEpoch implements core.ChangeTracker.
-func (m *mirror) QueueEpoch() uint64 { return m.qlog.Epoch() }
-
-// QueueChanges implements core.QueueLogger.
-func (m *mirror) QueueChanges(since uint64) ([]*job.Job, bool) { return m.qlog.Since(since) }
 
 // mirrorFillID marks the synthetic allocations that reproduce the
 // server's per-node usage in the mirror cluster.
@@ -322,10 +278,10 @@ const mirrorFillID = job.ID(1 << 30)
 
 func newMirror(st *proto.SchedState) (*mirror, error) {
 	m := &mirror{
-		cl:     cluster.New(0, 0),
-		jobs:   make(map[job.ID]*entry, len(st.Queued)+len(st.Active)),
-		queued: make([]*job.Job, 0, len(st.Queued)),
-		qkeys:  make([]uint64, 0, len(st.Queued)),
+		Lifecycle: core.NewLifecycle(cluster.New(0, 0), nil, nil),
+		jobs:      make(map[job.ID]*job.Job, len(st.Queued)+len(st.Active)),
+		srvSerial: st.Serial,
+		now:       sim.Time(st.NowMS),
 	}
 	if err := m.seatNodes(st.Nodes); err != nil {
 		return nil, err
@@ -338,8 +294,6 @@ func newMirror(st *proto.SchedState) (*mirror, error) {
 		}
 	}
 	m.setDyn(st.Dyn)
-	m.serial, m.srvSerial, m.now = st.Serial, st.Serial, sim.Time(st.NowMS)
-	m.qlog.Reset(st.Serial)
 	return m, nil
 }
 
@@ -351,7 +305,7 @@ func (m *mirror) apply(d *proto.SchedDelta) error {
 	}
 	m.srvSerial = d.Serial
 	for _, a := range m.actions {
-		m.cl.Release(job.ID(a.JobID))
+		m.Cluster().Release(job.ID(a.JobID))
 	}
 	m.actions = m.actions[:0]
 	if err := m.seatNodes(d.Nodes); err != nil {
@@ -375,24 +329,25 @@ func (m *mirror) apply(d *proto.SchedDelta) error {
 // used cores (one synthetic allocation per node, so the planner sees
 // correct idle counts) those of the server's node table.
 func (m *mirror) seatNodes(nodes []proto.NodeStatus) error {
+	cl := m.Cluster()
 	for i, n := range nodes {
-		if i == m.cl.NumNodes() {
+		if i == cl.NumNodes() {
 			if !cluster.ValidNodeCores(n.Cores) {
 				return fmt.Errorf("mauid: node %s has %d cores, outside [1, %d]", n.Name, n.Cores, cluster.MaxNodeCores)
 			}
-			m.cl.AddNode(n.Name, n.Cores)
+			cl.AddNode(n.Name, n.Cores)
 		}
 		state, used := cluster.Down, 0
 		if n.State == "up" {
 			state, used = cluster.Up, n.Used
 		}
-		if node := m.cl.Node(i); node.State == state && node.Used() == used {
+		if node := cl.Node(i); node.State == state && node.Used() == used {
 			continue
 		}
 		fill := mirrorFillID + job.ID(i)
-		m.cl.Release(fill)
-		m.cl.SetNodeState(i, state)
-		if used > 0 && m.cl.AllocateOn(fill, i, used) == nil {
+		cl.Release(fill)
+		cl.SetNodeState(i, state)
+		if used > 0 && cl.AllocateOn(fill, i, used) == nil {
 			return fmt.Errorf("mauid: cannot mirror %d used cores on %s", used, n.Name)
 		}
 	}
@@ -408,18 +363,18 @@ func (m *mirror) place(sj *proto.SchedJob, tail bool) error {
 	if err != nil {
 		return err
 	}
-	e := m.jobs[job.ID(sj.ID)]
-	if e != nil {
-		m.unlist(e)
+	j := m.jobs[job.ID(sj.ID)]
+	if j != nil {
+		m.Forget(j)
 	} else {
-		e = &entry{}
-		m.jobs[job.ID(sj.ID)] = e
+		j = new(job.Job)
+		m.jobs[job.ID(sj.ID)] = j
 	}
 	class := job.Rigid
 	if sj.Evolving {
 		class = job.Evolving
 	}
-	e.Job = job.Job{
+	j.Overwrite(job.Job{
 		ID:    job.ID(sj.ID),
 		Name:  sj.Name,
 		Cred:  job.Credentials{User: sj.User, Group: sj.Group},
@@ -430,106 +385,25 @@ func (m *mirror) place(sj *proto.SchedJob, tail bool) error {
 		State:          st,
 		SystemPriority: sj.SysPrio,
 		Backfilled:     sj.Backfilled,
-	}
-	if st == job.Queued && (tail || e.qkey == 0) {
-		m.lastKey++
-		e.qkey = m.lastKey
-	}
-	if !m.list(e) {
-		delete(m.jobs, e.ID)
+	})
+	if !m.File(j, tail) {
+		delete(m.jobs, j.ID)
 	}
 	return nil
 }
 
-// list files e under its state — the queue in key order, the active
-// list by id, as the server orders them — if the state has a list.
-func (m *mirror) list(e *entry) bool {
-	switch {
-	case e.State == job.Queued:
-		if i, ok := slices.BinarySearch(m.qkeys, e.qkey); ok {
-			m.queued[i] = &e.Job // back into the slot its dequeue emptied
-		} else {
-			m.queued = slices.Insert(m.queued, i, &e.Job)
-			m.qkeys = slices.Insert(m.qkeys, i, e.qkey)
-		}
-		m.live++
-		m.bumpQueue(&e.Job)
-	case e.Active():
-		m.active.Add(&e.Job)
-		m.bump()
-	default:
-		return false
-	}
-	return true
-}
-
-// unlist takes e off the list its state files it under.
-func (m *mirror) unlist(e *entry) {
-	switch {
-	case e.State == job.Queued:
-		m.dequeue(e)
-	case e.Active():
-		m.active.Remove(e.ID)
-		m.bump()
-	}
-}
-
-// dequeue takes e out of the queue by emptying its slot and keeping its
-// key, as job.Queue.Remove does, so that a start costs no shift of the
-// queue behind it and a start the server skips goes back into its slot.
-// Once the empty slots outnumber the filled ones by job.Queue's margin
-// they are closed up in one pass, which a later list of a job whose
-// slot went with them pays for with an ordered insert.
-func (m *mirror) dequeue(e *entry) {
-	if i, ok := slices.BinarySearch(m.qkeys, e.qkey); ok && m.queued[i] != nil {
-		m.queued[i] = nil
-		m.live--
-		if len(m.queued) > 2*m.live+64 {
-			m.compact()
-		}
-	}
-	m.bumpQueue(&e.Job)
-}
-
-// compact drops the empty slots of the queue and their keys.
-func (m *mirror) compact() {
-	w := 0
-	for i, j := range m.queued {
-		if j != nil {
-			m.queued[w], m.qkeys[w] = j, m.qkeys[i]
-			w++
-		}
-	}
-	clear(m.queued[w:])
-	m.queued, m.qkeys = m.queued[:w], m.qkeys[:w]
-}
-
-// filled appends the jobs of the queue's filled slots to dst.
-func (m *mirror) filled(dst []*job.Job) []*job.Job {
-	for _, j := range m.queued {
-		if j != nil {
-			dst = append(dst, j)
-		}
-	}
-	return dst
-}
-
-// setDyn replaces the pending dynamic requests with the server's list
-// (FIFO by Seq); it carries the state-epoch bump of an applied pull.
+// setDyn replaces the pending dynamic requests with the server's list.
 func (m *mirror) setDyn(reqs []proto.SchedDynReq) {
-	m.dyn = m.dyn[:0]
+	dyn := make([]*job.DynRequest, 0, len(reqs))
 	for _, dr := range reqs {
-		e := m.jobs[job.ID(dr.JobID)]
-		if e == nil {
-			continue
+		if j := m.jobs[job.ID(dr.JobID)]; j != nil {
+			dyn = append(dyn, &job.DynRequest{
+				Job: j, Cores: dr.Cores, Nodes: dr.Nodes, PPN: dr.PPN, Seq: dr.Seq,
+				Deadline: sim.Time(dr.DeadlineMS),
+			})
 		}
-		m.dyn = append(m.dyn, &job.DynRequest{
-			Job: &e.Job, Cores: dr.Cores, Nodes: dr.Nodes, PPN: dr.PPN, Seq: dr.Seq,
-			Deadline: sim.Time(dr.DeadlineMS),
-		})
 	}
-	slices.SortStableFunc(m.dyn, func(a, b *job.DynRequest) int { return cmp.Compare(a.Seq, b.Seq) })
-	m.bump()
+	m.SetDyn(dyn)
 }
 
 // stateOf maps a wire state name back to the state.
@@ -548,71 +422,25 @@ func parseState(s string) (job.State, error) {
 	return job.Queued, fmt.Errorf("mauid: unknown state %q", s)
 }
 
-func (m *mirror) Cluster() *cluster.Cluster      { return m.cl }
-func (m *mirror) QueuedJobs() []*job.Job         { return m.filled(make([]*job.Job, 0, m.live)) }
-func (m *mirror) ActiveJobs() []*job.Job         { return m.active.Jobs() }
-func (m *mirror) DynRequests() []*job.DynRequest { return append([]*job.DynRequest(nil), m.dyn...) }
-
-// QueueRef implements core.QueueSnapshotter: the queue itself while no
-// slot is empty, else a copy of its filled slots, which is no more than
-// the table fill that reads it costs.
-func (m *mirror) QueueRef() []*job.Job {
-	if m.live == len(m.queued) {
-		return m.queued
-	}
-	m.view = m.filled(m.view[:0])
-	return m.view
-}
-
 func (m *mirror) StartJob(j *job.Job) (cluster.Alloc, error) {
-	e := m.jobs[j.ID]
-	if e == nil || &e.Job != j || j.State != job.Queued {
-		return nil, fmt.Errorf("mauid: %s is not queued in the mirror", j.ID)
+	alloc, err := m.Start(j, 0, 0, m.now, nil)
+	if err == nil {
+		m.actions = append(m.actions, proto.SchedAction{Kind: "start", JobID: int(j.ID)})
 	}
-	alloc := m.cl.Allocate(j.ID, j.Cores)
-	if alloc == nil {
-		return nil, fmt.Errorf("mauid: mirror cannot place %s", j.ID)
-	}
-	m.active.Add(j)
-	m.dequeue(e)
-	j.State = job.Running
-	j.StartTime = m.now
-	m.actions = append(m.actions, proto.SchedAction{Kind: "start", JobID: int(j.ID)})
-	return alloc, nil
+	return alloc, err
 }
 
 func (m *mirror) GrantDyn(r *job.DynRequest) (cluster.Alloc, error) {
-	var alloc cluster.Alloc
-	if r.Nodes > 0 {
-		alloc = m.cl.AllocateNodes(r.Job.ID, r.Nodes, r.PPN)
-	} else {
-		alloc = m.cl.Allocate(r.Job.ID, r.Cores)
+	alloc, err := m.Grant(r, m.now)
+	if err == nil {
+		m.actions = append(m.actions, proto.SchedAction{Kind: "grant", JobID: int(r.Job.ID)})
 	}
-	if alloc == nil {
-		return nil, fmt.Errorf("mauid: mirror cannot place grant for %s", r.Job.ID)
-	}
-	r.Job.DynCores += r.TotalCores()
-	r.Job.State = job.Running
-	m.removeDyn(r)
-	m.bump()
-	m.actions = append(m.actions, proto.SchedAction{Kind: "grant", JobID: int(r.Job.ID)})
-	return alloc, nil
+	return alloc, err
 }
 
 func (m *mirror) RejectDyn(r *job.DynRequest, reason string) {
-	r.Job.State = job.Running
-	m.removeDyn(r)
-	m.bump()
+	m.Reject(r, reason, m.now)
 	m.actions = append(m.actions, proto.SchedAction{Kind: "reject", JobID: int(r.Job.ID), Reason: reason})
-}
-
-func (m *mirror) removeDyn(r *job.DynRequest) {
-	for i, d := range m.dyn {
-		if d == r {
-			m.dyn = append(m.dyn[:i], m.dyn[i+1:]...)
-			return
-		}
-	}
 }
 
 // Preempt is not available through the remote protocol; sites wanting

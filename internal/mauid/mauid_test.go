@@ -93,7 +93,7 @@ func TestExternalSchedulerDynGet(t *testing.T) {
 	leak.Check(t)
 	srv, d := externalCluster(t, 2, 8)
 	granted := make(chan []proto.HostSlice, 1)
-	mom.RegisterGoApp("ext-grower", func(ctx context.Context, tmc *tm.Context) error {
+	t.Cleanup(mom.RegisterGoApp("ext-grower", func(ctx context.Context, tmc *tm.Context) error {
 		hosts, err := tmc.DynGet(4)
 		if err != nil {
 			return err
@@ -101,7 +101,7 @@ func TestExternalSchedulerDynGet(t *testing.T) {
 		granted <- hosts
 		time.Sleep(20 * time.Millisecond)
 		return nil
-	})
+	}))
 	id, err := srv.QSub(proto.JobSpec{
 		Name: "F.ext", User: "user06", Cores: 8, WallSecs: 120,
 		Script: "go:ext-grower", Evolving: true,
@@ -144,11 +144,11 @@ func TestMirrorFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.cl.TotalCores() != 16 { // down node excluded
-		t.Errorf("mirror capacity = %d", m.cl.TotalCores())
+	if m.Cluster().TotalCores() != 16 { // down node excluded
+		t.Errorf("mirror capacity = %d", m.Cluster().TotalCores())
 	}
-	if m.cl.IdleCores() != 12 {
-		t.Errorf("mirror idle = %d", m.cl.IdleCores())
+	if m.Cluster().IdleCores() != 12 {
+		t.Errorf("mirror idle = %d", m.Cluster().IdleCores())
 	}
 	if len(m.QueuedJobs()) != 1 || len(m.ActiveJobs()) != 1 || len(m.DynRequests()) != 1 {
 		t.Error("mirror workload counts")
@@ -228,8 +228,8 @@ func TestMirrorRejectsImpossibleNode(t *testing.T) {
 	}
 	bad := &proto.SchedDelta{Serial: 1, Nodes: []proto.NodeStatus{
 		{Name: "n0", Cores: 8, State: "up"}, {Name: "n1", Cores: 1 << 30, State: "up"}}}
-	if err := m.apply(bad); err == nil || m.cl.NumNodes() != 1 {
-		t.Fatalf("a delta adding a node of 1<<30 cores = %v with %d nodes; want an error and one node", err, m.cl.NumNodes())
+	if err := m.apply(bad); err == nil || m.Cluster().NumNodes() != 1 {
+		t.Fatalf("a delta adding a node of 1<<30 cores = %v with %d nodes; want an error and one node", err, m.Cluster().NumNodes())
 	}
 }
 
@@ -247,9 +247,8 @@ func TestParseState(t *testing.T) {
 }
 
 // TestMirrorEpochs: the mirror is an honest core.ChangeTracker —
-// epochs seed from the pulled snapshot serial, queue-membership
-// changes advance both epochs, dyn-only changes advance the state
-// epoch alone.
+// queue-membership changes advance both epochs, dyn-only changes
+// advance the state epoch alone.
 func TestMirrorEpochs(t *testing.T) {
 	leak.Check(t)
 	var _ core.ChangeTracker = (*mirror)(nil)
@@ -265,20 +264,18 @@ func TestMirrorEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.StateEpoch() != 7 || m.QueueEpoch() != 7 {
-		t.Fatalf("epochs = %d/%d, want seeded from serial 7", m.StateEpoch(), m.QueueEpoch())
-	}
+	se, qe := m.StateEpoch(), m.QueueEpoch()
 	if _, err := m.StartJob(m.QueuedJobs()[0]); err != nil {
 		t.Fatal(err)
 	}
-	if m.StateEpoch() != 8 || m.QueueEpoch() != 8 {
-		t.Errorf("after start: epochs = %d/%d, want 8/8", m.StateEpoch(), m.QueueEpoch())
+	if m.StateEpoch() != se+1 || m.QueueEpoch() != qe+1 {
+		t.Errorf("after start: epochs = %d/%d, want %d/%d", m.StateEpoch(), m.QueueEpoch(), se+1, qe+1)
 	}
 	if _, err := m.GrantDyn(m.DynRequests()[0]); err != nil {
 		t.Fatal(err)
 	}
-	if m.StateEpoch() != 9 || m.QueueEpoch() != 8 {
-		t.Errorf("after grant: epochs = %d/%d, want 9/8 (dyn is state-class)", m.StateEpoch(), m.QueueEpoch())
+	if m.StateEpoch() != se+2 || m.QueueEpoch() != qe+1 {
+		t.Errorf("after grant: epochs = %d/%d, want %d/%d (dyn is state-class)", m.StateEpoch(), m.QueueEpoch(), se+2, qe+1)
 	}
 }
 
@@ -522,7 +519,7 @@ func TestDeltaApplyAllocsAreDeltaSized(t *testing.T) {
 		}
 		d.Jobs = append(d.Jobs, running...)
 		running = running[:0]
-		queued := m.QueueRef()
+		queued := m.QueuedJobs()
 		for i := 0; i < touched/2; i++ {
 			j := *queued[(i*197)%len(queued)]
 			running = append(running, proto.SchedJob{ID: int(j.ID), Name: "j", User: "u", Group: "g", State: "running", Cores: 1, WallSecs: 60, StartMS: 5})
@@ -546,8 +543,8 @@ func TestDeltaApplyAllocsAreDeltaSized(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if n := len(m.QueueRef()); n != depth || m.active.Len() != touched/2 {
-		t.Fatalf("mirror holds %d queued and %d active, want %d and %d", n, m.active.Len(), depth, touched/2)
+	if n, a := len(m.QueuedJobs()), len(m.ActiveJobs()); n != depth || a != touched/2 {
+		t.Fatalf("mirror holds %d queued and %d active, want %d and %d", n, a, depth, touched/2)
 	}
 	// One entry per new job, plus change; a copy of the queue alone
 	// would be 80 kB in one allocation.

@@ -156,13 +156,19 @@ func diffMirrors(got, want *mirror) string {
 	if len(got.jobs) != len(want.jobs) {
 		return fmt.Sprintf("mirror holds %d jobs, snapshot %d", len(got.jobs), len(want.jobs))
 	}
+	// record is a job's record without its place in the queue, which
+	// differs between a queue that grew by deltas and a fresh one.
+	record := func(j *job.Job) (r job.Job) {
+		r.Overwrite(*j)
+		return r
+	}
 	for id, w := range want.jobs {
 		g := got.jobs[id]
 		if g == nil {
 			return fmt.Sprintf("job %d missing from the mirror", id)
 		}
-		if g.Job != w.Job {
-			return fmt.Sprintf("job %d:\n mirror   %+v\n snapshot %+v", id, g.Job, w.Job)
+		if record(g) != record(w) {
+			return fmt.Sprintf("job %d:\n mirror   %+v\n snapshot %+v", id, record(g), record(w))
 		}
 	}
 	ids := func(js []*job.Job) []job.ID {
@@ -175,10 +181,10 @@ func diffMirrors(got, want *mirror) string {
 	if diff := queueFaults(got); diff != "" {
 		return diff
 	}
-	if g, w := ids(got.QueueRef()), ids(want.QueueRef()); !reflect.DeepEqual(g, w) {
+	if g, w := ids(got.QueuedJobs()), ids(want.QueuedJobs()); !reflect.DeepEqual(g, w) {
 		return fmt.Sprintf("queue order:\n mirror   %v\n snapshot %v", g, w)
 	}
-	if g, w := ids(got.active.Jobs()), ids(want.active.Jobs()); !reflect.DeepEqual(g, w) {
+	if g, w := ids(got.ActiveJobs()), ids(want.ActiveJobs()); !reflect.DeepEqual(g, w) {
 		return fmt.Sprintf("active order:\n mirror   %v\n snapshot %v", g, w)
 	}
 	type dynKey struct {
@@ -193,57 +199,88 @@ func diffMirrors(got, want *mirror) string {
 		}
 		return out
 	}
-	if g, w := dyn(got.dyn), dyn(want.dyn); !reflect.DeepEqual(g, w) {
+	if g, w := dyn(got.DynRequests()), dyn(want.DynRequests()); !reflect.DeepEqual(g, w) {
 		return fmt.Sprintf("dyn FIFO:\n mirror   %v\n snapshot %v", g, w)
 	}
-	for _, r := range got.dyn {
-		if r.Job != &got.jobs[r.Job.ID].Job {
+	for _, r := range got.DynRequests() {
+		if r.Job != got.jobs[r.Job.ID] {
 			return fmt.Sprintf("dyn request of job %d does not point at the mirror's job", r.Job.ID)
 		}
 	}
-	if g, w := got.cl.Snapshot(), want.cl.Snapshot(); !reflect.DeepEqual(g, w) {
+	if g, w := got.Cluster().Snapshot(), want.Cluster().Snapshot(); !reflect.DeepEqual(g, w) {
 		return fmt.Sprintf("idle cores per node:\n mirror   %v\n snapshot %v", g, w)
 	}
-	for i, n := range want.cl.Nodes() {
-		if got.cl.Node(i).State != n.State {
-			return fmt.Sprintf("node %d is %s in the mirror, %s in the snapshot", i, got.cl.Node(i).State, n.State)
+	for i, n := range want.Cluster().Nodes() {
+		if got.Cluster().Node(i).State != n.State {
+			return fmt.Sprintf("node %d is %s in the mirror, %s in the snapshot", i, got.Cluster().Node(i).State, n.State)
 		}
 	}
 	return ""
 }
 
-// queueFaults describes the first way m's queue breaks its own rules:
-// QueueRef and QueuedJobs hold no empty slot and agree, every slot has
-// its key in ascending order, a filled slot the key of its job's entry,
-// and live counts the filled slots.
+// queueFaults describes the first way m's lists break their own rules:
+// the queue and the running set hold each of the mirror's queued and
+// active jobs exactly once, no other job and no empty slot, and the
+// lifecycle's per-job maps hold only jobs the mirror has.
 func queueFaults(m *mirror) string {
-	ref, jobs := m.QueueRef(), m.QueuedJobs()
-	if !slices.Equal(ref, jobs) {
-		return fmt.Sprintf("QueueRef %v and QueuedJobs %v differ", ref, jobs)
-	}
-	if i := slices.Index(ref, nil); i >= 0 {
-		return fmt.Sprintf("QueueRef holds an empty slot at %d", i)
-	}
-	if len(m.qkeys) != len(m.queued) {
-		return fmt.Sprintf("%d queue keys for %d queue slots", len(m.qkeys), len(m.queued))
-	}
-	filled := 0
-	for i, j := range m.queued {
-		if i > 0 && m.qkeys[i] <= m.qkeys[i-1] {
-			return fmt.Sprintf("queue keys not ascending at slot %d: %v", i, m.qkeys)
-		}
-		if j == nil {
-			continue
-		}
-		filled++
-		if e := m.jobs[j.ID]; e == nil || &e.Job != j || e.qkey != m.qkeys[i] {
-			return fmt.Sprintf("slot %d holds job %d under key %d, not its entry's", i, j.ID, m.qkeys[i])
+	listed := map[*job.Job]bool{}
+	for _, l := range [][]*job.Job{m.QueuedJobs(), m.ActiveJobs()} {
+		for _, j := range l {
+			if j == nil || m.jobs[j.ID] != j || listed[j] {
+				return fmt.Sprintf("queue %v and running set %v: %v is not one of the mirror's jobs, once", m.QueuedJobs(), m.ActiveJobs(), j)
+			}
+			listed[j] = true
 		}
 	}
-	if filled != m.live || len(ref) != m.live {
-		return fmt.Sprintf("%d filled slots and %d in QueueRef, live says %d", filled, len(ref), m.live)
+	for _, j := range m.QueuedJobs() {
+		if j.State != job.Queued {
+			return fmt.Sprintf("job %d is %s in the queue", j.ID, j.State)
+		}
+	}
+	if len(listed) != len(m.jobs) {
+		return fmt.Sprintf("the queue and running set hold %d jobs, the mirror %d", len(listed), len(m.jobs))
+	}
+	for name, ids := range lifecycleMaps(&m.Lifecycle) {
+		for _, id := range ids {
+			if m.jobs[id] == nil {
+				return fmt.Sprintf("the lifecycle's %s holds job %d, which the mirror has forgotten", name, id)
+			}
+		}
 	}
 	return ""
+}
+
+// lifecycleMaps returns the keys of every job-keyed map the lifecycle
+// holds, by field name: what it keeps per job beside its lists.
+func lifecycleMaps(l *core.Lifecycle) map[string][]job.ID {
+	out := map[string][]job.ID{}
+	v := reflect.ValueOf(l).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Map || f.Type().Key() != reflect.TypeFor[job.ID]() {
+			continue
+		}
+		ids := []job.ID{}
+		for _, k := range f.MapKeys() {
+			ids = append(ids, job.ID(k.Int()))
+		}
+		out[v.Type().Field(i).Name] = ids
+	}
+	return out
+}
+
+// slotKept reports whether the mirror's queue still keeps the slot j,
+// taken out of it, left empty: whether a re-seat of j is a store into
+// that slot rather than an ordered insert.
+func slotKept(m *mirror, j *job.Job) bool {
+	key := reflect.ValueOf(j).Elem().FieldByName("qkey").Uint()
+	keys := reflect.ValueOf(&m.Lifecycle).Elem().FieldByName("queue").FieldByName("keys")
+	for i := 0; i < keys.Len(); i++ {
+		if keys.Index(i).Uint() == key {
+			return true
+		}
+	}
+	return false
 }
 
 // fullPull fetches the full snapshot the way a one-shot client does.
@@ -565,10 +602,10 @@ func TestSkippedStartConverges(t *testing.T) {
 		_, skipped := oracleCycle(t, d, srv.Addr(), "with the mom gone")
 		if skipped > 0 {
 			d.cycle.Lock()
-			e := d.m.jobs[job.ID(id)]
+			j := d.m.jobs[job.ID(id)]
 			d.cycle.Unlock()
-			if e == nil || e.State != job.Running {
-				t.Fatalf("after the skipped commit the mirror should still guess job %d runs: %+v", id, e)
+			if j == nil || j.State != job.Running {
+				t.Fatalf("after the skipped commit the mirror should still guess job %d runs: %+v", id, j)
 			}
 			break
 		}
@@ -584,7 +621,7 @@ func TestSkippedStartConverges(t *testing.T) {
 	if d.m != before {
 		t.Error("the mirror was rebuilt; the skipped start should have been repaired by a delta")
 	}
-	if d.m.cl.Node(0).State != cluster.Up {
+	if d.m.Cluster().Node(0).State != cluster.Up {
 		t.Error("node state changed")
 	}
 }
@@ -641,7 +678,7 @@ func TestMirrorEmptySlotsOracle(t *testing.T) {
 		// The cycle: start a random share of the queue, up to all of it.
 		share := rng.Float64()
 		var started []*job.Job
-		for _, j := range m.QueueRef() {
+		for _, j := range m.QueuedJobs() {
 			if rng.Float64() < share {
 				started = append(started, j)
 			}
@@ -664,7 +701,7 @@ func TestMirrorEmptySlotsOracle(t *testing.T) {
 			id := int(j.ID)
 			if rng.Intn(2) == 0 {
 				skipped[id] = true
-				if _, kept := slices.BinarySearch(m.qkeys, m.jobs[j.ID].qkey); kept {
+				if slotKept(m, j) {
 					intoSlot++
 				} else {
 					byInsert++
@@ -694,7 +731,7 @@ func TestMirrorEmptySlotsOracle(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		for id := range skipped {
-			if e := m.jobs[job.ID(id)]; e == nil || e.State != job.Queued {
+			if j := m.jobs[job.ID(id)]; j == nil || j.State != job.Queued {
 				t.Fatalf("step %d: skipped start of job %d not back in the queue", step, id)
 			}
 		}

@@ -37,15 +37,21 @@ var (
 )
 
 // RegisterGoApp makes an in-process application available to "go:"
-// job scripts in this process. Registering the same name twice panics:
-// it is always a programming error.
-func RegisterGoApp(name string, fn GoApp) {
+// job scripts in this process until the returned func unregisters it.
+// Registering a name that is registered panics: it is always a
+// programming error.
+func RegisterGoApp(name string, fn GoApp) (unregister func()) {
 	appMu.Lock()
 	defer appMu.Unlock()
 	if _, dup := appFuncs[name]; dup {
 		panic(fmt.Sprintf("mom: duplicate go app %q", name))
 	}
 	appFuncs[name] = fn
+	return func() {
+		appMu.Lock()
+		defer appMu.Unlock()
+		delete(appFuncs, name)
+	}
 }
 
 func lookupGoApp(name string) (GoApp, bool) {

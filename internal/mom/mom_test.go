@@ -47,13 +47,28 @@ func TestSubtractHosts(t *testing.T) {
 
 func TestRegisterGoAppDuplicatePanics(t *testing.T) {
 	leak.Check(t)
-	RegisterGoApp("dup-app-test", func(context.Context, *tm.Context) error { return nil })
+	t.Cleanup(RegisterGoApp("dup-app-test", func(context.Context, *tm.Context) error { return nil }))
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration must panic")
 		}
 	}()
 	RegisterGoApp("dup-app-test", func(context.Context, *tm.Context) error { return nil })
+}
+
+// TestRegisterGoAppUnregister: an unregistered app is gone, and its
+// name can be registered again.
+func TestRegisterGoAppUnregister(t *testing.T) {
+	leak.Check(t)
+	unregister := RegisterGoApp("transient-app-test", func(context.Context, *tm.Context) error { return nil })
+	if _, ok := lookupGoApp("transient-app-test"); !ok {
+		t.Fatal("a registered app is not found")
+	}
+	unregister()
+	if _, ok := lookupGoApp("transient-app-test"); ok {
+		t.Fatal("an unregistered app is still found")
+	}
+	RegisterGoApp("transient-app-test", func(context.Context, *tm.Context) error { return nil })()
 }
 
 func TestLaunchScriptErrors(t *testing.T) {

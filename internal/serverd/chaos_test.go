@@ -158,11 +158,11 @@ func TestChaosMomKilledWithPendingDyn(t *testing.T) {
 		Options{HeartbeatInterval: 25 * time.Millisecond},
 		func(m *mom.Mom) { m.HeartbeatInterval = 10 * time.Millisecond })
 	verdict := make(chan error, 1)
-	mom.RegisterGoApp("doomed-negotiator", func(ctx context.Context, tmc *tm.Context) error {
+	t.Cleanup(mom.RegisterGoApp("doomed-negotiator", func(ctx context.Context, tmc *tm.Context) error {
 		_, err := tmc.DynGetTimeout(100, 30*time.Second) // impossible: stays pending
 		verdict <- err
 		return nil
-	})
+	}))
 	id, err := srv.QSub(proto.JobSpec{
 		Name: "doomed", User: "u", Cores: 8, WallSecs: 600,
 		Script: "go:doomed-negotiator", Evolving: true,
@@ -242,7 +242,7 @@ func TestChaosVerdictBufferedAndReplayed(t *testing.T) {
 	})
 	gotHosts := make(chan []proto.HostSlice, 1)
 	failed := make(chan error, 1)
-	mom.RegisterGoApp("patient-grower", func(ctx context.Context, tmc *tm.Context) error {
+	t.Cleanup(mom.RegisterGoApp("patient-grower", func(ctx context.Context, tmc *tm.Context) error {
 		hosts, err := tmc.DynGetTimeout(8, 10*time.Second)
 		if err != nil {
 			failed <- err
@@ -250,7 +250,7 @@ func TestChaosVerdictBufferedAndReplayed(t *testing.T) {
 		}
 		gotHosts <- hosts
 		return nil
-	})
+	}))
 	// Fill half the cluster first so the dynget below cannot be granted
 	// until the blocker goes away.
 	blocker, err := srv.QSub(proto.JobSpec{
@@ -361,7 +361,7 @@ func TestDynNegotiationTimerReleased(t *testing.T) {
 	leak.Check(t)
 	srv, _ := failoverCluster(t, 2, 8, Options{}, nil)
 	granted := make(chan error, 1)
-	mom.RegisterGoApp("timer-check", func(ctx context.Context, tmc *tm.Context) error {
+	t.Cleanup(mom.RegisterGoApp("timer-check", func(ctx context.Context, tmc *tm.Context) error {
 		_, err := tmc.DynGetTimeout(8, 1*time.Second)
 		granted <- err
 		// Stay alive past the original deadline so a leaked timer
@@ -371,7 +371,7 @@ func TestDynNegotiationTimerReleased(t *testing.T) {
 		case <-ctx.Done():
 		}
 		return nil
-	})
+	}))
 	blocker, err := srv.QSub(proto.JobSpec{
 		Name: "blk", User: "x", Cores: 8, WallSecs: 60, Script: "sleep:200ms",
 	})
@@ -481,13 +481,13 @@ func TestNegotiationDeadlineFires(t *testing.T) {
 		took time.Duration
 	}
 	verdict := make(chan result, 1)
-	mom.RegisterGoApp("deadline-expiry", func(ctx context.Context, tmc *tm.Context) error {
+	t.Cleanup(mom.RegisterGoApp("deadline-expiry", func(ctx context.Context, tmc *tm.Context) error {
 		t0 := time.Now()
 		_, err := tmc.DynGetTimeout(4, time.Second)
 		verdict <- result{err, time.Since(t0)}
 		<-ctx.Done() // keep running, so the walltime entry stays
 		return nil
-	})
+	}))
 	id, err := srv.QSub(proto.JobSpec{Name: "neg", User: "u", Cores: 4, WallSecs: 60, Script: "go:deadline-expiry", Evolving: true})
 	if err != nil {
 		t.Fatal(err)
@@ -538,7 +538,7 @@ func TestChaosCommitRacesMutation(t *testing.T) {
 	}, "moms registered")
 	var mu sync.Mutex
 	launches := map[int]int{}
-	mom.RegisterGoApp("commit-race", func(ctx context.Context, tmc *tm.Context) error {
+	t.Cleanup(mom.RegisterGoApp("commit-race", func(ctx context.Context, tmc *tm.Context) error {
 		mu.Lock()
 		launches[tmc.JobID]++
 		mu.Unlock()
@@ -547,7 +547,7 @@ func TestChaosCommitRacesMutation(t *testing.T) {
 		case <-ctx.Done():
 		}
 		return nil
-	})
+	}))
 	const n = 60
 	ids := make([]int, n)
 	for i := range ids {

@@ -230,7 +230,7 @@ func TestLiveDynGetGrantAndJoin(t *testing.T) {
 	leak.Check(t)
 	srv := liveCluster(t, 3, 8)
 	gotHosts := make(chan []proto.HostSlice, 1)
-	mom.RegisterGoApp("grower-test", func(ctx context.Context, tmc *tm.Context) error {
+	t.Cleanup(mom.RegisterGoApp("grower-test", func(ctx context.Context, tmc *tm.Context) error {
 		hosts, err := tmc.DynGet(10) // must span at least two more nodes
 		if err != nil {
 			return err
@@ -238,7 +238,7 @@ func TestLiveDynGetGrantAndJoin(t *testing.T) {
 		gotHosts <- hosts
 		time.Sleep(30 * time.Millisecond)
 		return nil
-	})
+	}))
 	id, err := srv.QSub(proto.JobSpec{
 		Name: "F.live", User: "user06", Cores: 8, WallSecs: 120,
 		Script: "go:grower-test", Evolving: true,
@@ -276,11 +276,11 @@ func TestLiveDynGetRejected(t *testing.T) {
 	leak.Check(t)
 	srv := liveCluster(t, 1, 8)
 	verdict := make(chan error, 1)
-	mom.RegisterGoApp("greedy-test", func(ctx context.Context, tmc *tm.Context) error {
+	t.Cleanup(mom.RegisterGoApp("greedy-test", func(ctx context.Context, tmc *tm.Context) error {
 		_, err := tmc.DynGet(100) // impossible on an 8-core cluster
 		verdict <- err
 		return nil
-	})
+	}))
 	if _, err := srv.QSub(proto.JobSpec{
 		Name: "greedy", User: "u", Cores: 8, WallSecs: 60,
 		Script: "go:greedy-test", Evolving: true,
@@ -301,7 +301,7 @@ func TestLiveDynFree(t *testing.T) {
 	leak.Check(t)
 	srv := liveCluster(t, 2, 8)
 	freed := make(chan error, 1)
-	mom.RegisterGoApp("releaser-test", func(ctx context.Context, tmc *tm.Context) error {
+	t.Cleanup(mom.RegisterGoApp("releaser-test", func(ctx context.Context, tmc *tm.Context) error {
 		hosts, err := tmc.DynGet(8)
 		if err != nil {
 			freed <- err
@@ -311,7 +311,7 @@ func TestLiveDynFree(t *testing.T) {
 		freed <- err
 		time.Sleep(30 * time.Millisecond)
 		return nil
-	})
+	}))
 	id, err := srv.QSub(proto.JobSpec{
 		Name: "rel", User: "u", Cores: 8, WallSecs: 120,
 		Script: "go:releaser-test", Evolving: true,
@@ -410,14 +410,14 @@ func TestLiveNegotiationTimeout(t *testing.T) {
 	leak.Check(t)
 	srv := liveCluster(t, 2, 8)
 	granted := make(chan error, 1)
-	mom.RegisterGoApp("negotiator-live", func(ctx context.Context, tmc *tm.Context) error {
+	t.Cleanup(mom.RegisterGoApp("negotiator-live", func(ctx context.Context, tmc *tm.Context) error {
 		// The whole second node is busy for ~300 ms; a 5 s negotiation
 		// window is plenty.
 		_, err := tmc.DynGetTimeout(8, 5*time.Second)
 		granted <- err
 		time.Sleep(20 * time.Millisecond)
 		return nil
-	})
+	}))
 	blockID, err := srv.QSub(proto.JobSpec{
 		Name: "blk", User: "x", Cores: 8, WallSecs: 60, Script: "sleep:300ms",
 	})
@@ -445,11 +445,11 @@ func TestLiveNegotiationTimeout(t *testing.T) {
 	// Expiry path: a permanent blocker and a 1 s window.
 	srv2 := liveCluster(t, 1, 8)
 	verdict := make(chan error, 1)
-	mom.RegisterGoApp("negotiator-expire", func(ctx context.Context, tmc *tm.Context) error {
+	t.Cleanup(mom.RegisterGoApp("negotiator-expire", func(ctx context.Context, tmc *tm.Context) error {
 		_, err := tmc.DynGetTimeout(100, time.Second)
 		verdict <- err
 		return nil
-	})
+	}))
 	if _, err := srv2.QSub(proto.JobSpec{
 		Name: "neg2", User: "u", Cores: 8, WallSecs: 60,
 		Script: "go:negotiator-expire", Evolving: true,

@@ -38,9 +38,9 @@ func TestLiveMiniESP(t *testing.T) {
 	// Each evolving app: run ~16% of its runtime, request 4 cores,
 	// retry at ~25% if rejected, finish early if granted.
 	for i := 0; i < evolvingJobs; i++ {
-		name := fmt.Sprintf("mini-esp-evolving-%d-%d", i, time.Now().UnixNano())
+		name := fmt.Sprintf("mini-esp-evolving-%d", i)
 		runtime := 300 * time.Millisecond
-		mom.RegisterGoApp(name, func(ctx context.Context, tmc *tm.Context) error {
+		t.Cleanup(mom.RegisterGoApp(name, func(ctx context.Context, tmc *tm.Context) error {
 			time.Sleep(runtime * 16 / 100)
 			hosts, err := tmc.DynGet(4)
 			if err != nil {
@@ -59,7 +59,7 @@ func TestLiveMiniESP(t *testing.T) {
 			rejects.Add(1)
 			time.Sleep(runtime * 3 / 4) // full static tail
 			return nil
-		})
+		}))
 		wg.Add(1)
 		go func(name string, delay time.Duration) {
 			defer wg.Done()
