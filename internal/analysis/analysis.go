@@ -79,7 +79,7 @@ var classes = map[string]Class{
 	"workload": Deterministic, "fairness": Deterministic, "rms": Deterministic | Concurrent,
 	"job": Deterministic, "metrics": Deterministic, "trace": Deterministic,
 	"config": Deterministic, "experiments": Deterministic, "backoff": Deterministic,
-	"campaign": Deterministic | Concurrent, "fairtree": Deterministic | Concurrent,
+	"campaign": Deterministic | Concurrent, "fairtree": Deterministic,
 
 	"serverd": Daemon | Concurrent, "mauid": Daemon | Concurrent, "mom": Daemon | Concurrent,
 	"proto": Daemon | Concurrent, "tm": Daemon | Concurrent, "clock": Daemon | Concurrent,

@@ -1,6 +1,6 @@
 // Package lockcheck enforces the documented locking discipline of the
-// Concurrent packages (the daemons, rms, campaign, core, fairtree,
-// proto, tm, clock). Struct fields annotated
+// Concurrent packages (the daemons, rms, campaign, core, proto, tm,
+// clock). Struct fields annotated
 //
 //	foo map[int]*Job // guarded by mu
 //

@@ -72,9 +72,8 @@ import (
 
 // Analyzer is the sharedguard check. The Concurrent packages are the
 // live daemons and their substrate, plus the packages whose lock-free
-// or sharded structures carry the scale work (campaign's claim index,
-// core's epoch counters, fairtree's sharded usage, proto's pooled conn
-// state).
+// structures carry the scale work (campaign's claim index, core's epoch
+// counters, proto's pooled conn state).
 var Analyzer = &analysis.Analyzer{
 	Name:      "sharedguard",
 	Doc:       "fields written from two or more goroutine contexts must declare a guard: a `// guarded by mu` mutex, atomicity, or //schedlint:confined",

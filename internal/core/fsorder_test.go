@@ -36,7 +36,7 @@ func tableIDs(t *jobTable) []job.ID {
 // leaving the queue in between, and asserts the repaired order is
 // identical to a from-scratch fill at every step — including steps
 // where the dirty set is big enough to trip the rebuild fallback,
-// charges arriving through the sharded path, and jobs of a dirty entity
+// charges arriving by interned leaf id, and jobs of a dirty entity
 // that are also in the queue's change log.
 func TestRepairMatchesFullFill(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
@@ -66,17 +66,17 @@ func TestRepairMatchesFullFill(t *testing.T) {
 		for step := 0; step < 40; step++ {
 			// Charge a random subset of users; occasionally a large
 			// one to force the k*8 > n rebuild fallback, and half the
-			// time through the sharded completion path.
+			// time through the interned leaf id.
 			nDirty := 1 + rng.Intn(3)
 			if step%7 == 0 {
 				nDirty = len(users)
 			}
-			sharded := rng.Intn(2) == 0
+			byID := rng.Intn(2) == 0
 			for d := 0; d < nDirty; d++ {
 				u := users[rng.Intn(len(users))]
 				amt := float64(rng.Intn(100_000) + 1)
-				if sharded {
-					s.fs.RecordID(s.fs.UserID(u), amt)
+				if byID {
+					s.fs.Tree().RecordNow(s.fs.UserID(u), amt)
 				} else {
 					s.fs.Record(u, amt)
 				}
@@ -101,7 +101,7 @@ func TestRepairMatchesFullFill(t *testing.T) {
 				j.State = job.Cancelled
 				rm.bumpQueueFor(j)
 			}
-			s.fs.Advance(now) // folds sharded charges, rolls epochs
+			s.fs.Advance(now) // rolls epochs
 			s.ensureTable(now, rm)
 			got := tableIDs(&s.table)
 

@@ -86,7 +86,7 @@ func SortByPriority(jobs []*job.Job, now sim.Time, w PriorityWeights, fs *Fairsh
 // configured) the factor is exactly the legacy 1/n − usage/total.
 //
 // Unlike the old flat map, time no longer costs anything: usage decays
-// lazily on read and Advance is O(records + expiries), not
+// lazily on read and Advance is O(expiries), not
 // O(intervals × users). A daemon idle over a weekend rolls thousands
 // of intervals in one multiplication per touched node.
 type Fairshare struct {
@@ -120,12 +120,11 @@ func NewFairshareFromConfig(cfg *config.SchedConfig) *Fairshare {
 // ranking).
 func (f *Fairshare) Tree() *fairtree.Tree { return f.tree }
 
-// Advance rolls accounting intervals up to now and folds in any
-// usage recorded concurrently via RecordID.
+// Advance rolls accounting intervals up to now.
 func (f *Fairshare) Advance(now sim.Time) { f.tree.Advance(now) }
 
 // Record charges core-seconds of usage to a user, immediately visible
-// to Factor. This is the single-threaded scheduler/simulator path.
+// to Factor.
 func (f *Fairshare) Record(user string, coreSeconds float64) {
 	if coreSeconds <= 0 {
 		return
@@ -137,13 +136,6 @@ func (f *Fairshare) Record(user string, coreSeconds float64) {
 // submit time, so completion-path accounting is id-indexed.
 func (f *Fairshare) UserID(user string) fairtree.NodeID { return f.tree.UserID(user) }
 
-// RecordID charges core-seconds to an interned leaf via the
-// lock-striped shards: O(1), safe from concurrent ingest goroutines,
-// visible at the next Advance.
-func (f *Fairshare) RecordID(id fairtree.NodeID, coreSeconds float64) {
-	f.tree.Record(id, coreSeconds)
-}
-
 // Factor returns targetShare − actualShare; users that used more than
 // their share get a negative factor. With no usage at all every user
 // gets 0.
@@ -153,9 +145,6 @@ func (f *Fairshare) Factor(user string) float64 {
 	}
 	return f.tree.NewcomerFactor()
 }
-
-// FactorID is Factor for an already-interned leaf.
-func (f *Fairshare) FactorID(id fairtree.NodeID) float64 { return f.tree.Factor(id) }
 
 // Usage returns the decayed usage recorded for a user.
 func (f *Fairshare) Usage(user string) float64 {

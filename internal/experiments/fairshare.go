@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -14,7 +16,7 @@ import (
 // FairshareOpts parameterizes the fairshare-at-scale stress campaign:
 // a hierarchical share tree of Queues group nodes under the root with
 // Users leaves spread round-robin across them, driven for Epochs decay
-// intervals of sharded usage recording.
+// intervals of usage charges.
 type FairshareOpts struct {
 	// Users is the number of distinct user leaves (paper-scale target:
 	// one million).
@@ -25,10 +27,11 @@ type FairshareOpts struct {
 	Epochs int
 	// RecordsPerEpoch is how many usage charges arrive per interval.
 	RecordsPerEpoch int
-	// Workers is the number of concurrent recording goroutines. The
-	// result — factors, history stream, top-k — is byte-identical at
-	// any worker count: records land in lock-striped shards and the
-	// fold sorts them before accumulating.
+	// Workers is the number of goroutines that generate the charges.
+	// The result — factors, history stream, top-k — is byte-identical
+	// at any worker count: each worker stages its charges in its own
+	// part of one slice, and the tree's owner applies them in sorted
+	// order.
 	Workers int
 	// Decay is the per-interval usage decay (default 0.5).
 	Decay float64
@@ -72,8 +75,8 @@ type FairshareResult struct {
 	NumNodes              int
 
 	BuildNS   int64 // tree construction (interning + homing)
-	RecordNS  int64 // all sharded Record calls, wall time across workers
-	AdvanceNS int64 // all Advance calls (fold + epoch roll)
+	RecordNS  int64 // staging every charge across workers, then applying them
+	AdvanceNS int64 // all Advance calls (epoch roll)
 	FactorNS  int64 // one Factor call per user leaf
 	TopKNS    int64 // one TopK(10) walk
 
@@ -95,11 +98,38 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// charge is one staged usage charge.
+type charge struct {
+	id  fairtree.NodeID
+	amt float64
+}
+
+// applyCharges sorts the staged charges by (id, amt) and records one
+// sum per leaf, in ascending id order. The order of the float sums is
+// then fixed by the multiset of charges alone, whichever worker staged
+// each one.
+func applyCharges(tree *fairtree.Tree, cs []charge) {
+	slices.SortFunc(cs, func(a, b charge) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.amt, b.amt)
+	})
+	for i := 0; i < len(cs); {
+		id, sum := cs[i].id, 0.0
+		for ; i < len(cs) && cs[i].id == id; i++ {
+			sum += cs[i].amt
+		}
+		tree.RecordNow(id, sum)
+	}
+}
+
 // RunFairshare executes the stress campaign and returns its counters.
-// Records are partitioned round-robin over Workers goroutines; each
-// charge is a pure function of (epoch, record index), so the tree
-// state after every fold — and therefore every factor, history row and
-// ranking — is identical no matter how many workers ran.
+// Records are split into Workers contiguous blocks, each staged by one
+// goroutine; each charge is a pure function of (epoch, record index),
+// and the staged charges are applied in sorted order before each
+// Advance, so every factor, history row and ranking is identical no
+// matter how many workers ran.
 func RunFairshare(opts FairshareOpts) (FairshareResult, error) {
 	if opts.Users <= 0 || opts.Queues <= 0 {
 		return FairshareResult{}, fmt.Errorf("fairshare campaign: users and queues must be positive (got %d, %d)", opts.Users, opts.Queues)
@@ -132,7 +162,7 @@ func RunFairshare(opts FairshareOpts) (FairshareResult, error) {
 	// under the groups. Quotas cycle 1..4 so the hierarchy exercises
 	// the non-uniform-target paths, not just the degenerate flat case.
 	t0 := clk.Now()
-	tree := fairtree.New(fairtree.Options{Interval: opts.Interval, Decay: opts.Decay, Shards: 64})
+	tree := fairtree.New(fairtree.Options{Interval: opts.Interval, Decay: opts.Decay})
 	tree.EnableRanking()
 	groups := make([]fairtree.NodeID, opts.Queues)
 	for g := range groups {
@@ -151,30 +181,30 @@ func RunFairshare(opts FairshareOpts) (FairshareResult, error) {
 		hist = fairtree.NewHistoryWriter(opts.History, opts.HistoryFormat)
 	}
 
+	staged := make([]charge, opts.RecordsPerEpoch)
 	now := sim.Time(0)
 	for e := 0; e < opts.Epochs; e++ {
-		// Record phase: workers own record indices round-robin; the
-		// charge for index i is a pure hash of (epoch, i).
+		// Record phase: each worker stages the charges of its own
+		// block of record indices; the charge for index i is a pure
+		// hash of (epoch, i). Only this goroutine touches the tree.
 		t0 = clk.Now()
 		var wg sync.WaitGroup
 		for w := 0; w < opts.Workers; w++ {
+			lo, hi := w*len(staged)/opts.Workers, (w+1)*len(staged)/opts.Workers
 			wg.Add(1)
-			go func(w int) {
+			go func(block []charge, lo int) {
 				defer wg.Done()
-				for i := w; i < opts.RecordsPerEpoch; i += opts.Workers {
-					h := splitmix64(uint64(e)<<32 ^ uint64(i))
-					leaf := leaves[h%uint64(len(leaves))]
-					amt := float64(h>>40%1000 + 1)
-					tree.Record(leaf, amt)
+				for k := range block {
+					h := splitmix64(uint64(e)<<32 ^ uint64(lo+k))
+					block[k] = charge{leaves[h%uint64(len(leaves))], float64(h>>40%1000 + 1)}
 				}
-			}(w)
+			}(staged[lo:hi], lo)
 		}
 		wg.Wait()
+		applyCharges(tree, staged)
 		res.RecordNS += int64(clk.Since(t0))
 		res.Records += int64(opts.RecordsPerEpoch)
 
-		// Advance folds the shards deterministically and rolls the
-		// decay epoch.
 		now += sim.Time(opts.Interval)
 		t0 = clk.Now()
 		tree.Advance(now)
@@ -229,8 +259,8 @@ func FormatFairshare(r FairshareResult) string {
 		fmt.Fprintf(&b, "%-22s %14.2f %14.1f\n", name, float64(totalNS)/1e6, per)
 	}
 	row("build", r.BuildNS, int64(r.Users+r.Queues))
-	row("record (sharded)", r.RecordNS, r.Records)
-	row("advance (fold+roll)", r.AdvanceNS, int64(r.Epochs))
+	row("record (staged)", r.RecordNS, r.Records)
+	row("advance (roll)", r.AdvanceNS, int64(r.Epochs))
 	row("factor", r.FactorNS, int64(r.Users))
 	row("topk(10)", r.TopKNS, 1)
 	if len(r.Top) > 0 {

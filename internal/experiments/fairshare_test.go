@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -76,7 +79,7 @@ func TestFairshareFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := FormatFairshare(r)
-	for _, want := range []string{"records: 4000", "record (sharded)", "factor checksum:", "heaviest:"} {
+	for _, want := range []string{"records: 4000", "record (staged)", "factor checksum:", "heaviest:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
@@ -100,5 +103,36 @@ func TestFairshareOptValidation(t *testing.T) {
 	}
 	if r.Queues != 3 {
 		t.Errorf("queues = %d, want clamped to 3", r.Queues)
+	}
+}
+
+// TestFairshareCampaignPinned pins the fixture's history bytes, factor
+// checksum and top-k across commits, at several worker counts. The
+// values were taken when the tree still folded lock-striped charges
+// itself at Advance; a campaign that drops, duplicates or re-values a
+// charge, or applies one in another epoch, fails here. The charges are
+// whole numbers, so these sums do not depend on summation order.
+func TestFairshareCampaignPinned(t *testing.T) {
+	const (
+		wantHist = "70cfb0b58ce8d39aef716ae778d727da8ebb1d323cb4fcc32c6d78d3320f1890"
+		wantSum  = 0x3cca000000000000
+		wantTop  = "q00005.u0000197 q00001.u0000081 q00005.u0000157 q00006.u0000094 q00004.u0000124 " +
+			"q00005.u0000109 q00005.u0000053 q00004.u0000060 q00006.u0000046 q00002.u0000130"
+	)
+	for _, workers := range []int{1, 3, 8} {
+		var h bytes.Buffer
+		r, err := RunFairshare(fairshareFixture(workers, &h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(h.Bytes())); got != wantHist {
+			t.Errorf("workers=%d: history sha256 %s, want %s", workers, got, wantHist)
+		}
+		if got := math.Float64bits(r.FactorChecksum); got != wantSum {
+			t.Errorf("workers=%d: checksum bits %#x, want %#x", workers, got, uint64(wantSum))
+		}
+		if got := strings.Join(r.Top, " "); got != wantTop {
+			t.Errorf("workers=%d: top-k %s, want %s", workers, got, wantTop)
+		}
 	}
 }

@@ -156,8 +156,10 @@ func (c *Config) Set(kind EntityKind, name string, l Limits) {
 // reuses — the hot path of Evaluate and Charge allocates nothing
 // steady-state). With a share tree attached, the user's ancestor
 // nodes are appended too, so child charges roll up to org/team
-// budgets; over the degenerate flat tree the user leaf hangs directly
-// off the root and no extra keys appear.
+// budgets — from the user's FSTREE home even before the user's leaf
+// exists, since the leaf is created only when usage is first charged;
+// over the degenerate flat tree the user hangs directly off the root
+// and no extra keys appear.
 func (t *Tracker) keysInto(cred job.Credentials, dst []EntityKey) []EntityKey {
 	if cred.User != "" {
 		dst = append(dst, EntityKey{KindUser, cred.User})
@@ -175,10 +177,8 @@ func (t *Tracker) keysInto(cred job.Credentials, dst []EntityKey) []EntityKey {
 		dst = append(dst, EntityKey{KindQoS, cred.QoS})
 	}
 	if t.tree != nil && cred.User != "" {
-		if leaf, ok := t.tree.LookupUser(cred.User); ok {
-			for p := t.tree.Parent(leaf); p > 0; p = t.tree.Parent(p) {
-				dst = append(dst, EntityKey{KindFSNode, t.tree.CachedPath(p)})
-			}
+		for p := t.tree.Home(cred.User); p > 0; p = t.tree.Parent(p) {
+			dst = append(dst, EntityKey{KindFSNode, t.tree.CachedPath(p)})
 		}
 	}
 	return dst

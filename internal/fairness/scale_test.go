@@ -210,6 +210,35 @@ func TestShareTreeRollup(t *testing.T) {
 	}
 }
 
+// TestShareTreeRollupBeforeFirstCharge: a user's leaf is created only
+// when the user is first charged usage, but an FSTREE-homed user's
+// delays count against the home's ancestors before that — otherwise a
+// user whose jobs are delayed before any of them has completed escapes
+// the org budget. Looking the home up must not create the leaf.
+func TestShareTreeRollupBeforeFirstCharge(t *testing.T) {
+	tree := fairtree.New(fairtree.Options{})
+	if err := tree.ApplySpec(&fairtree.Spec{Nodes: []fairtree.SpecNode{
+		{Path: "org.team", Users: []string{"alice"}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := NewConfig(TargetDelay)
+	cfg.Set(KindFSNode, "org", Limits{TargetDelayTime: 10 * sim.Minute})
+	tr := NewTracker(cfg, 0)
+	tr.AttachShareTree(tree)
+	e := job.Credentials{User: "evolver"}
+	tr.Charge(e, []JobDelay{{Job: mkJob(1, "alice", "g"), Delay: 8 * sim.Minute}})
+	if got := tr.EntityUsage(EntityKey{KindFSNode, "org"}); got != 8*sim.Minute {
+		t.Errorf("org rollup = %s, want 8m", sim.FormatTime(got))
+	}
+	if d := tr.Evaluate(e, []JobDelay{{Job: mkJob(2, "alice", "g"), Delay: 8 * sim.Minute}}); d.Allowed {
+		t.Error("org budget (8m of 10m used) must reject 8 more minutes")
+	}
+	if _, ok := tree.LookupUser("alice"); ok {
+		t.Error("the rollup created alice's leaf")
+	}
+}
+
 // evaluateFixture builds a loaded tracker for the zero-alloc guards
 // and benchmarks: tree-attached credentials, limits at several levels,
 // and a warm scratch state.

@@ -11,7 +11,7 @@ import (
 // nGroups interior nodes, every leaf charged once.
 func buildBig(b *testing.B, nUsers, nGroups int) (*Tree, []NodeID) {
 	b.Helper()
-	tr := New(Options{Interval: sim.Hour, Decay: 0.5, Shards: 16})
+	tr := New(Options{Interval: sim.Hour, Decay: 0.5})
 	ids := make([]NodeID, nUsers)
 	if nGroups > 1 {
 		groups := make([]NodeID, nGroups)
@@ -59,39 +59,14 @@ func BenchmarkFactorHier1M(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkRecordSharded measures the completion-path charge: one
-// lock-striped append, no tree mutex.
-func BenchmarkRecordSharded(b *testing.B) {
-	tr, ids := buildBig(b, 100_000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Record(ids[i%len(ids)], 1)
-	}
-}
-
-// BenchmarkRecordNow measures the unsharded in-place charge.
+// BenchmarkRecordNow measures the completion-path charge: one leaf and
+// its ancestors updated in place.
 func BenchmarkRecordNow(b *testing.B) {
 	tr, ids := buildBig(b, 100_000, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.RecordNow(ids[i%len(ids)], 1)
-	}
-}
-
-// BenchmarkFold measures draining 10k sharded stamps into the tree.
-func BenchmarkFold(b *testing.B) {
-	tr, ids := buildBig(b, 100_000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for j := 0; j < 10_000; j++ {
-			tr.Record(ids[j%len(ids)], 1)
-		}
-		b.StartTimer()
-		tr.Fold()
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -189,70 +188,6 @@ func TestRandomScheduleEquivalence(t *testing.T) {
 			leg.Advance(now)
 			tag := fmt.Sprintf("decay=%g seed=%d", decay, seed)
 			compareAll(t, tag, tr, leg, users, true)
-		}
-	}
-}
-
-// TestShardedFoldDeterminism records the same multiset of charges
-// through 1, 4, and 8 concurrent producers under contended scheduling
-// and checks the folded tree state is byte-identical: the fold sorts
-// (id, amt) before applying, so producer interleaving cannot leak into
-// float summation order.
-func TestShardedFoldDeterminism(t *testing.T) {
-	const nUsers = 32
-	const perUser = 50
-	type state struct {
-		usage  []float64
-		factor []float64
-	}
-	capture := func(workers int) state {
-		tr := New(Options{Interval: sim.Hour, Decay: 0.5, Shards: 8})
-		ids := make([]NodeID, nUsers)
-		for i := range ids {
-			ids[i] = tr.UserID(fmt.Sprintf("user%02d", i))
-		}
-		// The full charge list, deterministic; split round-robin over
-		// workers so every worker count sees a different interleaving.
-		type charge struct {
-			id  NodeID
-			amt float64
-		}
-		var charges []charge
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < nUsers; i++ {
-			for j := 0; j < perUser; j++ {
-				charges = append(charges, charge{ids[i], float64(rng.Intn(10_000) + 1)})
-			}
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(charges); i += workers {
-					tr.Record(charges[i].id, charges[i].amt)
-				}
-			}(w)
-		}
-		wg.Wait()
-		tr.Advance(2 * sim.Hour)
-		var s state
-		for _, id := range ids {
-			s.usage = append(s.usage, tr.UsageOf(id))
-			s.factor = append(s.factor, tr.Factor(id))
-		}
-		return s
-	}
-	ref := capture(1)
-	for _, workers := range []int{4, 8} {
-		got := capture(workers)
-		for i := range ref.usage {
-			if got.usage[i] != ref.usage[i] {
-				t.Errorf("workers=%d: usage[%d] = %g, want %g (bit-exact)", workers, i, got.usage[i], ref.usage[i])
-			}
-			if got.factor[i] != ref.factor[i] {
-				t.Errorf("workers=%d: factor[%d] = %g, want %g (bit-exact)", workers, i, got.factor[i], ref.factor[i])
-			}
 		}
 	}
 }

@@ -98,8 +98,6 @@ func (h *HistoryWriter) Flush() error {
 // excluding the root) with depth ≤ maxDepth (0 = no limit) and
 // decayed usage > 0 or live structure. now is simulation time.
 func (t *Tree) EmitHistory(h *HistoryWriter, now sim.Time, maxDepth int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for id := NodeID(1); int(id) < len(t.names); id++ {
 		if maxDepth > 0 && int(t.depth[id]) > maxDepth {
 			continue
@@ -108,30 +106,7 @@ func (t *Tree) EmitHistory(h *HistoryWriter, now sim.Time, maxDepth int) {
 		if u <= 0 && !t.live[id] {
 			continue
 		}
-		h.row(now, t.epoch, t.pathLocked(id), t.depth[id], u,
-			t.factorLocked(id), t.quota[id], t.live[id])
+		h.row(now, t.epoch, t.Path(id), t.depth[id], u,
+			t.Factor(id), t.quota[id], t.live[id])
 	}
-}
-
-// pathLocked is Path without re-locking. Caller holds mu.
-func (t *Tree) pathLocked(id NodeID) string {
-	if id == 0 {
-		return ""
-	}
-	n := 0
-	for x := id; x != None && x != 0; x = t.parent[x] {
-		n += len(t.names[x]) + 1
-	}
-	buf := make([]byte, n-1)
-	w := len(buf)
-	for x := id; x != None && x != 0; x = t.parent[x] {
-		name := t.names[x]
-		w -= len(name)
-		copy(buf[w:], name)
-		if w > 0 {
-			w--
-			buf[w] = '.'
-		}
-	}
-	return string(buf)
 }

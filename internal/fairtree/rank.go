@@ -25,18 +25,16 @@ type Ranking struct {
 // called before any usage is recorded; updates are maintained
 // incrementally from then on.
 func (t *Tree) EnableRanking() *Ranking {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.rank == nil {
 		t.rank = &Ranking{}
 	}
 	return t.rank
 }
 
-// normKey computes the epoch-invariant heap key for a leaf. Caller
-// holds t.mu. For decay 0 the stamp term is dropped (everything dies
-// next epoch anyway, so cross-epoch order is moot); for decay 1,
-// lnDecay is 0 and the key is exactly ln(raw).
+// normKey computes the epoch-invariant heap key for a leaf. For decay
+// 0 the stamp term is dropped (everything dies next epoch anyway, so
+// cross-epoch order is moot); for decay 1, lnDecay is 0 and the key is
+// exactly ln(raw).
 func (t *Tree) normKey(id NodeID) float64 {
 	return math.Log(t.raw[id]) - float64(t.stamp[id])*t.lnDecay
 }
@@ -51,8 +49,6 @@ func (t *Tree) rankLen() int {
 
 // Top returns the leaf with the highest decayed usage, or None.
 func (t *Tree) Top() NodeID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.rankLen() == 0 {
 		return None
 	}
@@ -63,8 +59,6 @@ func (t *Tree) Top() NodeID {
 // to dst and returns it. It is O(k log k) via a bounded frontier
 // walk of the heap, not a full sort.
 func (t *Tree) TopK(k int, dst []NodeID) []NodeID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	r := t.rank
 	if r == nil || len(r.ids) == 0 || k <= 0 {
 		return dst
@@ -97,7 +91,6 @@ func (t *Tree) TopK(k int, dst []NodeID) []NodeID {
 }
 
 // update inserts or re-sifts a leaf after its raw usage changed.
-// Caller holds t.mu.
 func (r *Ranking) update(t *Tree, id NodeID) {
 	for int(id) >= len(r.pos) {
 		r.pos = append(r.pos, 0)
@@ -121,7 +114,7 @@ func (r *Ranking) update(t *Tree, id NodeID) {
 	}
 }
 
-// remove deletes a leaf from the ranking (on death). Caller holds t.mu.
+// remove deletes a leaf from the ranking (on death).
 func (r *Ranking) remove(id NodeID) {
 	if r == nil || int(id) >= len(r.pos) || r.pos[id] == 0 {
 		return

@@ -69,25 +69,18 @@ func (t *Tree) ApplySpec(s *Spec) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for i := range s.Nodes {
 		n := &s.Nodes[i]
 		id := NodeID(0)
 		parts := strings.Split(n.Path, ".")
 		for _, p := range parts {
-			id = t.childLocked(id, p)
+			id = t.Child(id, p)
 		}
 		if n.Quota > 0 {
-			if t.live[id] {
-				if p := t.parent[id]; p != None {
-					t.liveQ[p] += n.Quota - t.quota[id]
-				}
-			}
-			t.quota[id] = n.Quota
+			t.SetQuota(id, n.Quota)
 		}
 		if n.OverQuotaWeight > 0 {
-			t.overW[id] = n.OverQuotaWeight
+			t.SetOverWeight(id, n.OverQuotaWeight)
 		}
 		for _, u := range n.Users {
 			t.userHome[u] = id

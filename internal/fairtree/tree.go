@@ -2,14 +2,11 @@
 // team → user, arbitrary depth) designed to stay fast at one million
 // leaves:
 //
-//   - Entity strings are interned once at submit time; every hot-path
-//     structure is a struct-of-arrays indexed by dense NodeID.
+//   - A user name maps once to its leaf; every hot-path structure is
+//     a struct-of-arrays indexed by dense NodeID.
 //   - Usage decays lazily: each node stores (raw, stampEpoch) and the
 //     decayed value is computed on read as raw·decay^(epoch−stamp), so
 //     advancing time costs O(deaths), not O(nodes).
-//   - Usage stamps from concurrent producers land in lock-striped
-//     shards (see shard.go) and fold into the tree deterministically on
-//     Advance.
 //   - Node expiry (the legacy per-interval prune sweep) is replaced by
 //     a death min-heap: when usage is recorded we compute analytically
 //     at which epoch it will decay below eps and schedule exactly one
@@ -22,7 +19,6 @@ package fairtree
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -54,25 +50,20 @@ type Options struct {
 	// Decay multiplies usage once per elapsed interval. 0 clears
 	// usage every interval; 1 never decays.
 	Decay float64
-	// Shards is the number of lock stripes for concurrent Record.
-	// 0 means a reasonable default.
-	Shards int
-	// MaxDirty bounds the change log consumed by DirtySince.
-	// When the log exceeds 2×MaxDirty it is compacted to MaxDirty
-	// entries; consumers that fell behind get ok=false and must
-	// rebuild. 0 means a reasonable default.
-	MaxDirty int
 }
 
-// Tree is the hierarchical share tree. All methods that read or write
-// node state take the tree mutex and are safe for concurrent use;
-// Record (sharded) and user interning additionally scale across
-// producers because they only touch a shard stripe / the symbol
-// table. The intended split is: many producers call UserID+Record,
-// one scheduler thread calls Advance/Factor/RecordNow.
-type Tree struct {
-	mu sync.Mutex
+// defaultMaxDirty bounds the change log consumed by DirtySince: when
+// the log exceeds twice this it is compacted to this many entries, and
+// consumers that fell behind get ok=false and must rebuild.
+const defaultMaxDirty = 4096
 
+// Tree is the hierarchical share tree of the paper's Maui fairshare.
+// One goroutine owns it — the one that owns the scheduler and its
+// core.Lifecycle, which charges every ended run (RecordNow), rolls the
+// epoch (Advance) and reads factors in the same iteration — so it has
+// no lock. Not safe for concurrent use; a caller with several producers
+// stages their charges and applies them from the owner.
+type Tree struct {
 	interval sim.Duration
 	decay    float64
 	epoch    int64
@@ -93,8 +84,7 @@ type Tree struct {
 
 	// Structure lookups. Maps are keyed access only — never ranged.
 	children  map[childKey]NodeID
-	users     Interner
-	userNode  []NodeID          // dense user id (Interner) → leaf NodeID
+	users     map[string]NodeID // user name → its leaf, once created
 	userHome  map[string]NodeID // spec placement: user name → parent node
 	liveLeafN int
 	flat      bool // no interior nodes: every node is a child of the root
@@ -109,14 +99,12 @@ type Tree struct {
 
 	pathCache []string // lazily memoized dot paths (immutable once set)
 
-	shards    *shardSet
-	foldBuf   []stamp
 	lnDecay   float64
 	rank      *Ranking
 	serial    uint64 // next change-log serial (== dirtyBase+len(dirty))
 	dirty     []NodeID
 	dirtyBase uint64
-	maxDirty  int
+	maxDirty  int    // defaultMaxDirty; tests shrink it
 	sealed    uint64 // serial last observed by a consumer; entries below it must not coalesce
 }
 
@@ -137,21 +125,15 @@ func New(opts Options) *Tree {
 	if opts.Decay > 1 {
 		opts.Decay = 1
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = 8
-	}
-	if opts.MaxDirty <= 0 {
-		opts.MaxDirty = 4096
-	}
 	t := &Tree{
 		interval: opts.Interval,
 		decay:    opts.Decay,
 		children: make(map[childKey]NodeID),
+		users:    make(map[string]NodeID),
 		userHome: make(map[string]NodeID),
 		pow:      []float64{1},
 		powZero:  -1,
-		shards:   newShardSet(opts.Shards),
-		maxDirty: opts.MaxDirty,
+		maxDirty: defaultMaxDirty,
 		flat:     true,
 	}
 	if opts.Decay > 0 && opts.Decay < 1 {
@@ -172,22 +154,16 @@ func (t *Tree) Decay() float64 { return t.decay }
 
 // Epoch returns the current epoch (advanced by Advance).
 func (t *Tree) Epoch() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.epoch
 }
 
 // NumNodes returns the total node count including the root.
 func (t *Tree) NumNodes() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.names)
 }
 
 // LiveLeaves returns the number of leaves with nonzero decayed usage.
 func (t *Tree) LiveLeaves() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.liveLeafN
 }
 
@@ -197,12 +173,10 @@ func (t *Tree) LiveLeaves() int {
 // priority repair (core.jobTable.repair) exact; deeper trees fall back
 // to full re-sorts when usage changes.
 func (t *Tree) Flat() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.flat
 }
 
-// addNode appends a node; caller holds mu (or is the constructor).
+// addNode appends a node.
 func (t *Tree) addNode(name string, parent NodeID) NodeID {
 	if parent > 0 {
 		t.flat = false
@@ -229,12 +203,6 @@ func (t *Tree) addNode(name string, parent NodeID) NodeID {
 // Child returns the child of parent with the given name, creating it
 // (quota 1, weight 1, no usage) if absent.
 func (t *Tree) Child(parent NodeID, name string) NodeID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.childLocked(parent, name)
-}
-
-func (t *Tree) childLocked(parent NodeID, name string) NodeID {
 	k := childKey{parent, name}
 	if id, ok := t.children[k]; ok {
 		return id
@@ -251,8 +219,6 @@ func (t *Tree) SetQuota(id NodeID, q float64) {
 	if q <= 0 {
 		q = 1
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.live[id] {
 		if p := t.parent[id]; p != None {
 			t.liveQ[p] += q - t.quota[id]
@@ -268,90 +234,86 @@ func (t *Tree) SetOverWeight(id NodeID, w float64) {
 	if w <= 0 {
 		w = 1
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.overW[id] = w
 }
 
 // UserID interns a user name and returns its leaf, creating the leaf
-// under the user's configured home node (or the root) on first sight.
+// under the user's home (see Home) on first sight.
 func (t *Tree) UserID(name string) NodeID {
-	if dense, ok := t.users.Lookup(name); ok {
-		t.mu.Lock()
-		id := t.userNode[dense]
-		t.mu.Unlock()
+	if id, ok := t.users[name]; ok {
 		return id
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	dense := t.users.Intern(name)
-	if int(dense) < len(t.userNode) {
-		return t.userNode[dense]
-	}
-	home := NodeID(0)
-	if h, ok := t.userHome[name]; ok {
-		home = h
-	}
-	id := t.childLocked(home, name)
-	for int(dense) >= len(t.userNode) {
-		t.userNode = append(t.userNode, None)
-	}
-	t.userNode[dense] = id
+	id := t.Child(t.userHome[name], name)
+	t.users[name] = id
 	return id
 }
 
 // LookupUser returns the leaf for a user without creating it.
 func (t *Tree) LookupUser(name string) (NodeID, bool) {
-	dense, ok := t.users.Lookup(name)
-	if !ok {
-		return None, false
+	if id, ok := t.users[name]; ok {
+		return id, true
 	}
-	t.mu.Lock()
-	id := t.userNode[dense]
-	t.mu.Unlock()
-	if id == None {
-		return None, false
+	return None, false
+}
+
+// Home returns the node a user's leaf hangs under: the leaf's parent
+// once the user is interned, else the user's FSTREE home, else the
+// root. It creates nothing, so a user's ancestors are known before
+// the user is first charged.
+func (t *Tree) Home(user string) NodeID {
+	if id, ok := t.users[user]; ok {
+		return t.parent[id]
 	}
-	return id, true
+	return t.userHome[user] // the root (0) when the user has no home
 }
 
 // Name returns a node's own name component.
 func (t *Tree) Name(id NodeID) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.names[id]
 }
 
 // Parent returns a node's parent (None for the root).
 func (t *Tree) Parent(id NodeID) NodeID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.parent[id]
 }
 
 // Path returns the dot-joined path from the root, e.g. "org.team.u1".
 func (t *Tree) Path(id NodeID) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.pathLocked(id)
+	if id == 0 {
+		return ""
+	}
+	n := 0
+	for x := id; x != None && x != 0; x = t.parent[x] {
+		n += len(t.names[x]) + 1
+	}
+	buf := make([]byte, n-1)
+	w := len(buf)
+	for x := id; x != None && x != 0; x = t.parent[x] {
+		name := t.names[x]
+		w -= len(name)
+		copy(buf[w:], name)
+		if w > 0 {
+			w--
+			buf[w] = '.'
+		}
+	}
+	return string(buf)
 }
 
 // CachedPath is Path with memoization: node paths are immutable, so
 // repeat callers (the fairness rollup does one per ancestor per
 // charge) get the same string without rebuilding it.
 func (t *Tree) CachedPath(id NodeID) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for int(id) >= len(t.pathCache) {
 		t.pathCache = append(t.pathCache, "")
 	}
 	if t.pathCache[id] == "" && id != 0 {
-		t.pathCache[id] = t.pathLocked(id)
+		t.pathCache[id] = t.Path(id)
 	}
 	return t.pathCache[id]
 }
 
-// decayPow returns decay^k. Caller holds mu.
+// decayPow returns decay^k.
 func (t *Tree) decayPow(k int64) float64 {
 	if k <= 0 {
 		return 1
@@ -380,7 +342,7 @@ func (t *Tree) decayPow(k int64) float64 {
 }
 
 // usageAt returns a node's decayed usage at the current epoch without
-// mutating it. Caller holds mu.
+// mutating it.
 func (t *Tree) usageAt(id NodeID) float64 {
 	r := t.raw[id]
 	if r == 0 {
@@ -392,7 +354,7 @@ func (t *Tree) usageAt(id NodeID) float64 {
 	return r
 }
 
-// touch folds pending decay into a node's stored value. Caller holds mu.
+// touch folds pending decay into a node's stored value.
 func (t *Tree) touch(id NodeID) {
 	if k := t.epoch - t.stamp[id]; k > 0 {
 		if t.raw[id] != 0 {
@@ -404,26 +366,15 @@ func (t *Tree) touch(id NodeID) {
 
 // UsageOf returns a node's decayed usage at the current epoch.
 func (t *Tree) UsageOf(id NodeID) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.usageAt(id)
 }
 
-// RecordNow charges usage to a leaf immediately (visible to the next
-// Factor read). This is the single-threaded scheduler path; concurrent
-// producers use Record, which defers to the next Advance.
+// RecordNow charges usage to a leaf and its ancestors, visible to the
+// next Factor read.
 func (t *Tree) RecordNow(id NodeID, amt float64) {
 	if amt <= 0 {
 		return
 	}
-	t.mu.Lock()
-	t.applyLeaf(id, amt)
-	t.mu.Unlock()
-}
-
-// applyLeaf charges amt to a leaf and propagates to its ancestors.
-// Caller holds mu; amt > 0.
-func (t *Tree) applyLeaf(id NodeID, amt float64) {
 	t.touch(id)
 	t.raw[id] += amt
 	if !t.live[id] {
@@ -441,7 +392,7 @@ func (t *Tree) applyLeaf(id NodeID, amt float64) {
 }
 
 // revive marks a leaf live and restores its ancestors' live-children
-// accounting. Caller holds mu.
+// accounting.
 func (t *Tree) revive(id NodeID) {
 	t.live[id] = true
 	t.liveLeafN++
@@ -458,8 +409,7 @@ func (t *Tree) revive(id NodeID) {
 }
 
 // kill expires a leaf whose usage decayed below eps: its residual is
-// subtracted from every ancestor and liveness is cascaded. Caller
-// holds mu.
+// subtracted from every ancestor and liveness is cascaded.
 func (t *Tree) kill(id NodeID) {
 	residual := t.usageAt(id)
 	t.raw[id] = 0
@@ -497,7 +447,7 @@ func (t *Tree) kill(id NodeID) {
 }
 
 // scheduleDeath computes the first epoch at which a leaf's usage will
-// decay below eps and (re)schedules its heap entry. Caller holds mu.
+// decay below eps and (re)schedules its heap entry.
 func (t *Tree) scheduleDeath(id NodeID) {
 	u := t.raw[id]
 	var at int64
@@ -533,14 +483,14 @@ func (t *Tree) scheduleDeath(id NodeID) {
 	}
 }
 
-// Advance folds pending sharded records into the tree, rolls the
-// epoch forward to now's interval, and reaps leaves whose usage
-// decayed below eps. Unlike the legacy flat fairshare this is
-// O(records + deaths), not O(intervals × nodes).
+// Record is RecordNow. It is kept only for bench/probes.go, until the
+// benchmark's fair probes call RecordNow themselves.
+func (t *Tree) Record(id NodeID, amt float64) { t.RecordNow(id, amt) }
+
+// Advance rolls the epoch forward to now's interval and reaps leaves
+// whose usage decayed below eps. Unlike the legacy flat fairshare this
+// is O(deaths), not O(intervals × nodes).
 func (t *Tree) Advance(now sim.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.foldLocked()
 	e := int64(now / sim.Time(t.interval))
 	if e <= t.epoch {
 		return
@@ -568,12 +518,6 @@ func (t *Tree) Advance(now sim.Time) {
 // node is above its share. A flat tree (all users under the root,
 // quota 1) reduces exactly to the legacy 1/n − u/total.
 func (t *Tree) Factor(id NodeID) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.factorLocked(id)
-}
-
-func (t *Tree) factorLocked(id NodeID) float64 {
 	if !t.live[0] {
 		return 0
 	}
@@ -609,8 +553,6 @@ func (t *Tree) factorLocked(id NodeID) float64 {
 // get: a full root-level share with zero usage. Matches the legacy
 // 1/n for a flat tree.
 func (t *Tree) NewcomerFactor() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if !t.live[0] {
 		return 0
 	}
@@ -626,8 +568,6 @@ func (t *Tree) NewcomerFactor() float64 {
 // been acted on, so a later change to the same leaf must append a new
 // entry rather than coalesce into the sealed tail.
 func (t *Tree) ChangeSerial() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.sealed = t.serial
 	return t.serial
 }
@@ -637,8 +577,6 @@ func (t *Tree) ChangeSerial() uint64 {
 // serial and the consumer must do a full rebuild. The returned slice
 // aliases internal storage: it is valid until the next tree mutation.
 func (t *Tree) DirtySince(serial uint64) ([]NodeID, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if serial < t.dirtyBase {
 		return nil, false
 	}
@@ -656,7 +594,6 @@ func (t *Tree) DirtySince(serial uint64) ([]NodeID, bool) {
 // consumer has snapshotted past it (ChangeSerial/DirtySince), it may
 // already have re-ranked that leaf, and a fresh change must get a
 // fresh serial or it would be invisible to DirtySince forever.
-// Caller holds mu.
 func (t *Tree) logDirty(id NodeID) {
 	if n := len(t.dirty); n > 0 && t.dirty[n-1] == id && t.serial > t.sealed {
 		return

@@ -186,7 +186,8 @@ func TestQuotaWeighting(t *testing.T) {
 }
 
 func TestDirtyLog(t *testing.T) {
-	tr := New(Options{Interval: sim.Hour, Decay: 0.5, MaxDirty: 4})
+	tr := New(Options{Interval: sim.Hour, Decay: 0.5})
+	tr.maxDirty = 4
 	base := tr.ChangeSerial()
 	a := tr.UserID("a")
 	b := tr.UserID("b")
@@ -214,26 +215,6 @@ func TestDirtyLog(t *testing.T) {
 	}
 	if _, ok := tr.DirtySince(base); ok {
 		t.Error("DirtySince should report compaction for stale serial")
-	}
-}
-
-func TestShardedRecordFoldsOnAdvance(t *testing.T) {
-	tr := New(Options{Interval: sim.Hour, Decay: 0.5, Shards: 4})
-	a := tr.UserID("a")
-	tr.Record(a, 100)
-	tr.Record(a, 50)
-	if got := tr.UsageOf(a); got != 0 {
-		t.Fatalf("sharded records visible before fold: %g", got)
-	}
-	if tr.PendingRecords() != 2 {
-		t.Fatalf("PendingRecords = %d, want 2", tr.PendingRecords())
-	}
-	tr.Advance(0) // same epoch: folds without rolling
-	if got := tr.UsageOf(a); got != 150 {
-		t.Errorf("usage after fold = %g, want 150", got)
-	}
-	if tr.PendingRecords() != 0 {
-		t.Errorf("PendingRecords after fold = %d", tr.PendingRecords())
 	}
 }
 
@@ -315,29 +296,5 @@ func TestRankingTracksHeaviestUsers(t *testing.T) {
 	tr2.Advance(sim.Hour)
 	if got := tr2.Top(); got != None {
 		t.Errorf("Top after death = %d, want None", got)
-	}
-}
-
-func TestInterner(t *testing.T) {
-	var in Interner
-	a := in.Intern("alpha")
-	b := in.Intern("beta")
-	if a == b {
-		t.Fatal("distinct strings share an id")
-	}
-	if got := in.Intern("alpha"); got != a {
-		t.Errorf("re-intern = %d, want %d", got, a)
-	}
-	if id, ok := in.Lookup("beta"); !ok || id != b {
-		t.Errorf("Lookup(beta) = %d,%v", id, ok)
-	}
-	if _, ok := in.Lookup("gamma"); ok {
-		t.Error("Lookup(gamma) should miss")
-	}
-	if got := in.Name(a); got != "alpha" {
-		t.Errorf("Name(%d) = %q", a, got)
-	}
-	if in.Len() != 2 {
-		t.Errorf("Len = %d, want 2", in.Len())
 	}
 }
