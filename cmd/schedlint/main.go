@@ -3,15 +3,10 @@
 // protocol invariants the scheduler reproduction depends on:
 //
 //	nodeterminism    wall-clock / global-rand use in deterministic packages
-//	maporder         order-sensitive work inside range-over-map
-//	lockcheck        `// guarded by mu` discipline and Lock/Unlock pairing
 //	protoerr         dropped proto.Conn Send/Recv/Request/Close errors
 //	lockorder        interprocedural self-deadlocks, ABBA cycles, declared-order violations
 //	protoexhaustive  proto message registry ↔ daemon dispatch switch agreement
 //	goroutinelife    every go statement needs a provable shutdown path
-//	epochguard       writes to epoch-guarded fields must reach their bump before return
-//	atomicfield      sync/atomic fields: atomic everywhere, declared, 64-bit aligned on 386
-//	sharedguard      fields written from several goroutine contexts need a declared guard
 //	chanlife         channel fields: one closing owner, no send-after-close or double close
 //
 // Usage:
@@ -19,8 +14,8 @@
 //	go run ./cmd/schedlint [-json|-sarif] [-tests] [-o file] [packages...]   (default: repro/...)
 //
 // -tests re-checks each package with its _test.go files included and
-// adds external test packages; only analyzers that opt in (the
-// memory-model trio above) report findings inside test files.
+// adds external test packages; only analyzers that opt in (chanlife)
+// report findings inside test files.
 //
 // Output modes:
 //
@@ -49,31 +44,21 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicfield"
 	"repro/internal/analysis/chanlife"
-	"repro/internal/analysis/epochguard"
 	"repro/internal/analysis/goroutinelife"
 	"repro/internal/analysis/loader"
-	"repro/internal/analysis/lockcheck"
 	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/maporder"
 	"repro/internal/analysis/nodeterminism"
 	"repro/internal/analysis/protoerr"
 	"repro/internal/analysis/protoexhaustive"
-	"repro/internal/analysis/sharedguard"
 )
 
 var analyzers = []*analysis.Analyzer{
 	nodeterminism.Analyzer,
-	maporder.Analyzer,
-	lockcheck.Analyzer,
 	protoerr.Analyzer,
 	lockorder.Analyzer,
 	protoexhaustive.Analyzer,
 	goroutinelife.Analyzer,
-	epochguard.Analyzer,
-	atomicfield.Analyzer,
-	sharedguard.Analyzer,
 	chanlife.Analyzer,
 }
 

@@ -40,10 +40,10 @@ type Analyzer struct {
 	// Tests opts the analyzer into _test.go files: when the driver
 	// loads a package with its test files (schedlint -tests), findings
 	// that analyzers without Tests report inside test files are
-	// dropped. The memory-model analyzers opt in — tests spawn real
-	// daemons and race like any other code — while the style and
-	// determinism contracts (nodeterminism, goroutinelife, ...) bind
-	// product code only.
+	// dropped. chanlife opts in — tests spawn real daemons and close
+	// channels like any other code — while the style and determinism
+	// contracts (nodeterminism, goroutinelife, ...) bind product code
+	// only.
 	Tests bool
 	// Packages names the package classes the analyzer checks (see
 	// ClassOf); zero checks every package.
@@ -58,21 +58,27 @@ type Class uint8
 
 const (
 	// Deterministic packages drive the simulator: runs repeat bit for
-	// bit, so no wall clock and no global randomness.
+	// bit, so no wall clock and no global randomness (nodeterminism),
+	// and every goroutine has a shutdown path (goroutinelife).
 	Deterministic Class = 1 << iota
 	// Daemon packages are the live daemons and their substrate: the
-	// wall clock is allowed where a directive says why.
+	// wall clock is allowed where a directive says why, and every
+	// goroutine has a shutdown path.
 	Daemon
-	// Concurrent packages share memory between goroutines: locking,
-	// channel ownership and field-guard contracts apply.
+	// Concurrent packages share memory between goroutines: the lock
+	// order (lockorder) and channel ownership (chanlife) contracts
+	// apply.
 	Concurrent
 	// Tooling is schedlint itself: its reports and golden fixtures are
-	// diffed byte for byte, so it is held to Deterministic's rules.
+	// diffed byte for byte, so it is held to Deterministic's rules
+	// (nodeterminism, goroutinelife).
 	Tooling
 )
 
 // classes is the one package table, keyed by the last element of the
-// import path.
+// import path. A package missing from it (bench, the examples, the
+// commands other than schedlint) has no class and is checked only by
+// the analyzers that declare none (protoerr, protoexhaustive).
 var classes = map[string]Class{
 	"core": Deterministic | Concurrent, "profile": Deterministic, "sim": Deterministic,
 	"cluster": Deterministic, "esp": Deterministic, "quadflow": Deterministic,
@@ -86,10 +92,8 @@ var classes = map[string]Class{
 	"chaos": Daemon | Concurrent,
 
 	"analysis": Tooling, "analysistest": Tooling, "callgraph": Tooling, "dataflow": Tooling,
-	"loader": Tooling, "schedlint": Tooling, "atomicfield": Tooling, "chanlife": Tooling,
-	"epochguard": Tooling, "goroutinelife": Tooling, "lockcheck": Tooling, "lockorder": Tooling,
-	"maporder": Tooling, "nodeterminism": Tooling, "protoerr": Tooling,
-	"protoexhaustive": Tooling, "sharedguard": Tooling,
+	"loader": Tooling, "schedlint": Tooling, "chanlife": Tooling, "goroutinelife": Tooling,
+	"lockorder": Tooling, "nodeterminism": Tooling, "protoerr": Tooling, "protoexhaustive": Tooling,
 }
 
 // ClassOf returns the classes of the package at path. An external test

@@ -88,12 +88,9 @@ type Graph struct {
 // NodeOf resolves a declared function/method object to its node.
 func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byFunc[fn] }
 
-// NodeOfLit resolves a function literal to its node.
-func (g *Graph) NodeOfLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
-
 // Build returns the call graph of the pass's package, constructing it
 // on first use and memoizing it on the pass's target: the graph is a
-// pure function of the package syntax, and five analyzers consume it,
+// pure function of the package syntax, and three analyzers consume it,
 // so a shared run (cmd/schedlint) builds each package's graph once.
 func Build(pass *analysis.Pass) *Graph {
 	if pass.Cached != nil {

@@ -6,7 +6,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -386,31 +385,25 @@ func f(o *outer) {
 
 // TestMarkerGrammarIsShared: one parser reads every //schedlint:
 // marker. A marker trailing a guard comment, with a fixture expectation
-// after it, reads the same as a file-level marker, a field marker and a
-// function marker: same arguments, same position.
+// after it, reads the same as a file-level marker and as a field
+// marker: same arguments, same position.
 func TestMarkerGrammarIsShared(t *testing.T) {
 	_, f, _, info := typecheck(t, `package p
 
 type S struct {
-	n int // guarded by mu //schedlint:epoch-guarded by bump // want "x"
+	c chan int // guarded by mu //schedlint:chan-owner Close its only closer // want "x"
 }
-
-// guarded by mu //schedlint:epoch-guarded by bump // want "x"
-func (s *S) bump() {}
 `)
 	files := []*ast.File{f}
-	file := analysis.Markers(files, "epoch-guarded")
-	field := FieldMarkers(files, info, "epoch-guarded")
-	fn := FuncMarkers(files, info, "epoch-guarded")
-	if len(file) != 2 || len(field) != 1 || len(fn) != 1 {
-		t.Fatalf("found %d file, %d field, %d func markers; want 2, 1, 1", len(file), len(field), len(fn))
+	file := analysis.Markers(files, "chan-owner")
+	field := FieldMarkers(files, info, "chan-owner")
+	if len(file) != 1 || len(field) != 1 {
+		t.Fatalf("found %d file and %d field markers; want 1 and 1", len(file), len(field))
 	}
-	got := []any{file[0].Args, file[0].Pos, file[1].Args, file[1].Pos}
-	want := []any{field[0].Args, field[0].Pos, fn[0].Args, fn[0].Pos}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("file-level markers %v, field/function markers %v", got, want)
+	if file[0].Args != field[0].Args || file[0].Pos != field[0].Pos {
+		t.Fatalf("file-level marker %q at %v, field marker %q at %v", file[0].Args, file[0].Pos, field[0].Args, field[0].Pos)
 	}
-	if file[0].Args != "by bump" {
-		t.Fatalf("marker arguments %q, want %q", file[0].Args, "by bump")
+	if file[0].Args != "Close its only closer" {
+		t.Fatalf("marker arguments %q, want %q", file[0].Args, "Close its only closer")
 	}
 }

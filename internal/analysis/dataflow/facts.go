@@ -8,40 +8,6 @@ import (
 	"repro/internal/analysis"
 )
 
-// FuncMarker is a `//schedlint:<key>` marker attached to a function or
-// method declaration (in its doc comment).
-type FuncMarker struct {
-	Fn   *types.Func
-	Decl *ast.FuncDecl
-	Args string
-	Pos  token.Pos
-}
-
-// FuncMarkers returns the declarations carrying a marker of the given
-// key, in file order. info maps the declaration names to their
-// checker objects, so the result can be matched against call targets
-// from any package that can see these files (via Pass.Dep).
-func FuncMarkers(files []*ast.File, info *types.Info, key string) []FuncMarker {
-	var out []FuncMarker
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				args, ok := analysis.ParseMarker(c, key)
-				if !ok {
-					continue
-				}
-				fn, _ := info.Defs[fd.Name].(*types.Func)
-				out = append(out, FuncMarker{Fn: fn, Decl: fd, Args: args, Pos: c.Pos()})
-			}
-		}
-	}
-	return out
-}
-
 // FieldMarker is a `//schedlint:<key>` marker attached to a struct
 // field (trailing comment or field doc line).
 type FieldMarker struct {
@@ -95,8 +61,8 @@ func FieldMarkers(files []*ast.File, info *types.Info, key string) []FieldMarker
 	return out
 }
 
-// ResolveFunc finds the function a field marker names (an epoch bump,
-// a channel's closing owner): a method of the marked field's struct
+// ResolveFunc finds the function a field marker names (a channel's
+// closing owner): a method of the marked field's struct
 // first, then a package-level function.
 func ResolveFunc(pkg *types.Package, structName, name string) *types.Func {
 	if tn, ok := pkg.Scope().Lookup(structName).(*types.TypeName); ok {
@@ -234,120 +200,4 @@ func SelectorPath(info *types.Info, e ast.Expr) []*types.Var {
 	default:
 		return nil
 	}
-}
-
-// FreshLocal reports whether v is a function-local variable whose
-// declaration initializes it with an object the function constructed
-// itself — a composite literal (optionally address-taken), new(T), or
-// a zero-value `var v T` declaration — so writes through it are
-// constructor initialization of unpublished state, not mutation anyone
-// else can observe. A local merely *aliasing* an existing object (a
-// field load, a function result, a parameter) is not fresh; neither is
-// a package-level variable.
-func FreshLocal(files []*ast.File, info *types.Info, pkg *types.Package, v *types.Var) bool {
-	if v == nil || (pkg != nil && v.Parent() == pkg.Scope()) {
-		return false
-	}
-	pos := v.Pos()
-	for _, f := range files {
-		if pos < f.Pos() || pos > f.End() {
-			continue
-		}
-		fresh := false
-		found := false
-		ast.Inspect(f, func(x ast.Node) bool {
-			if found {
-				return false
-			}
-			switch x := x.(type) {
-			case *ast.AssignStmt:
-				if x.Tok != token.DEFINE || len(x.Lhs) != len(x.Rhs) {
-					return true
-				}
-				for i, lhs := range x.Lhs {
-					id, ok := lhs.(*ast.Ident)
-					if !ok || info.Defs[id] != v {
-						continue
-					}
-					found = true
-					fresh = freshExpr(info, x.Rhs[i])
-					return false
-				}
-			case *ast.ValueSpec:
-				for i, name := range x.Names {
-					if info.Defs[name] != v {
-						continue
-					}
-					found = true
-					if i < len(x.Values) {
-						fresh = freshExpr(info, x.Values[i])
-					} else if len(x.Values) == 0 {
-						// `var v T` with no initializer: the zero value is
-						// the function's own construction. (A tuple
-						// initializer — len(Values) < len(Names) — is a
-						// call result, not fresh.)
-						fresh = true
-					}
-					return false
-				}
-			}
-			return true
-		})
-		return found && fresh
-	}
-	return false
-}
-
-// FreshExpr reports whether e constructs an object no one else holds:
-// a composite literal (optionally address-taken) or new(T). It is the
-// expression-level form of FreshLocal, for call arguments.
-func FreshExpr(info *types.Info, e ast.Expr) bool {
-	return freshExpr(info, e)
-}
-
-// freshExpr reports whether e constructs an object no one else holds:
-// a composite literal (optionally address-taken) or new(T).
-func freshExpr(info *types.Info, e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = ast.Unparen(u.X)
-	}
-	switch x := e.(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.CallExpr:
-		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "new" {
-			_, isBuiltin := info.Uses[id].(*types.Builtin)
-			return isBuiltin
-		}
-	}
-	return false
-}
-
-// CalledFunc resolves the function or method a call invokes, in any
-// package, unwrapping generic instantiation. It returns nil for
-// builtins, conversions, and calls through function values.
-func CalledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	fun := ast.Unparen(call.Fun)
-	switch ix := fun.(type) {
-	case *ast.IndexExpr:
-		fun = ast.Unparen(ix.X)
-	case *ast.IndexListExpr:
-		fun = ast.Unparen(ix.X)
-	}
-	var obj types.Object
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = info.Uses[fun.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	if o := fn.Origin(); o != nil {
-		return o
-	}
-	return fn
 }

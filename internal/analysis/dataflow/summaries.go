@@ -19,20 +19,3 @@ func Fixpoint(g *callgraph.Graph, update func(*callgraph.Node) bool) {
 		}
 	}
 }
-
-// SyncCallers counts, per node, its same-package synchronous call
-// sites (direct, method, IIFE, and deferred edges — not spawns). A
-// node with zero synchronous callers is an analysis entry point:
-// nothing in the package runs after it returns, so any obligation it
-// leaves open escapes the package. Spawned functions are entries by
-// construction — a `go` statement's caller cannot discharge anything
-// on the spawned function's behalf.
-func SyncCallers(g *callgraph.Graph) map[*callgraph.Node]int {
-	out := make(map[*callgraph.Node]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		for _, e := range n.Calls {
-			out[e.Callee]++
-		}
-	}
-	return out
-}

@@ -1,16 +1,15 @@
 // Package dataflow is the shared dataflow substrate of schedlint's
-// lifetime analyzers (epochguard, chanlife). It layers three
-// facilities over the package call graph (internal/analysis/callgraph):
+// lifetime analyzer, chanlife. It layers three facilities over the
+// package call graph (internal/analysis/callgraph):
 //
 //   - a path-sensitive statement walker (Walk) that threads an
 //     analyzer-defined abstract state through a function body, forking
 //     at branches and joining the per-path states at merge points, so a
 //     fact established on one arm of an if/switch does not leak into
 //     the other;
-//   - declaration/field marker attachment (FuncMarkers, FieldMarkers)
-//     resolving `//schedlint:<key>` comments to the *types.Func /
-//     *types.Var they annotate, locally or through Pass.Dep, and the
-//     function a field marker names (ResolveFunc);
+//   - field marker attachment (FieldMarkers) resolving
+//     `//schedlint:<key>` comments to the *types.Var they annotate,
+//     and the function a field marker names (ResolveFunc);
 //   - def/use helpers (FieldWritesIn, SelectorPath) that map syntax to
 //     the checker's objects: which annotated struct fields a statement
 //     writes, and the object path of a selector chain.
@@ -22,9 +21,9 @@
 // at a small constant — the analyzers' lattices are tiny bit-sets that
 // stabilize in one or two passes). Deferred calls are replayed, last
 // registered first, at every exit before the Return hook so `defer
-// s.bump()` discharges an epoch obligation exactly like a trailing
-// call. `go` statements never execute through the walker: a spawned
-// literal is its own call-graph node with its own obligations.
+// close(ch)` counts exactly like a trailing close. `go` statements
+// never execute through the walker: a spawned literal is its own
+// call-graph node with its own obligations.
 package dataflow
 
 import "go/ast"

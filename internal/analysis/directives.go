@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"regexp"
 	"strings"
 )
 
@@ -109,8 +108,8 @@ const markerPrefix = "//schedlint:"
 
 // ParseMarker extracts the arguments of a marker of the given key from
 // one comment. The marker may trail other commentary on the same line —
-// field annotations compose with lockcheck's guard comments, as in
-// `// guarded by mu //schedlint:epoch-guarded by bump` — and anything
+// field annotations compose with guard comments, as in
+// `// guarded by mu //schedlint:chan-owner Close` — and anything
 // after an embedded `//` is commentary too (fixture `// want`
 // expectations ride on marker lines), not arguments.
 func ParseMarker(c *ast.Comment, key string) (args string, ok bool) {
@@ -140,27 +139,6 @@ func Markers(files []*ast.File, key string) []Marker {
 		}
 	}
 	return out
-}
-
-// guardedRe accepts two forms. `guarded by mu` names a sibling mutex of
-// the same receiver. `guarded by s.mu` — a dotted path — names the
-// mutex by its habitual rendered expression, for record structs (a
-// jobInfo held in the server's map) protected by their container's lock
-// rather than one of their own.
-var guardedRe = regexp.MustCompile(`guarded by ([\w.]+)`)
-
-// GuardedBy returns the mutex a struct field's `// guarded by <mu>`
-// annotation names, or "" when it has none.
-func GuardedBy(field *ast.Field) string {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		if m := guardedRe.FindStringSubmatch(cg.Text()); m != nil {
-			return m[1]
-		}
-	}
-	return ""
 }
 
 // Suppressor answers "is a finding at this position silenced?".

@@ -1,8 +1,7 @@
 // Package lockorder is the interprocedural deadlock check for the
-// Concurrent packages. Where lockcheck (intraprocedural) enforces the
-// guarded-field and Lock/Unlock-pairing discipline, lockorder follows
-// held-lock sets *across* same-package calls on the callgraph and
-// reports the two shapes a per-function check cannot see:
+// Concurrent packages. It follows held-lock sets *across*
+// same-package calls on the callgraph and reports the shapes a
+// per-function check cannot see:
 //
 //   - self-deadlock: a path that re-acquires a mutex it already holds
 //     (f locks s.mu and calls g, which — possibly transitively — locks

@@ -8,9 +8,9 @@
 // cluster-size sweeps): each task builds its own engine, cluster,
 // scheduler and recorder, so tasks share no mutable state and the only
 // coordination is the index counter and the result slot. Dispatch and
-// merge are slice-indexed throughout; ranging a map anywhere in this
-// package is a schedlint error (maporder), because map order would be
-// the one way to smuggle nondeterminism back in.
+// merge are slice-indexed throughout, and no map is ranged anywhere in
+// this package, because map order would be the one way to smuggle
+// nondeterminism back in.
 package campaign
 
 import (

@@ -167,6 +167,29 @@ func TestReleasePartial(t *testing.T) {
 	}
 }
 
+// TestReleasePartialKeepsNodeOrder: what a partial release leaves is
+// one slice per node in node order, whatever order the release works
+// out the remainder in; host lists and every oracle over AllocOf read
+// it in that order.
+func TestReleasePartialKeepsNodeOrder(t *testing.T) {
+	c := New(8, 4)
+	c.Allocate(1, 32)
+	for n := 0; n < 8; n++ {
+		if err := c.ReleasePartial(1, Alloc{{NodeID: n, Cores: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		a := c.AllocOf(1)
+		if len(a) != 8 {
+			t.Fatalf("after releasing a core of node%d: %v, want a slice on each of 8 nodes", n, a)
+		}
+		for i := 1; i < len(a); i++ {
+			if a[i-1].NodeID >= a[i].NodeID {
+				t.Fatalf("after releasing a core of node%d: %v is not in node order", n, a)
+			}
+		}
+	}
+}
+
 func TestNodeStates(t *testing.T) {
 	c := New(3, 8)
 	c.Allocate(1, 8)

@@ -36,9 +36,9 @@ type Lifecycle struct {
 	fs  *Fairshare        // charged for the core-seconds of every ended run; may be nil
 	rec *metrics.Recorder // may be nil
 
-	queue  job.Queue         //schedlint:epoch-guarded by bumpQueue
-	active job.RunSet        //schedlint:epoch-guarded by Bump
-	dyn    []*job.DynRequest //schedlint:epoch-guarded by Bump
+	queue  job.Queue
+	active job.RunSet
+	dyn    []*job.DynRequest
 	dynSeq int
 	// grants holds the time of each live job's first dynamic grant,
 	// for its completion record.
@@ -129,8 +129,6 @@ func (l *Lifecycle) Bump(j *job.Job) {
 
 // bumpQueue advances both epochs after a change of j's queue
 // membership.
-//
-//schedlint:epoch-bump subsumes Bump
 func (l *Lifecycle) bumpQueue(j *job.Job) {
 	l.epoch++
 	l.qlog.Bump(j)

@@ -15,14 +15,16 @@ import (
 )
 
 // lcWorld is the state a lifecycle conformance run drives: the
-// lifecycle, its jobs by name, the virtual clock, and what the bump
-// hook has seen.
+// lifecycle, its jobs by name, the virtual clock, what the bump hook
+// has seen, and how many jobs a mirror step has forgotten and not yet
+// filed again.
 type lcWorld struct {
 	l                 Lifecycle
 	fs                *Fairshare
 	jobs              map[string]*job.Job
 	now               sim.Time
 	bumps, queueBumps uint64
+	forgotten         int
 }
 
 func (w *lcWorld) submit(name string, cores int) error {
@@ -39,6 +41,33 @@ func (w *lcWorld) start(name string) error {
 
 func (w *lcWorld) dyn(name string, cores int) error {
 	return w.l.QueueDyn(&job.DynRequest{Job: w.jobs[name], Cores: cores, IssuedAt: w.now})
+}
+
+// forget and file are the mirror's transitions: the server's next
+// record of a job supersedes the one filed, which leaves its lists
+// until it is filed again.
+func (w *lcWorld) forget(name string) error {
+	w.l.Forget(w.jobs[name])
+	w.forgotten++
+	return nil
+}
+
+func (w *lcWorld) file(name string, tail bool) error {
+	if !w.l.File(w.jobs[name], tail) {
+		return fmt.Errorf("%s has no list to file under", name)
+	}
+	w.forgotten--
+	return nil
+}
+
+// fileDyn files a request the server sent for running job name behind
+// the pending ones, as the mirror's SetDyn does with the server's
+// dynamic queue.
+func (w *lcWorld) fileDyn(name string, cores int) error {
+	j := w.jobs[name]
+	j.State = job.DynQueued
+	w.l.SetDyn(append(w.l.DynRequests(), &job.DynRequest{Job: j, Cores: cores, IssuedAt: w.now, Seq: 1 << 20}))
+	return nil
 }
 
 // failNode takes down the node under name's first slice and applies a
@@ -90,6 +119,12 @@ func (w *lcWorld) fingerprint() string {
 	for _, r := range w.l.dyn {
 		s += fmt.Sprintf("dyn:%s:%d ", r.Job.Name, r.Seq)
 	}
+	for _, j := range w.l.QueuedJobs() {
+		s += "queued:" + j.Name + " "
+	}
+	for _, j := range w.l.ActiveJobs() {
+		s += "active:" + j.Name + " "
+	}
 	for _, n := range w.l.Cluster().Nodes() {
 		s += fmt.Sprintf("%s:%v ", n.Name, n.State)
 	}
@@ -97,8 +132,9 @@ func (w *lcWorld) fingerprint() string {
 }
 
 // TestLifecycleConformance drives the lifecycle through every
-// transition, node failures under both failure policies included, and
-// checks after each step: the cluster's accounting, job conservation,
+// transition, node failures under both failure policies and the
+// mirror's File, Forget and SetDyn included, and checks after each
+// step: the cluster's accounting, job conservation,
 // the dyn queue's FIFO order with one request per job, an allocation
 // exactly where a job is active, and that every change was announced —
 // a changed state advanced StateEpoch, every queue-membership change
@@ -160,6 +196,10 @@ func TestLifecycleConformance(t *testing.T) {
 		{"requeue b with its request", func() error { return w.l.Requeue(w.jobs["b"], w.now) }, false},
 		{"requeue queued b", func() error { return w.l.Requeue(w.jobs["b"], w.now) }, true},
 		{"start d", func() error { return w.start("d") }, false},
+		{"mirror forgets queued e", func() error { return w.forget("e") }, false},
+		{"mirror files e at the tail", func() error { return w.file("e", true) }, false},
+		{"mirror forgets queued e again", func() error { return w.forget("e") }, false},
+		{"mirror files e by its key", func() error { return w.file("e", false) }, false},
 		{"cancel queued e", func() error { w.l.Cancel(w.jobs["e"], w.now); return nil }, false},
 		{"cancel cancelled e", func() error {
 			if w.l.Cancel(w.jobs["e"], w.now) {
@@ -177,6 +217,9 @@ func TestLifecycleConformance(t *testing.T) {
 		{"fail c's node, requeue", func() error { return w.failNode("c", true) }, false},
 		{"repair again", w.repairAll, false},
 		{"start c once more", func() error { return w.start("c") }, false},
+		{"mirror forgets running b", func() error { return w.forget("b") }, false},
+		{"mirror files b", func() error { return w.file("b", false) }, false},
+		{"mirror files a request of b", func() error { return w.fileDyn("b", 2) }, false},
 		{"complete b", func() error { w.l.Complete(w.jobs["b"], w.now); return nil }, false},
 		{"cancel running c", func() error { w.l.Cancel(w.jobs["c"], w.now); return nil }, false},
 		{"complete cancelled c", func() error {
@@ -192,6 +235,7 @@ func TestLifecycleConformance(t *testing.T) {
 		for _, j := range w.l.QueuedJobs() {
 			queuedBefore[j] = true
 		}
+		forgotten0 := w.forgotten
 		e0, q0, b0, qb0, fp0 := w.l.StateEpoch(), w.l.QueueEpoch(), w.bumps, w.queueBumps, w.fingerprint()
 		n0 := w.l.Trace.Len()
 
@@ -207,13 +251,20 @@ func TestLifecycleConformance(t *testing.T) {
 			t.Fatalf("%s: %v", st.name, err)
 		}
 		queued, active := w.l.QueuedJobs(), w.l.ActiveJobs()
-		if n := len(queued) + len(active) + w.l.Completed() + w.l.Cancelled(); n != w.l.Submitted() {
-			t.Fatalf("%s: %d queued + %d active + %d completed + %d cancelled != %d submitted",
-				st.name, len(queued), len(active), w.l.Completed(), w.l.Cancelled(), w.l.Submitted())
+		if n := len(queued) + len(active) + w.l.Completed() + w.l.Cancelled() + w.forgotten; n != w.l.Submitted() {
+			t.Fatalf("%s: %d queued + %d active + %d completed + %d cancelled + %d forgotten != %d submitted",
+				st.name, len(queued), len(active), w.l.Completed(), w.l.Cancelled(), w.forgotten, w.l.Submitted())
+		}
+		queuedNow := map[*job.Job]bool{}
+		for _, j := range queued {
+			queuedNow[j] = true
 		}
 		for _, j := range w.jobs {
 			if held := w.l.Cluster().AllocOf(j.ID).TotalCores(); j.Active() && held != j.TotalCores() || !j.Active() && held != 0 {
 				t.Fatalf("%s: %s (%v, %d cores) holds %d", st.name, j.Name, j.State, j.TotalCores(), held)
+			}
+			if w.forgotten == forgotten0 && (j.State == job.Queued) != queuedNow[j] {
+				t.Fatalf("%s: %s is %v, in the queue %v", st.name, j.Name, j.State, queuedNow[j])
 			}
 			if (j.State == job.DynQueued) != (w.l.PendingDyn(j.ID) != nil) {
 				t.Fatalf("%s: %s is %v with pending request %v", st.name, j.Name, j.State, w.l.PendingDyn(j.ID))
@@ -246,7 +297,7 @@ func TestLifecycleConformance(t *testing.T) {
 			named[j] = true
 		}
 		for _, j := range w.jobs {
-			if queuedBefore[j] != (j.State == job.Queued) && !named[j] {
+			if queuedBefore[j] != queuedNow[j] && !named[j] {
 				t.Fatalf("%s: %s's queue membership changed unlogged (queue epoch %d → %d)",
 					st.name, j.Name, q0, w.l.QueueEpoch())
 			}

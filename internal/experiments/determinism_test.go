@@ -10,7 +10,7 @@ import (
 )
 
 // TestESPRunsAreBitIdentical is the end-to-end determinism guarantee
-// the nodeterminism/maporder analyzers exist to protect: running the
+// the nodeterminism analyzer exists to protect: running the
 // seed ESP scenario twice in one process must reproduce the full
 // decision trace, the schedule event log, and the Table II summary
 // byte for byte. Any wall-clock read, unsorted map iteration, or

@@ -341,7 +341,7 @@ func (t *Tracker) Evaluate(requester job.Credentials, delays []JobDelay) Decisio
 	if t.cfg.Policy.checksTarget() {
 		keys := t.evalKeys[:0]
 		for k := range perEntity {
-			//lint:maporder keys are ordered by sortKeys below; the zero-alloc insertion sort is not in the analyzer's sanctioned sort list
+			// sortKeys below puts the keys in order.
 			keys = append(keys, k)
 		}
 		t.evalKeys = keys[:0]

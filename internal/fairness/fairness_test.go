@@ -2,6 +2,7 @@ package fairness
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +168,26 @@ func TestTargetDelayLimit(t *testing.T) {
 	}
 	if got := tr.EntityUsage(EntityKey{KindUser, "user01"}); got != sim.Hour {
 		t.Errorf("usage = %s, want 1h", sim.FormatTime(got))
+	}
+}
+
+// TestTargetRefusalNamesFirstEntity: when several entities would
+// exceed their target budgets at once, the refusal names the first in
+// (kind, name) order, whatever order the charged entities were
+// gathered in.
+func TestTargetRefusalNamesFirstEntity(t *testing.T) {
+	cfg := NewConfig(TargetDelay)
+	var delays []JobDelay
+	for i, u := range []string{"u5", "u3", "u1", "u4", "u2", "u6"} {
+		cfg.Set(KindUser, u, Limits{TargetDelayTime: sim.Hour})
+		delays = append(delays, JobDelay{Job: mkJob(i+1, u, "g"), Delay: 2 * sim.Hour})
+	}
+	tr := NewTracker(cfg, 0)
+	for range 20 {
+		d := tr.Evaluate(job.Credentials{User: "evolver"}, delays)
+		if d.Allowed || !strings.HasPrefix(d.Reason, "user:u1 ") {
+			t.Fatalf("refusal %q, want one naming user:u1", d.Reason)
+		}
 	}
 }
 

@@ -13,8 +13,7 @@
 //     heap entry.
 //
 // Iteration over maps is never used for anything that feeds scheduling
-// or output; schedlint's maporder analyzer bans `range` over maps in
-// this package outright.
+// or output; nothing in this package ranges over a map.
 package fairtree
 
 import (

@@ -15,8 +15,7 @@ import (
 // is in at most one Queue at a time.
 //
 // Methods that change a Queue take a pointer receiver and those that
-// only read it a value receiver: schedlint's epochguard counts a
-// pointer-receiver call on an epoch-guarded field as a write to it.
+// only read it a value receiver.
 type Queue struct {
 	slots []*Job
 	keys  []uint64 // keys[i] is the key slots[i] was pushed under, ascending; an empty slot keeps its key

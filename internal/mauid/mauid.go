@@ -165,9 +165,7 @@ func (d *Daemon) RunOnce() (applied, skipped int, err error) {
 
 // pull brings the mirror up to the server's state and returns the
 // server's clock: a new mirror from a full snapshot, or the delta
-// applied to the one at hand.
-//
-//lint:locked RunOnce calls pull with d.cycle held
+// applied to the one at hand. RunOnce calls it with d.cycle held.
 func (d *Daemon) pull() (sim.Time, error) {
 	env, err := d.request(proto.TSchedPull, nil)
 	if err != nil {
@@ -262,14 +260,14 @@ func (d *Daemon) dropLink() {
 // it included.
 type mirror struct {
 	core.Lifecycle
-	jobs map[job.ID]*job.Job //schedlint:confined cycle see the type's comment
+	jobs map[job.ID]*job.Job
 	// srvSerial is the Serial of the last pull, and now the server's
 	// clock then: a job the cycle starts starts at now.
-	srvSerial uint64   //schedlint:confined cycle see the type's comment
-	now       sim.Time //schedlint:confined cycle see the type's comment
+	srvSerial uint64
+	now       sim.Time
 	// actions are this cycle's decisions; they stay until the next
 	// delta, which undoes their placements in the cluster.
-	actions []proto.SchedAction //schedlint:confined cycle see the type's comment
+	actions []proto.SchedAction
 }
 
 // mirrorFillID marks the synthetic allocations that reproduce the

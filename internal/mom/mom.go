@@ -849,6 +849,10 @@ func (m *Mom) killJob(id int) {
 	j, ok := m.jobs[id]
 	delete(m.jobs, id)
 	delete(m.sister, id)
+	var parked *proto.Conn
+	if ok {
+		parked = j.pendingTM
+	}
 	m.mu.Unlock()
 	if !ok {
 		return
@@ -857,8 +861,8 @@ func (m *Mom) killJob(id int) {
 	if j.cancel != nil {
 		j.cancel()
 	}
-	if j.pendingTM != nil {
-		m.reply(j.pendingTM, proto.TTMResp, proto.TMResp{OK: false, Reason: "job killed"})
+	if parked != nil {
+		m.reply(parked, proto.TTMResp, proto.TMResp{OK: false, Reason: "job killed"})
 	}
 }
 

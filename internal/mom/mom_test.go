@@ -3,6 +3,7 @@ package mom
 import (
 	"context"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -182,4 +183,67 @@ func TestReconnectInstallWinsWhileOpen(t *testing.T) {
 		t.Fatal("installed link not published")
 	}
 	m.Close()
+}
+
+// TestTMDynGetServerUnreachableRacesKill: a mom with no server link
+// answers an application's tm_dynget with an error, taking the pending
+// request back, while a kill of the same job runs beside it; the
+// application hears one refusal, and -race watches the job record both
+// paths touch.
+func TestTMDynGetServerUnreachableRacesKill(t *testing.T) {
+	leak.Check(t)
+	m := New("n", 8)
+	t.Cleanup(m.Close)
+	for id := 1; id <= 100; id++ {
+		m.runJob(proto.RunJobReq{JobID: id, Spec: proto.JobSpec{Script: "sleep:1m"}, Hosts: []proto.HostSlice{{Node: "n", Cores: 2}}})
+		app, side := net.Pipe()
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			m.handleTMDynGet(proto.NewConn(side), proto.TMDynGetReq{JobID: id, Cores: 2})
+		}()
+		go func() {
+			defer wg.Done()
+			m.killJob(id)
+		}()
+		c := proto.NewConn(app)
+		env, err := c.Recv()
+		if err != nil {
+			t.Fatalf("job %d: no answer to tm_dynget: %v", id, err)
+		}
+		var resp proto.TMResp
+		if env.Type != proto.TTMResp || env.Decode(&resp) != nil || resp.OK {
+			t.Fatalf("job %d: answer %v %+v, want a refusal", id, env.Type, resp)
+		}
+		wg.Wait()
+		_ = c.Close()
+	}
+	waitJobs(t, m, 0)
+}
+
+// TestOutboxReplayFailureKeepsOrder: completions parked while the
+// server link was down stay parked, in order, when their replay fails
+// on the first send.
+func TestOutboxReplayFailureKeepsOrder(t *testing.T) {
+	leak.Check(t)
+	m := New("n", 4)
+	t.Cleanup(m.Close)
+	for id := 1; id <= 3; id++ {
+		m.tellServerBuffered(proto.TJobDone, id, proto.JobDoneReq{JobID: id})
+	}
+	ours, theirs := net.Pipe()
+	_ = theirs.Close()
+	c := proto.NewConn(ours)
+	defer c.Close()
+	m.flushOutbox(c)
+	m.mu.Lock()
+	var ids []int
+	for _, om := range m.outbox {
+		ids = append(ids, om.jobID)
+	}
+	m.mu.Unlock()
+	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
+		t.Fatalf("outbox after a failed replay holds jobs %v, want [1 2 3]", ids)
+	}
 }

@@ -188,9 +188,9 @@ func (c *Conn) ClientHandshake(m Mode) error {
 // m == ModeV1 pins the reply to v1 even for v2-proposing peers. A
 // ModeV2 acceptor still serves sniffed v1 peers: the paper's
 // qsub/qstat clients never handshake, and refusing them would break
-// every old client for no protocol benefit.
-//
-//lint:locked the handshake runs before any Recv, on a conn no other goroutine reads yet
+// every old client for no protocol benefit. The handshake runs before
+// any Recv, on a conn no other goroutine reads yet, so it reads without
+// rm.
 func (c *Conn) AcceptHandshake(m Mode) error {
 	first, err := c.r.Peek(1)
 	if err != nil {
@@ -309,10 +309,8 @@ func (c *Conn) sendV2(t MsgType, payload any) error {
 	return err
 }
 
-// recvV2 reads one v2 frame. Caller holds rm with the read deadline
-// already armed.
-//
-//lint:locked its one caller, Recv, runs with c.rm held
+// recvV2 reads one v2 frame. Its one caller, Recv, holds rm with the
+// read deadline already armed.
 func (c *Conn) recvV2() (*Envelope, error) {
 	n, err := readFrameLen(c.r)
 	if err != nil {
@@ -480,7 +478,7 @@ func codecMismatch(codec byte, dst any) error {
 // binReader walks a binary payload, latching the first error. A reader
 // belongs to one decodeBinary call from readerPool.Get to Put.
 type binReader struct {
-	b   []byte //schedlint:confined decoder the pool hands a reader to one decodeBinary call at a time
+	b   []byte
 	err error
 }
 

@@ -37,7 +37,7 @@ func TestQSubRefusesBadSizes(t *testing.T) {
 		{"nodes without ppn", proto.JobSpec{Nodes: 2, WallSecs: 60}, false, 0},
 		{"negative ppn", proto.JobSpec{Nodes: 2, PPN: -8, WallSecs: 60}, false, 0},
 		{"ppn past a node", proto.JobSpec{Nodes: 1, PPN: cluster.MaxNodeCores + 1, WallSecs: 60}, false, 0},
-		{"nodes×ppn wraps positive", proto.JobSpec{Nodes: 1<<62 + 1, PPN: 4, WallSecs: 60}, false, 0},
+		{"nodes×ppn wraps positive", proto.JobSpec{Nodes: math.MaxInt/2 + 2, PPN: 4, WallSecs: 60}, false, 0},
 		{"nodes×ppn overflows", proto.JobSpec{Nodes: math.MaxInt / 8, PPN: 16, WallSecs: 60}, false, 0},
 	} {
 		srv := New(Options{Sched: core.New(core.Options{}, 0)})

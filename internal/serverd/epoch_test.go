@@ -13,8 +13,8 @@ import (
 	"repro/internal/testutil/leak"
 )
 
-// TestDispatchRollbackAdvancesEpochs pins the invariant epochguard
-// enforces on (*serverRM).StartJob: the dispatch-failure rollback is a
+// TestDispatchRollbackAdvancesEpochs pins the epoch invariant of
+// (*serverRM).StartJob: the dispatch-failure rollback is a
 // second round of mutations after the dispatch bump, so it must carry
 // its own queue-class bump. Under the epoch protocol two observations
 // with equal epochs must describe identical state; without the

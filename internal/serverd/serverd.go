@@ -103,8 +103,8 @@ const (
 type jobInfo struct {
 	j      *job.Job
 	spec   proto.JobSpec
-	hosts  []proto.HostSlice //schedlint:confined loop written only by closures the loop runs
-	msNode string            //schedlint:confined loop mother superior node name
+	hosts  []proto.HostSlice
+	msNode string // mother superior node name
 	// wall and neg are the job's entries in the deadline heap: its
 	// walltime while it runs, and its pending dyn request's
 	// negotiation deadline.
@@ -116,13 +116,13 @@ type jobInfo struct {
 type nodeInfo struct {
 	node     *cluster.Node
 	addr     string
-	conn     *proto.Conn //schedlint:confined loop written only by closures the loop runs
-	lastSeen sim.Time    // server-virtual time of the last message from this mom
+	conn     *proto.Conn
+	lastSeen sim.Time // server-virtual time of the last message from this mom
 	// verdicts buffers dyn grant/reject answers that could not be
 	// delivered (link down, send failure); they replay in order on
 	// the mom's re-registration so a blocked tm_dynget always
 	// resolves.
-	verdicts []proto.DynGetResp //schedlint:confined loop written only by closures the loop runs
+	verdicts []proto.DynGetResp
 }
 
 // Server is the live daemon.
